@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from . import fixtures, hilbert, markov, polyhedra, verify
-from .design import DEFAULT_COLUMN_CAP, Model, build_design_matrix, distinct_columns
+from .design import DEFAULT_COLUMN_CAP, Model, build_design_matrix, format_row_label
 
 _USAGE_ERROR = 1
 _VERIFY_ERROR = 2
@@ -75,8 +75,6 @@ def cmd_design(args: argparse.Namespace) -> int:
         widths = [max(len(str(row[i])) for row in matrix.as_rows()) for i in range(len(matrix.columns))]
         lines = []
         for label, row in zip(matrix.rows, matrix.as_rows()):
-            from .design import format_row_label
-
             lines.append(format_row_label(label).rjust(4) + " " + " ".join(str(x).rjust(w) for x, w in zip(row, widths)))
         payload = "\n".join(lines) + "\n"
     if args.output:
@@ -87,13 +85,6 @@ def cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_row(model_value: str, T: int) -> tuple[int, int, tuple[int, ...], bool]:
-    model = Model.parse(model_value)
-    result = hilbert.hilbert_basis(model, 3, T, max_T=_hilbert_cap())
-    fv = polyhedra.f_vector(distinct_columns(model, 3, T))
-    return T, result.count, fv.counts, result.normal
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
     model = Model.parse(args.model)
     if model not in (Model.C, Model.D):
@@ -101,18 +92,19 @@ def cmd_tables(args: argparse.Namespace) -> int:
         return _USAGE_ERROR
     table = fixtures.load_tables()[model.value]
     T_values = _parse_range(args.T) if args.T else sorted(table)
+    cap = [_hilbert_cap()] * len(T_values)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row, [model.value] * len(T_values), T_values))
+            rows = list(pool.map(verify.table_row, [model.value] * len(T_values), T_values, cap))
     else:
-        rows = [_table_row(model.value, T) for T in T_values]
+        rows = list(map(verify.table_row, [model.value] * len(T_values), T_values, cap))
     rows.sort()
     failed = False
     records = []
-    for T, hb_count, fv, normal in rows:
+    for row in rows:
+        T, hb_count, fv, normal = row
         if T in table:
-            hb_expected, f_expected = table[T]
-            ok = hb_count == hb_expected and fv == f_expected and normal
+            ok = verify.row_matches(row, table[T])
             failed |= not ok
             status = "PASS" if ok else "FAIL"
         else:
@@ -131,6 +123,7 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
         print("hyperplane fixtures exist for models c and d", file=sys.stderr)
         return _USAGE_ERROR
     blocks = fixtures.load_hyperplane_blocks(model)
+    table_d = fixtures.load_tables()["d"]
     T_values = _parse_range(args.T) if args.T else sorted(blocks)
     failed = False
     for T in T_values:
@@ -141,7 +134,7 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
                 return _USAGE_ERROR
             cmp = fixtures.compare_hyperplanes(model, T, nontrivial)
             if model is Model.D:
-                count_ok = len(hrep.inequalities) == fixtures.load_tables()["d"][T][1][-1] if T in fixtures.load_tables()["d"] else True
+                count_ok = T not in table_d or len(hrep.inequalities) == table_d[T][1][-1]
                 ok = cmp.ok and count_ok
                 failed |= not ok
                 print(f"T={T:2d}: {len(nontrivial)} nontrivial facets, fixture match {'PASS' if ok else 'FAIL'}")

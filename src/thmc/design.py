@@ -13,6 +13,10 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb
+from operator import sub
 from typing import Iterator, Sequence
 
 from .words import (
@@ -53,6 +57,10 @@ class Model(enum.Enum):
     def no_loops(self) -> bool:
         return self in (Model.C, Model.D)
 
+    def column_sum(self, T: int) -> int:
+        """Common column sum: T for models a/c, T-1 for b/d."""
+        return T if self.has_initial else T - 1
+
     @classmethod
     def parse(cls, token: "str | Model") -> "Model":
         if isinstance(token, Model):
@@ -63,8 +71,10 @@ class Model(enum.Enum):
             raise ValueError(f"unknown model {token!r}; expected one of a, b, c, d") from None
 
 
-def transition_pairs(S: int, no_loops: bool) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, S + 1) for j in range(1, S + 1) if not (no_loops and i == j)]
+@lru_cache(maxsize=None)
+def transition_pairs(S: int, no_loops: bool) -> tuple[tuple[int, int], ...]:
+    """Transition coordinates (i, j) in lexicographic order."""
+    return tuple((i, j) for i in range(1, S + 1) for j in range(1, S + 1) if not (no_loops and i == j))
 
 
 def row_labels(model: Model, S: int) -> tuple[RowLabel, ...]:
@@ -116,14 +126,10 @@ class DesignMatrix:
 
     @property
     def column_sum(self) -> int:
-        """Common column sum: T for models a/c, T-1 for b/d."""
-        return self.T if self.model.has_initial else self.T - 1
+        return self.model.column_sum(self.T)
 
     def as_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.columns))
-
-    def column(self, word: Sequence[int]) -> tuple[int, ...]:
-        return self.columns[self.words.index(tuple(word))]
 
     def to_csv(self) -> str:
         lines = ["," + ",".join(format_word(w) for w in self.words)]
@@ -154,19 +160,8 @@ def build_design_matrix(
     count = word_count(S, T, model.no_loops)
     if count > column_cap:
         raise SizeCapExceeded(f"{count} columns exceed the cap of {column_cap}")
-    words = []
-    columns = []
-    for w in iter_words(S, T, model.no_loops):
-        words.append(w)
-        columns.append(column_of_word(model, S, w))
-    return DesignMatrix(
-        model=model,
-        S=S,
-        T=T,
-        rows=row_labels(model, S),
-        words=tuple(words),
-        columns=tuple(columns),
-    )
+    words, columns = zip(*iter_columns(model, S, T))
+    return DesignMatrix(model=model, S=S, T=T, rows=row_labels(model, S), words=words, columns=columns)
 
 
 def iter_columns(model: Model | str, S: int, T: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
@@ -178,20 +173,10 @@ def iter_columns(model: Model | str, S: int, T: int) -> Iterator[tuple[Word, tup
 
 def sufficient_statistic(model: Model | str, multiset: PathMultiset) -> tuple[int, ...]:
     """A applied to the data vector of the multiset: summed design columns."""
-    model = Model.parse(model)
-    if model.no_loops and not multiset.no_loops:
-        for word in multiset.counts:
-            if any(a == b for a, b in zip(word, word[1:])):
-                raise LoopViolation(f"multiset word {word!r} has a self-loop under model {model.value}")
-    total: list[int] | None = None
-    for word, mult in multiset.counts.items():
-        col = column_of_word(model, multiset.S, word)
-        if total is None:
-            total = [0] * len(col)
-        for idx, x in enumerate(col):
-            total[idx] += mult * x
-    assert total is not None
-    return tuple(total)
+    from .markov import sufficient
+
+    words = [w for w, mult in multiset.counts.items() for _ in range(mult)]
+    return sufficient(Model.parse(model), multiset.S, words)
 
 
 # ---------------------------------------------------------------------------
@@ -255,94 +240,81 @@ def toric_model_map(matrix: DesignMatrix, theta: Sequence[Fraction]) -> tuple[Fr
 
 
 # ---------------------------------------------------------------------------
-# Distinct columns without word streaming (needed once T gets large)
+# Distinct columns: compositions filtered by the Euler rule
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ``parts``-tuples of non-negative integers summing to ``total``, lexicographically.
 
-
-def _loopfree3_balance(x: Sequence[int]) -> tuple[int, int, int]:
-    x12, x13, x21, x23, x31, x32 = x
-    return (
-        (x12 + x13) - (x21 + x31),
-        (x21 + x23) - (x12 + x32),
-        (x31 + x32) - (x13 + x23),
-    )
+    Stars and bars: the ``parts - 1`` bar positions, as a non-decreasing
+    tuple c over 0..total, cut total into c_0, c_1 - c_0, ..., total - c_last.
+    """
+    end = (total,)
+    for c in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, c + end, (0,) + c))
 
 
-def _loopfree3_realizable(x: Sequence[int]) -> bool:
-    """Is x the transition-count vector of some loop-free word on 3 states?"""
-    diffs = _loopfree3_balance(x)
-    return sorted(diffs) in ([0, 0, 0], [-1, 0, 1])
+def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:
+    """States from which one word realizes the transition counts x.
+
+    ``x`` is a flat transition vector in :func:`transition_pairs` order.
+    By Euler's theorem a word exists iff out- and in-degrees balance at
+    every state except for at most one +1/-1 pair, and the edge support
+    is connected. The word starts at the +1 state when there is one,
+    otherwise at any state with an outgoing edge. Empty when no word
+    realizes x (also when x has no edges).
+    """
+    pairs = transition_pairs(S, no_loops)
+    surplus = [0] * S  # out-degree minus in-degree, per state
+    for (i, j), v in zip(pairs, x):
+        if v:
+            surplus[i - 1] += v
+            surplus[j - 1] -= v
+    if min(surplus) < -1 or max(surplus) > 1 or surplus.count(1) > 1:
+        return ()
+    edges = [pair for pair, v in zip(pairs, x) if v]
+    if not edges:
+        return ()
+    reached = {edges[0][0]}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in reached) != (j in reached):
+                reached.update((i, j))
+                grew = True
+    if any(i not in reached for i, _ in edges):
+        return ()
+    if 1 in surplus:
+        return (surplus.index(1) + 1,)
+    return tuple(sorted({i for i, _ in edges}))
 
 
-def _loopfree3_start_states(x: Sequence[int]) -> list[int]:
-    """States a loop-free word with transition counts x can start at."""
-    if not _loopfree3_realizable(x):
-        return []
-    diffs = _loopfree3_balance(x)
-    if any(diffs):
-        return [diffs.index(1) + 1]
-    x12, x13, x21, x23, x31, x32 = x
-    out = (x12 + x13, x21 + x23, x31 + x32)
-    return [s + 1 for s in range(3) if out[s] > 0]
-
-
-def _withloops2_start_states(x: Sequence[int]) -> list[int]:
-    """Start states realizing transition counts x = (x11, x12, x21, x22) on 2 states."""
-    x11, x12, x21, x22 = x
-    d1 = x12 - x21
-    if abs(d1) > 1:
-        return []
-    if x12 == 0 and x21 == 0 and x11 > 0 and x22 > 0:
-        return []  # two disjoint loop islands
-    if d1 == 1:
-        return [1]
-    if d1 == -1:
-        return [2]
-    out = (x11 + x12, x21 + x22)
-    return [s + 1 for s in range(2) if out[s] > 0]
+def _euler_columns(model: Model, S: int, T: int) -> set[tuple[int, ...]]:
+    """Distinct columns: the compositions of T-1 that pass the Euler rule, with their start states."""
+    no_loops = model.no_loops
+    xs = compositions(T - 1, len(transition_pairs(S, no_loops)))
+    if not model.has_initial:
+        return {x for x in xs if start_states(x, S, no_loops)}
+    inits = {s: tuple(1 if v == s else 0 for v in range(1, S + 1)) for s in range(1, S + 1)}
+    return {inits[s] + x for x in xs for s in start_states(x, S, no_loops)}
 
 
 def distinct_columns(model: Model | str, S: int, T: int, *, column_cap: int = DEFAULT_COLUMN_CAP) -> tuple[tuple[int, ...], ...]:
     """Sorted distinct column vectors of the design matrix.
 
-    For the loop-free models at S=3 and the with-loop models at S=2 the
-    columns are enumerated directly as realizable transition-count
-    vectors, so large T never streams S^T words.
+    Columns are the transition-count vectors that pass the Euler rule of
+    :func:`start_states`, found among all compositions of T-1 into one
+    part per transition. When there are more compositions than
+    ``column_cap`` the words are streamed instead; when both counts
+    exceed the cap, :class:`SizeCapExceeded` is raised before any work.
     """
     model = Model.parse(model)
-    if model.no_loops and S == 3:
-        cols = set()
-        for x in _compositions(T - 1, 6):
-            starts = _loopfree3_start_states(x)
-            if not starts:
-                continue
-            if model is Model.D:
-                cols.add(tuple(x))
-            else:
-                for s in starts:
-                    init = tuple(1 if v == s else 0 for v in (1, 2, 3))
-                    cols.add(init + tuple(x))
-        return tuple(sorted(cols))
-    if not model.no_loops and S == 2:
-        cols = set()
-        for x in _compositions(T - 1, 4):
-            starts = _withloops2_start_states(x)
-            if not starts:
-                continue
-            if model is Model.B:
-                cols.add(tuple(x))
-            else:
-                for s in starts:
-                    init = tuple(1 if v == s else 0 for v in (1, 2))
-                    cols.add(init + tuple(x))
-        return tuple(sorted(cols))
-    if word_count(S, T, model.no_loops) > column_cap:
-        raise SizeCapExceeded("word streaming above the column cap; no fast path for this model/S")
-    return tuple(sorted({col for _, col in iter_columns(model, S, T)}))
+    words = word_count(S, T, model.no_loops)
+    parts = len(transition_pairs(S, model.no_loops))
+    if comb(T - 2 + parts, parts - 1) <= column_cap:
+        cols = _euler_columns(model, S, T)
+    elif words <= column_cap:
+        cols = {col for _, col in iter_columns(model, S, T)}
+    else:
+        raise SizeCapExceeded(f"{words} words and the compositions of T-1 both exceed the cap of {column_cap}")
+    return tuple(sorted(cols))

@@ -134,17 +134,19 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
     model = Model.parse(model)
     if model not in (Model.C, Model.D):
         raise ValueError("hyperplane fixtures exist for models c and d only")
+    name = f"hyperplanes_{model.value}.txt"
     rows_by_T: dict[int, list[list[int]]] = {}
     cur: int | None = None
-    for line in _read_data(f"hyperplanes_{model.value}.txt").splitlines():
+    for line in _read_data(name).splitlines():
         parts = line.split()
         if not parts:
             continue
         if parts[0] == "T":
             cur = int(parts[1])
             rows_by_T[cur] = []
+        elif cur is None:
+            raise ValueError(f"{name}: matrix row before the first 'T' line")
         else:
-            assert cur is not None
             rows_by_T[cur].append([int(x) for x in parts])
     return {T: tuple(sorted(zip(*rows))) for T, rows in rows_by_T.items()}
 

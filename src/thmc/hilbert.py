@@ -17,10 +17,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .design import Model, column_of_word, distinct_columns, transition_pairs
-from .intlinalg import IntLattice, IntVec, det_bareiss, smith_normal_form, primitive_vector
+from .design import Model, column_of_word, compositions, distinct_columns, iter_columns, transition_pairs
+from .intlinalg import IntLattice, IntVec, adjugate, det_bareiss, independent_subset, primitive_vector, smith_normal_form
 from .polyhedra import cone_facets, in_cone_lp
-from .words import iter_words
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
 
@@ -58,10 +57,6 @@ class HilbertBasisResult:
         }
 
 
-def _column_sum(model: Model, T: int) -> int:
-    return T if model.has_initial else T - 1
-
-
 def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = None) -> HilbertBasisResult:
     """Minimal generating set of cone(columns) ∩ Z(columns).
 
@@ -97,7 +92,7 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
             candidates.add(back(z))
     candidates.discard(tuple([0] * lattice.dim))
 
-    colsum = _column_sum(model, T)
+    colsum = model.column_sum(T)
     normals = hrep.inequalities
 
     def in_cone(v: IntVec) -> bool:
@@ -142,22 +137,7 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int) -> list[tuple[int,
     Rays inside the current cone contribute nothing.
     """
     n = len(rays)
-    picked: list[int] = []
-    work: list[list[Fraction]] = []
-    for idx in range(n):
-        v = [Fraction(x) for x in rays[idx]]
-        for piv in work:
-            lead = next(i for i, x in enumerate(piv) if x)
-            if v[lead]:
-                f = v[lead] / piv[lead]
-                v = [x - f * y for x, y in zip(v, piv)]
-        if any(v):
-            work.append(v)
-            picked.append(idx)
-            if len(picked) == rank:
-                break
-    if len(picked) < rank:
-        raise ValueError("rays do not span the expected rank")
+    picked = independent_subset(rays, rank)
 
     simplices: list[tuple[int, ...]] = []
     normal_cache: dict[frozenset[int], IntVec] = {}
@@ -235,10 +215,10 @@ def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
         raise AssertionError("simplex rays are singular")
     if volume == 1:
         return []
-    adj_u, det_u = _adjugate(snf.U)
+    adj_u, det_u = adjugate(snf.U)
     if det_u < 0:
         adj_u = [[-x for x in row] for row in adj_u]
-    adj_r, det_r = _adjugate(R)
+    adj_r, det_r = adjugate(R)
     points = []
     ranges = [range(d) for d in diag]
     for ys in product(*ranges):
@@ -250,20 +230,6 @@ def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
         shifted = tuple(x[i] - sum(R[i][j] * q[j] for j in range(r)) for i in range(r))
         points.append(shifted)
     return points
-
-
-def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    n = len(matrix)
-    det = det_bareiss(matrix)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[matrix[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = det_bareiss(minor) if minor else 1
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj, det
 
 
 def check_normality(model: Model | str, S: int, T: int, *, max_T: int | None = None) -> bool:
@@ -286,7 +252,7 @@ def hilbert_basis_bruteforce_oracle(model: Model | str, S: int, T: int, degree_c
         return ()
     cols = distinct_columns(model, S, T)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)
-    colsum = _column_sum(model, T)
+    colsum = model.column_sum(T)
     members: list[IntVec] = []
     for k in range(1, degree_cap + 1):
         for y in _degree_k_candidates(model, S, T, k):
@@ -318,12 +284,12 @@ def _degree_k_candidates(model: Model, S: int, T: int, k: int):
     n_trans = len(transition_pairs(S, model.no_loops))
     trans_total = k * (T - 1)
     if model.has_initial:
-        for init in _compositions(k, S):
-            for trans in _compositions(trans_total, n_trans):
+        for init in compositions(k, S):
+            for trans in compositions(trans_total, n_trans):
                 if _balance_ok(model, S, init, trans, k):
                     yield tuple(init) + tuple(trans)
     else:
-        for trans in _compositions(trans_total, n_trans):
+        for trans in compositions(trans_total, n_trans):
             if _balance_ok(model, S, None, trans, k):
                 yield tuple(trans)
 
@@ -339,15 +305,6 @@ def _balance_ok(model: Model, S: int, init, trans: Sequence[int], k: int) -> boo
         return all(abs(o - i) <= k for o, i in zip(out, inn))
     # with initial counts the path-end counts must be non-negative
     return all(init[s] - out[s] + inn[s] >= 0 for s in range(S))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +400,13 @@ def nonnormality_witness(model: Model | str, S: int, T: int) -> NonNormalityWitn
 
 def _nonneg_integer_solution_exists(model: Model, S: int, T: int, h: IntVec) -> bool:
     """Exhaustive search for multisets of words whose columns sum to h."""
-    colsum = _column_sum(model, T)
+    colsum = model.column_sum(T)
     total = sum(h)
     if total % colsum:
         return False
     degree = total // colsum
-    columns = sorted(
-        {col for _, col in _bounded_columns(model, S, T, h)}
-    )
+    columns = sorted({col for _, col in iter_columns(model, S, T) if all(a <= b for a, b in zip(col, h))})
     return _fiber_search(columns, h, degree)
-
-
-def _bounded_columns(model: Model, S: int, T: int, bound: IntVec):
-    for word in iter_words(S, T, model.no_loops):
-        col = column_of_word(model, S, word)
-        if all(a <= b for a, b in zip(col, bound)):
-            yield word, col
 
 
 def _fiber_search(columns: Sequence[IntVec], target: IntVec, depth: int) -> bool:

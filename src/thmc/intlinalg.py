@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
 Smith normal form with verified transformation matrices, incremental
-Hermite-style lattice bases, lattice membership tests, integer kernels,
-and the alternating pivot-path pairs used to diagonalize the loop-free
-transition design matrices.
+Hermite-style lattice bases (the one elimination behind every rank and
+independent-subset choice), adjugates, lattice membership tests,
+integer kernels, and the alternating pivot-path pairs used to
+diagonalize the loop-free transition design matrices.
 
 Everything here is arbitrary-precision: inputs and outputs are plain
 Python ints, matrices are tuples of row tuples.
@@ -25,6 +26,10 @@ _EXACT_DET_LIMIT = 150
 
 class DimensionMismatch(ValueError):
     """Vector or matrix dimensions do not line up."""
+
+
+class DegenerateInput(ValueError):
+    """No usable generators (e.g. all columns zero, or too low a rank)."""
 
 
 def as_int_matrix(rows: Iterable[Sequence[int]]) -> IntMat:
@@ -83,6 +88,18 @@ def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[-1][-1]
+
+
+def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """adj(M) and det(M) by cofactor expansion, so that M * adj(M) = det(M) * I."""
+    n = len(matrix)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[matrix[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = det_bareiss(minor)
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj, det_bareiss(matrix)
 
 
 def _det_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
@@ -147,30 +164,22 @@ def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) ->
     M = [list(row) for row in A]
     U = identity_matrix(r)
     V = identity_matrix(c)
-    v_det_sign = 1
-    u_det_sign = 1
 
     def swap_rows(i: int, j: int) -> None:
-        nonlocal u_det_sign
         if i != j:
             M[i], M[j] = M[j], M[i]
             U[i], U[j] = U[j], U[i]
-            u_det_sign = -u_det_sign
 
     def swap_cols(i: int, j: int) -> None:
-        nonlocal v_det_sign
         if i != j:
             for row in M:
                 row[i], row[j] = row[j], row[i]
             for row in V:
                 row[i], row[j] = row[j], row[i]
-            v_det_sign = -v_det_sign
 
     def negate_row(i: int) -> None:
-        nonlocal u_det_sign
         M[i] = [-x for x in M[i]]
         U[i] = [-x for x in U[i]]
-        u_det_sign = -u_det_sign
 
     def row_addmul(dst: int, src: int, q: int) -> None:
         if q:
@@ -248,11 +257,11 @@ def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) ->
     diagonal = tuple(M[i][i] for i in range(limit) if M[i][i])
     result = SnfResult(U=as_int_matrix(U), D=D, V=as_int_matrix(V), diagonal=diagonal)
     if check:
-        _verify_snf(A, result, u_det_sign, v_det_sign)
+        _verify_snf(A, result)
     return result
 
 
-def _verify_snf(A: IntMat, res: SnfResult, u_sign: int, v_sign: int) -> None:
+def _verify_snf(A: IntMat, res: SnfResult) -> None:
     r, c = len(A), len(A[0])
     prod = mat_mul(mat_mul(res.U, A), res.V)
     if as_int_matrix(prod) != res.D:
@@ -270,12 +279,9 @@ def _verify_snf(A: IntMat, res: SnfResult, u_sign: int, v_sign: int) -> None:
         if abs(det_bareiss(res.V)) != 1:
             raise AssertionError("SNF verification failed: V not unimodular")
     else:
-        if v_sign not in (1, -1):
-            raise AssertionError("SNF verification failed: V determinant bookkeeping")
         for p in _DET_PRIMES:
             if _det_mod_p(res.V, p) not in (1 % p, (-1) % p):
                 raise AssertionError("SNF verification failed: V not unimodular (mod p)")
-    del u_sign
 
 
 class IntLattice:
@@ -364,20 +370,6 @@ class IntLattice:
             return all(x == 0 for x in vector)
         return _snf_membership(self._snf(), vector)
 
-    def index_in(self, other: "IntLattice") -> int | None:
-        """Index [other : self] when both have full rank in the same span; None otherwise."""
-        if self.rank != other.rank:
-            return None
-        mine = 1
-        for d in self.invariant_factors():
-            mine *= d
-        theirs = 1
-        for d in other.invariant_factors():
-            theirs *= d
-        if mine % theirs:
-            return None
-        return mine // theirs
-
     def coordinates(self, vector: Sequence[int]) -> list[int] | None:
         """Integer coordinates of ``vector`` in the echelon basis rows, or None."""
         if len(vector) != self.dim:
@@ -400,6 +392,26 @@ class IntLattice:
         if not self._rows:
             raise ValueError("lattice is trivial")
         return as_int_matrix(self._rows)
+
+
+def independent_subset(vectors: Sequence[Sequence[int]], size: int) -> list[int]:
+    """Indices of the first ``size`` vectors that each raise the rank (greedy, in order).
+
+    Runs the integer echelon of :class:`IntLattice`; raises
+    :class:`DegenerateInput` when the vectors span a smaller rank.
+    """
+    lattice = IntLattice(len(vectors[0]))
+    picked: list[int] = []
+    for idx, vec in enumerate(vectors):
+        if len(picked) == size:
+            break
+        rank = lattice.rank
+        lattice.add(vec)
+        if lattice.rank > rank:
+            picked.append(idx)
+    if len(picked) < size:
+        raise DegenerateInput(f"vectors span rank {len(picked)}, expected {size}")
+    return picked
 
 
 def _snf_membership(snf: SnfResult, vector: Sequence[int]) -> bool:

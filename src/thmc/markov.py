@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .design import Model, column_of_word, distinct_columns
 from .words import Word, iter_words, word_count
@@ -42,7 +42,7 @@ class Marginal:
 
     @property
     def degree(self) -> int:
-        colsum = self.T if self.model.has_initial else self.T - 1
+        colsum = self.model.column_sum(self.T)
         total = sum(self.b)
         if total % colsum:
             raise ValueError("marginal total is not a multiple of the column sum")
@@ -96,6 +96,7 @@ class Move:
 
 
 def sufficient(model: Model, S: int, words: Sequence[Word]) -> tuple[int, ...]:
+    """Summed design columns of the words: the marginal they share with their fiber."""
     total: list[int] | None = None
     for w in words:
         col = column_of_word(model, S, w)
@@ -205,7 +206,29 @@ def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tu
     """
     elements = list(fiber.elements)
     index = {e: i for i, e in enumerate(elements)}
-    parent = list(range(len(elements)))
+    move_list = list(moves)
+
+    def edges() -> Iterator[tuple[int, int]]:
+        for i, e in enumerate(elements):
+            ce = Counter(e)
+            for mv in move_list:
+                cneg = Counter(mv.negative)
+                if all(ce[w] >= c for w, c in cneg.items()):
+                    target = ce - cneg + Counter(mv.positive)
+                    j = index.get(tuple(sorted(target.elements())))
+                    if j is not None:
+                        yield i, j
+
+    components: dict[int, list[Element]] = {}
+    for e, root in zip(elements, _roots(len(elements), edges())):
+        components.setdefault(root, []).append(e)
+    comps = tuple(tuple(sorted(c)) for c in sorted(components.values()))
+    return len(comps) <= 1, comps
+
+
+def _roots(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find: the component representative of each of n nodes once the edges are joined."""
+    parent = list(range(n))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -213,27 +236,11 @@ def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tu
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
+    for i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-
-    move_list = list(moves)
-    for e in elements:
-        ce = Counter(e)
-        for mv in move_list:
-            cneg = Counter(mv.negative)
-            if all(ce[w] >= c for w, c in cneg.items()):
-                target = ce - cneg + Counter(mv.positive)
-                te = tuple(sorted(target.elements()))
-                j = index.get(te)
-                if j is not None:
-                    union(index[e], j)
-    components: dict[int, list[Element]] = {}
-    for e, i in index.items():
-        components.setdefault(find(i), []).append(e)
-    comps = tuple(tuple(sorted(c)) for c in sorted(components.values()))
-    return len(comps) <= 1, comps
+    return [find(i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +344,9 @@ def _class_connectivity(classes: Sequence[tuple[int, ...]], degree: int) -> int:
     class swap costs `degree`. Stage 2 therefore unions shared-column
     classes, and anything still separate connects at k = degree.
     """
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    buckets: dict[int, int] = {}
-    for idx, cls in enumerate(classes):
-        for col in set(cls):
-            if col in buckets:
-                union(buckets[col], idx)
-            else:
-                buckets[col] = idx
-    roots = {find(i) for i in range(len(classes))}
-    if len(roots) == 1:
+    first_with: dict[int, int] = {}  # column -> first class containing it
+    edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
+    if len(set(_roots(len(classes), edges))) == 1:
         return 2
     return degree
 
@@ -366,41 +354,3 @@ def _class_connectivity(classes: Sequence[tuple[int, ...]], degree: int) -> int:
 def moves_to_text(moves: Sequence[Move]) -> str:
     """One move per line, signed integers over the lexicographic word order."""
     return "\n".join(" ".join(str(x) for x in mv.as_vector()) for mv in moves) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Experimental: shift-equivalence orbits of moves
-
-def shift_orbit_key(move: Move) -> tuple:
-    """Normalize a move by collapsing the common leading constant run.
-
-    Experimental; the equivalence the conjecture hints at is not pinned
-    down, so this only aligns moves that differ by a repeated initial
-    state (with-loop models). Loop-free words have no constant runs and
-    map to themselves.
-    """
-    words = move.positive + move.negative
-
-    def lead_run(w: Word) -> int:
-        run = 1
-        while run < len(w) and w[run] == w[0]:
-            run += 1
-        return run
-
-    common = min(lead_run(w) for w in words)
-    trim = common - 1
-
-    def collapse(w: Word) -> Word:
-        return w[trim:]
-
-    pos = tuple(sorted(collapse(w) for w in move.positive))
-    neg = tuple(sorted(collapse(w) for w in move.negative))
-    return (pos, neg) if pos <= neg else (neg, pos)
-
-
-def experimental_shift_orbits(moves: Sequence[Move]) -> dict[tuple, list[Move]]:
-    orbits: dict[tuple, list[Move]] = {}
-    for mv in moves:
-        orbits.setdefault(shift_orbit_key(mv), []).append(mv)
-    return orbits
-

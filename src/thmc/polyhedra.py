@@ -17,20 +17,18 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import stategraph
-from .design import Model, distinct_columns
+from .design import Model, compositions, distinct_columns, transition_pairs
 from .intlinalg import (
+    DegenerateInput,
     IntLattice,
     IntVec,
+    adjugate,
     as_int_matrix,
-    det_bareiss,
+    independent_subset,
     kernel_lattice_basis,
     mat_vec,
     primitive_vector,
 )
-
-
-class DegenerateInput(ValueError):
-    """No usable generators (e.g. all columns zero)."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,31 +106,25 @@ def linear_feasible(
         if leave is None:
             raise AssertionError("phase-1 objective unbounded; this cannot happen")
         pivot_row = rows[leave]
-        p = pivot_row[enter]
         for i in range(m):
-            if i == leave:
-                continue
-            f = rows[i][enter]
-            if f:
-                row = rows[i]
-                new_row = [x * p - y * f for x, y in zip(row, pivot_row)]
-                g = 0
-                for x in new_row:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                rows[i] = [x // g for x in new_row] if g > 1 else new_row
-        f = cost[enter]
-        if f:
-            new_cost = [x * p - y * f for x, y in zip(cost, pivot_row)]
-            g = 0
-            for x in new_cost:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            cost = [x // g for x in new_cost] if g > 1 else new_cost
+            if i != leave and rows[i][enter]:
+                rows[i] = _eliminate(rows[i], pivot_row, enter)
+        if cost[enter]:
+            cost = _eliminate(cost, pivot_row, enter)
         basis[leave] = enter
     return cost[-1] == 0
+
+
+def _eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
+    """Clear ``row[enter]`` by cross-multiplying with the pivot row, then divide out the gcd."""
+    p, f = pivot_row[enter], row[enter]
+    new_row = [x * p - y * f for x, y in zip(row, pivot_row)]
+    g = 0
+    for x in new_row:
+        g = gcd(g, x)
+        if g == 1:
+            return new_row
+    return [x // g for x in new_row] if g > 1 else new_row
 
 
 def in_cone_lp(columns: Sequence[Sequence[int]], point: Sequence[int | Fraction]) -> bool:
@@ -144,66 +136,14 @@ def in_dilation_lp(columns: Sequence[Sequence[int]], point: Sequence[int | Fract
 
 
 # ---------------------------------------------------------------------------
-# Rational rank / independence helpers
-
-def _rank(rows: Iterable[Sequence[int | Fraction]]) -> int:
-    work: list[list[Fraction]] = []
-    for row in rows:
-        vec = [Fraction(x) for x in row]
-        for piv in work:
-            lead = next(i for i, x in enumerate(piv) if x)
-            if vec[lead]:
-                f = vec[lead] / piv[lead]
-                vec = [x - f * y for x, y in zip(vec, piv)]
-        if any(vec):
-            work.append(vec)
-    return len(work)
-
+# Affine rank, by the integer echelon of IntLattice
 
 def affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull spanned by the points."""
     if not points:
         return -1
     base = points[0]
-    return _rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
-
-
-def _independent_subset(vectors: Sequence[IntVec], size: int) -> list[int]:
-    picked: list[int] = []
-    work: list[list[Fraction]] = []
-    for idx, vec in enumerate(vectors):
-        v = [Fraction(x) for x in vec]
-        for piv in work:
-            lead = next(i for i, x in enumerate(piv) if x)
-            if v[lead]:
-                f = v[lead] / piv[lead]
-                v = [x - f * y for x, y in zip(v, piv)]
-        if any(v):
-            work.append(v)
-            picked.append(idx)
-            if len(picked) == size:
-                return picked
-    raise DegenerateInput(f"generators span rank {len(picked)}, expected {size}")
-
-
-def _adjugate_columns(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Columns of adj(M) and det(M), via cofactor expansion (small n)."""
-    n = len(matrix)
-    det = det_bareiss(matrix)
-    cols: list[list[int]] = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = det_bareiss(minor) if minor else 1
-            if (i + j) % 2:
-                cof = -cof
-            # adj = transpose of cofactor matrix; store column-wise
-            cols[i][j] = cof
-    return cols, det
+    return IntLattice.from_vectors(len(base), [[a - b for a, b in zip(p, base)] for p in points[1:]]).rank
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +164,15 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     if not gens:
         raise DegenerateInput("no nonzero generators")
     dim = len(gens[0])
-    first = _independent_subset(gens, dim)
+    first = independent_subset(gens, dim)
     base = [gens[i] for i in first]
     rest = [g for i, g in enumerate(gens) if i not in set(first)]
-    adj_cols, det = _adjugate_columns(base)
+    adj, det = adjugate(base)
     sign = 1 if det > 0 else -1
     rays: list[tuple[IntVec, int]] = []  # (ray, zero bitmask over processed constraints)
     processed: list[IntVec] = list(base)
     for i in range(dim):
-        ray = primitive_vector([sign * x for x in adj_cols[i]])
+        ray = primitive_vector([sign * row[i] for row in adj])
         mask = 0
         for k, g in enumerate(processed):
             d = sum(a * b for a, b in zip(ray, g))
@@ -312,16 +252,16 @@ class SpanCoordinates:
         else:
             span_basis = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
         basis_cols = tuple(tuple(int(v[i]) for v in span_basis) for i in range(dim))  # d rows of width r
-        row_idx = _independent_subset([tuple(span_basis[j][i] for j in range(len(span_basis))) for i in range(dim)], rank)
+        row_idx = independent_subset([tuple(span_basis[j][i] for j in range(len(span_basis))) for i in range(dim)], rank)
         square = [[span_basis[j][i] for j in range(rank)] for i in row_idx]
-        adj_cols, det = _adjugate_columns(square)
+        adj, det = adjugate(square)
         return cls(
             dim=dim,
             rank=rank,
             basis=basis_cols,
             equations=equations,
             _solver_rows=tuple(row_idx),
-            _solver_adj=tuple(tuple(col) for col in adj_cols),
+            _solver_adj=tuple(zip(*adj)),
             _solver_det=det,
         )
 
@@ -375,7 +315,6 @@ class SpanCoordinates:
 def _right_echelon(equations: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
     rows = [list(e) for e in equations]
     out: list[tuple[IntVec, int]] = []
-    used: set[int] = set()
     for row in rows:
         for other, pivot in out:
             if row[pivot]:
@@ -387,7 +326,6 @@ def _right_echelon(equations: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
         if row[pivot] < 0:
             row = [-x for x in row]
         out.append((tuple(row), pivot))
-        used.add(pivot)
     out.sort(key=lambda item: -item[1])
     return out
 
@@ -506,7 +444,7 @@ def vertices_by_facet_rank(columns: Sequence[IntVec], hrep: HRep) -> tuple[IntVe
     verts = []
     for c in cols:
         tight = [h for h in hrep.inequalities if sum(a * b for a, b in zip(h, c)) == 0]
-        if _rank(list(tight) + list(hrep.equations)) == dim - 1:
+        if IntLattice.from_vectors(dim, tight + list(hrep.equations)).rank == dim - 1:
             verts.append(c)
     return tuple(verts)
 
@@ -631,19 +569,10 @@ def integer_points_equal_columns(T: int) -> bool:
     """Exhaustively compare the polytope's integer points with the column set."""
     cols = set(model_d_columns(T))
     inside = set()
-    for x in _compositions6(T - 1):
+    for x in compositions(T - 1, 6):
         if in_dilation_lp(sorted(cols), x, 1):
             inside.add(x)
     return inside == cols
-
-
-def _compositions6(total: int):
-    for a in range(total + 1):
-        for b in range(total - a + 1):
-            for c in range(total - a - b + 1):
-                for d in range(total - a - b - c + 1):
-                    for e in range(total - a - b - c - d + 1):
-                        yield (a, b, c, d, e, total - a - b - c - d - e)
 
 
 def check_degree_balance(x: Sequence[int], T: int) -> tuple[int, bool]:
@@ -708,8 +637,7 @@ def middle_class_decomposition(x: Sequence[int], T: int) -> tuple[IntVec, IntVec
     two_cycle = ((i, j), (j, i))
     y = list(int(v) for v in x)
     z = list(int(v) for v in x)
-    pairs6 = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
-    index = {pq: idx for idx, pq in enumerate(pairs6)}
+    index = {pq: idx for idx, pq in enumerate(transition_pairs(3, True))}
     for e in triangle:
         y[index[e]] -= 2
         z[index[e]] += 2
@@ -719,20 +647,6 @@ def middle_class_decomposition(x: Sequence[int], T: int) -> tuple[IntVec, IntVec
     if any(v < 0 for v in y) or any(v < 0 for v in z):
         raise ValueError("trade produced negative multiplicities")
     return tuple(y), tuple(z)
-
-
-def fvector_stabilization_report(T_values: Sequence[int]) -> dict:
-    """f-vectors over a T range plus the detected exact repeats."""
-    table = {}
-    for T in T_values:
-        table[T] = f_vector(model_d_columns(T)).counts
-    repeats: dict[tuple[int, ...], list[int]] = {}
-    for T, fv in table.items():
-        repeats.setdefault(fv, []).append(T)
-    return {
-        "f_vectors": table,
-        "repeats": {fv: Ts for fv, Ts in repeats.items() if len(Ts) > 1},
-    }
 
 
 # ---------------------------------------------------------------------------

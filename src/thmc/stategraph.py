@@ -4,7 +4,8 @@ A state graph is a directed multigraph on the states 1..S whose edge
 multiplicities are the transition counts of a multiset of words; the
 marked variant also counts how many words start at each state. For
 three states the two-/three-cycle decomposition classifies which
-transition vectors can be polytope vertices.
+transition vectors can be polytope vertices. Which graphs come from a
+single word is decided by the Euler rule, :func:`design.start_states`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .design import Model
+from .design import Model, start_states, transition_pairs
 from .words import PathMultiset, Word
 
 _PAIRS3 = ((1, 2), (1, 3), (2, 3))
@@ -53,9 +54,6 @@ class StateGraph:
 
     def in_degree(self, i: int) -> int:
         return sum(row[i - 1] for row in self.x)
-
-    def unmarked(self) -> "StateGraph":
-        return StateGraph(S=self.S, x=self.x) if self.marks is not None else self
 
     def has_self_loops(self) -> bool:
         return any(self.x[i][i] for i in range(self.S))
@@ -105,7 +103,7 @@ def graph_of_word(word: Sequence[int], S: int, marked: bool = False) -> StateGra
 
 def graph_of_transition_vector(x: Sequence[int], S: int = 3, *, no_loops: bool = True) -> StateGraph:
     """Rebuild a graph from a flat transition vector in lexicographic row order."""
-    pairs = [(i, j) for i in range(1, S + 1) for j in range(1, S + 1) if not (no_loops and i == j)]
+    pairs = transition_pairs(S, no_loops)
     if len(x) != len(pairs):
         raise ValueError(f"expected {len(pairs)} entries, got {len(x)}")
     mat = [[0] * S for _ in range(S)]
@@ -128,44 +126,35 @@ def fiber_equivalent(model: Model | str, W: PathMultiset, W_bar: PathMultiset) -
     return graph_of_multiset(W, marked) == graph_of_multiset(W_bar, marked)
 
 
+def _start_states(graph: StateGraph) -> tuple[int, ...]:
+    return start_states([v for row in graph.x for v in row], graph.S, no_loops=False)
+
+
 def eulerian_path(graph: StateGraph) -> Word:
-    """A word consuming every edge exactly once (three states, no loops).
+    """A word consuming every edge exactly once, for any S, loops allowed.
 
-    The start vertex is the out-surplus vertex when the graph is
-    unbalanced, otherwise the lowest-numbered vertex with an edge; ties
-    always pick the lowest-numbered next state, so the output word is
-    deterministic.
+    The Euler rule of :func:`design.start_states` decides whether such a
+    word exists and where it starts: at the out-surplus state when the
+    graph is unbalanced, otherwise at the lowest-numbered state with an
+    edge. Hierholzer's walk then always takes the lowest-numbered next
+    state, so the output word is deterministic.
     """
-    if graph.S != 3:
-        raise NoEulerianPath("Euler construction is only provided for S = 3")
-    if graph.has_self_loops():
-        raise NoEulerianPath("graph has self-loops")
-    if graph.edge_count == 0:
-        raise NoEulerianPath("graph has no edges")
-    diffs = [graph.out_degree(i) - graph.in_degree(i) for i in (1, 2, 3)]
-    if sorted(diffs) not in ([0, 0, 0], [-1, 0, 1]):
-        raise NoEulerianPath(f"degree imbalance {diffs} admits no Eulerian path")
-    if any(diffs):
-        start = diffs.index(1) + 1
-    else:
-        start = next(i for i in (1, 2, 3) if graph.out_degree(i) > 0)
-
+    starts = _start_states(graph)
+    if not starts:
+        raise NoEulerianPath("graph has no edges, is unbalanced beyond one +1/-1 pair, or is disconnected")
     remaining = [list(row) for row in graph.x]
-    stack = [start]
+    stack = [starts[0]]
     finished: list[int] = []
     while stack:
         v = stack[-1]
         row = remaining[v - 1]
-        nxt = next((j + 1 for j in range(3) if row[j] > 0), None)
+        nxt = next((j + 1 for j in range(graph.S) if row[j] > 0), None)
         if nxt is None:
             finished.append(stack.pop())
         else:
             row[nxt - 1] -= 1
             stack.append(nxt)
-    word = tuple(reversed(finished))
-    if len(word) != graph.edge_count + 1:
-        raise NoEulerianPath("graph is disconnected")
-    return word
+    return tuple(reversed(finished))
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +224,9 @@ def classify_Gmn(graph: StateGraph) -> GmnClass:
     """
     decomp = cycle_decomposition(graph)
     pair_types = sum(1 for c in decomp.two_cycles_by_pair if c > 0)
-    orientations = _three_cycle_orientations(graph)
+    orientations = (decomp.three_cycles_cw > 0) + (decomp.three_cycles_ccw > 0)
     member = pair_types <= 1 and orientations <= 1
     return GmnClass(m=decomp.m, n=decomp.n, member_of_script_G=member)
-
-
-def _three_cycle_orientations(graph: StateGraph) -> int:
-    """How many triangle orientations occur as edge-disjoint three-cycles."""
-    x = [list(row) for row in graph.x]
-    for i, j in _PAIRS3:
-        two = min(x[i - 1][j - 1], x[j - 1][i - 1])
-        x[i - 1][j - 1] -= two
-        x[j - 1][i - 1] -= two
-    cw = min(x[i - 1][j - 1] for i, j in _CW3)
-    ccw = min(x[i - 1][j - 1] for i, j in _CCW3)
-    return (1 if cw else 0) + (1 if ccw else 0)
 
 
 def f_T(T: int, t: int) -> int:
@@ -297,10 +274,8 @@ def enumerate_Gmn(T: int, m: int) -> tuple[StateGraph, ...]:
                     x[i - 1][j - 1] += 1
                 graph = StateGraph(S=3, x=tuple(tuple(row) for row in x))
                 cls = classify_Gmn(graph)
-                if cls.member_of_script_G and (cls.m, cls.n) == (m, n):
-                    diffs = [graph.out_degree(i) - graph.in_degree(i) for i in (1, 2, 3)]
-                    if sorted(diffs) in ([0, 0, 0], [-1, 0, 1]):
-                        graphs.add(graph)
+                if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and _start_states(graph):
+                    graphs.add(graph)
     result = tuple(sorted(graphs, key=lambda g: g.x))
     assert len(result) <= 18
     return result

@@ -26,12 +26,12 @@ class CriterionResult:
 
 
 def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     try:
         passed, details = fn()
     except Exception as exc:  # a crash is a failure with the error as detail
-        return CriterionResult(name=name, passed=False, details=f"error: {exc!r}", seconds=time.time() - start)
-    return CriterionResult(name=name, passed=passed, details=details, seconds=time.time() - start)
+        passed, details = False, f"error: {exc!r}"
+    return CriterionResult(name=name, passed=passed, details=details, seconds=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def snf_diagonal_via_lattice(model: Model, S: int, T: int, *, samples: int = 50,
     for _ in range(samples):
         w = _random_word(rng, S, T, model.no_loops)
         col = column_of_word(model, S, w)
-        if sum(col) != T - 1:
+        if sum(col) != model.column_sum(T):
             raise AssertionError("column sum invariant violated")
         if not lat.contains(col):
             raise AssertionError(f"column of {w} escapes the generated lattice")
@@ -223,21 +223,31 @@ def check_witnesses() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # 5/6. Table reproduction
 
+def table_row(model: Model | str, T: int, max_T: int | None = None) -> tuple[int, int, tuple[int, ...], bool]:
+    """(T, Hilbert basis size, f-vector, normal) of one S=3 table row."""
+    model = Model.parse(model)
+    result = hilbert.hilbert_basis(model, 3, T, max_T=max_T)
+    fv = polyhedra.f_vector(distinct_columns(model, 3, T))
+    return T, result.count, fv.counts, result.normal
+
+
+def row_matches(row: tuple[int, int, tuple[int, ...], bool], expected: tuple[int, tuple[int, ...]]) -> bool:
+    _, count, fv, normal = row
+    return (count, fv) == expected and normal
+
+
 def check_table(model: Model, T_values: Sequence[int] | None = None) -> CriterionResult:
     name = f"table-{model.value}"
 
     def run() -> tuple[bool, str]:
         table = fixtures.load_tables()[model.value]
-        rows = sorted(table) if T_values is None else list(T_values)
         lines = []
         ok = True
-        for T in rows:
-            hb_expected, f_expected = table[T]
-            result = hilbert.hilbert_basis(model, 3, T)
-            fv = polyhedra.f_vector(distinct_columns(model, 3, T))
-            row_ok = result.count == hb_expected and result.normal and fv.counts == f_expected
+        for T in sorted(table) if T_values is None else T_values:
+            row = table_row(model, T)
+            row_ok = row_matches(row, table[T])
             ok &= row_ok
-            lines.append(f"T={T}:{'PASS' if row_ok else f'FAIL(hb={result.count},f={fv.counts})'}")
+            lines.append(f"T={T}:{'PASS' if row_ok else f'FAIL(hb={row[1]},f={row[2]})'}")
         return ok, " ".join(lines)
 
     return _timed(name, run)
@@ -344,8 +354,7 @@ def check_hilbert_oracle() -> CriterionResult:
         for model, Ts in ((Model.D, (4, 5, 6)), (Model.C, (4, 5))):
             for T in Ts:
                 main = hilbert.hilbert_basis(model, 3, T)
-                colsum = T if model.has_initial else T - 1
-                main_capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * colsum))
+                main_capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * model.column_sum(T)))
                 oracle = hilbert.hilbert_basis_bruteforce_oracle(model, 3, T, cap)
                 if main_capped != oracle:
                     return False, f"{model.value} T={T}: main {len(main_capped)} vs oracle {len(oracle)}"
@@ -387,31 +396,26 @@ def check_markov_probe() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # Runner
 
-ALL_CRITERIA: dict[str, Callable[..., CriterionResult]] = {
-    "design-fixtures": check_design_fixtures,
+# Every criterion takes the seed; the deterministic ones ignore it.
+ALL_CRITERIA: dict[str, Callable[[int], CriterionResult]] = {
+    "design-fixtures": lambda seed: check_design_fixtures(),
     "snf-theorems": check_snf_theorems,
     "lattice-lemmas": check_lattice_lemmas,
-    "nonnormality-witnesses": check_witnesses,
-    "table-d": lambda: check_table(Model.D),
-    "table-c": lambda: check_table(Model.C),
-    "hyperplanes": check_hyperplanes,
+    "nonnormality-witnesses": lambda seed: check_witnesses(),
+    "table-d": lambda seed: check_table(Model.D),
+    "table-c": lambda seed: check_table(Model.C),
+    "hyperplanes": lambda seed: check_hyperplanes(),
     "polytope-structure": check_polytope_structure,
-    "euler-roundtrip": check_euler_roundtrip,
-    "fvector-stabilization": check_stabilization,
-    "hilbert-oracle": check_hilbert_oracle,
-    "markov-probe": check_markov_probe,
+    "euler-roundtrip": lambda seed: check_euler_roundtrip(),
+    "fvector-stabilization": lambda seed: check_stabilization(),
+    "hilbert-oracle": lambda seed: check_hilbert_oracle(),
+    "markov-probe": lambda seed: check_markov_probe(),
 }
 
 
 def run_suite(only: Iterable[str] | None = None, seed: int = 0) -> list[CriterionResult]:
     names = list(ALL_CRITERIA) if only is None else list(only)
-    results = []
-    for name in names:
-        if name not in ALL_CRITERIA:
-            raise KeyError(f"unknown criterion {name!r}; known: {', '.join(ALL_CRITERIA)}")
-        fn = ALL_CRITERIA[name]
-        if name in ("snf-theorems", "lattice-lemmas", "polytope-structure"):
-            results.append(fn(seed=seed))  # type: ignore[call-arg]
-        else:
-            results.append(fn())
-    return results
+    unknown = [name for name in names if name not in ALL_CRITERIA]
+    if unknown:
+        raise KeyError(f"unknown criterion {unknown[0]!r}; known: {', '.join(ALL_CRITERIA)}")
+    return [ALL_CRITERIA[name](seed) for name in names]

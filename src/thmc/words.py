@@ -158,9 +158,6 @@ class PathMultiset:
     def size(self) -> int:
         return sum(self.counts.values())
 
-    def words(self) -> Iterator[tuple[Word, int]]:
-        return iter(sorted(self.counts.items()))
-
 
 @dataclass(frozen=True)
 class DataVector:

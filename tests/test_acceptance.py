@@ -9,25 +9,14 @@ import pytest
 
 from thmc import verify
 
-CRITERIA = [
-    ("1-design-fixtures", verify.check_design_fixtures),
-    ("2-snf-theorems", verify.check_snf_theorems),
-    ("3-lattice-lemmas", verify.check_lattice_lemmas),
-    ("4-nonnormality-witnesses", verify.check_witnesses),
-    ("5-table-d", lambda: verify.check_table(verify.Model.D)),
-    ("6-table-c", lambda: verify.check_table(verify.Model.C)),
-    ("7-hyperplanes", verify.check_hyperplanes),
-    ("8-polytope-structure", verify.check_polytope_structure),
-    ("9-euler-roundtrip", verify.check_euler_roundtrip),
-    ("10-fvector-stabilization", verify.check_stabilization),
-    ("11-hilbert-oracle", verify.check_hilbert_oracle),
-    ("12-markov-probe", verify.check_markov_probe),
-]
+CRITERIA = list(verify.ALL_CRITERIA.items())
 
 
-@pytest.mark.parametrize("label,criterion", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_acceptance_criterion(label, criterion):
-    result = criterion()
+@pytest.mark.parametrize(
+    "name,criterion", CRITERIA, ids=[f"{i}-{name}" for i, (name, _) in enumerate(CRITERIA, 1)]
+)
+def test_acceptance_criterion(name, criterion):
+    result = criterion(0)
     status = "PASS" if result.passed else "FAIL"
-    print(f"\n[{status}] {label}: {result.details} ({result.seconds:.1f}s)")
-    assert result.passed, f"{label}: {result.details}"
+    print(f"\n[{status}] {name}: {result.details} ({result.seconds:.1f}s)")
+    assert result.passed, f"{name}: {result.details}"

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thmc.design import (
     LoopViolation,
@@ -10,6 +11,7 @@ from thmc.design import (
     ParameterSet,
     SizeCapExceeded,
     ZeroNormalizer,
+    _euler_columns,
     build_design_matrix,
     column_of_word,
     distinct_columns,
@@ -146,6 +148,33 @@ def test_distinct_columns_fast_path_matches_streaming(model, S, T):
 def test_distinct_columns_fast_path_with_loops_S2(model, T):
     streamed = sorted({col for _, col in iter_columns(model, 2, T)})
     assert list(distinct_columns(model, 2, T)) == streamed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(Model)), st.integers(2, 4), st.integers(2, 7))
+def test_euler_rule_columns_match_word_streaming(model, S, T):
+    streamed = {col for _, col in iter_columns(model, S, T)}
+    assert _euler_columns(model, S, T) == streamed
+
+
+def test_two_disjoint_loop_islands_are_not_a_column():
+    # x11 = x22 = 1 with no edge between the states: balanced, but disconnected
+    assert (1, 0, 0, 1) not in distinct_columns(Model.B, 2, 3)
+    assert (1, 0, 1, 0, 0, 1) not in distinct_columns(Model.A, 2, 3)
+
+
+def test_distinct_columns_beyond_the_word_cap():
+    # 3^16 = 43M words would exceed the cap; the compositions do not
+    cols = distinct_columns(Model.B, 3, 16)
+    assert len(cols) == 39269
+    assert all(sum(c) == 15 for c in cols)
+
+
+def test_distinct_columns_picks_the_enumeration_by_size():
+    # d/S=3/T=8: 792 compositions of 7 into 6 parts, 384 words
+    assert distinct_columns(Model.D, 3, 8, column_cap=500) == distinct_columns(Model.D, 3, 8)
+    with pytest.raises(SizeCapExceeded):
+        distinct_columns(Model.D, 3, 8, column_cap=100)
 
 
 def test_csv_export_layout():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from thmc import fixtures
 from thmc.design import Model, build_design_matrix
 from thmc.fixtures import (
     compare_design_fixture,
@@ -81,3 +82,9 @@ def test_compare_hyperplanes_detects_mismatch():
     cmp = compare_hyperplanes(Model.D, 4, tampered)
     assert not cmp.ok
     assert cmp.fixture_only and cmp.computed_only
+
+
+def test_hyperplane_row_before_any_T_line_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: "1 0 2\nT 4\n0 1 1\n")
+    with pytest.raises(ValueError, match="hyperplanes_d.txt"):
+        load_hyperplane_blocks(Model.D)

@@ -9,12 +9,10 @@ from thmc.markov import (
     DegreeCapExceeded,
     Move,
     enumerate_fiber,
-    experimental_shift_orbits,
     fiber_connected,
     minimal_connecting_degree,
     moves_to_text,
     moves_up_to_degree,
-    shift_orbit_key,
     sufficient,
 )
 from thmc.stategraph import graph_of_word
@@ -190,21 +188,3 @@ def test_connectivity_monotone_in_move_set():
     conn2, comps2 = fiber_connected(fiber, k2)
     assert len(comps2) <= len(comps1)
     assert conn2 or not conn1
-
-
-def test_shift_orbit_collapses_constant_prefix():
-    # both sides tally x11=4, x12=1, x21=1; the longer move extends every
-    # leading constant run by one and lands in the same orbit
-    mv_short = Move(
-        S=2, T=4, model=Model.B,
-        positive=((1, 1, 1, 2), (2, 1, 1, 1)),
-        negative=((1, 1, 1, 1), (2, 1, 1, 2)),
-    )
-    mv_long = Move(
-        S=2, T=5, model=Model.B,
-        positive=((1, 1, 1, 1, 2), (2, 2, 1, 1, 1)),
-        negative=((1, 1, 1, 1, 1), (2, 2, 1, 1, 2)),
-    )
-    assert shift_orbit_key(mv_short) == shift_orbit_key(mv_long)
-    orbits = experimental_shift_orbits([mv_short, mv_long])
-    assert len(orbits) == 1

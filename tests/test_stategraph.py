@@ -103,6 +103,19 @@ def test_euler_rejects_imbalance():
         eulerian_path(g)
 
 
+def test_euler_roundtrip_words_with_loops_S4():
+    for word in iter_words(4, 5, False):
+        g = graph_of_word(word, 4)
+        rebuilt = eulerian_path(g)
+        assert graph_of_word(rebuilt, 4) == g
+
+
+def test_euler_rejects_disjoint_loop_islands():
+    g = StateGraph(S=2, x=((1, 0), (0, 1)))
+    with pytest.raises(NoEulerianPath):
+        eulerian_path(g)
+
+
 def test_cycle_decomposition_examples():
     d = cycle_decomposition(graph_of_word((1, 2, 3, 1, 3, 1, 3, 1, 2), 3))
     assert (d.m, d.n) == (2, 1)

@@ -1,5 +1,7 @@
 """The verification-suite plumbing itself."""
 
+import time
+
 import pytest
 
 from thmc.design import Model
@@ -15,6 +17,12 @@ def test_criterion_result_shape():
     result = check_design_fixtures()
     assert result.passed and result.name == "design-fixtures"
     assert result.seconds >= 0
+
+
+def test_criterion_seconds_survive_a_backward_wall_clock(monkeypatch):
+    clock = iter(range(1000, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    assert check_design_fixtures().seconds >= 0
 
 
 def test_snf_lattice_route_values():
