@@ -121,11 +121,12 @@ def load_tables() -> dict[str, dict[int, tuple[int, tuple[int, ...]]]]:
             continue
         if parts[0] == "table":
             current = tables.setdefault(parts[1], {})
-        elif parts[0] == "T" and current is not None:
-            T = int(parts[1])
-            hb = int(parts[3])
-            fvec = tuple(int(x) for x in parts[5:])
-            current[T] = (hb, fvec)
+        elif parts[0] == "T":
+            if current is None:
+                raise ValueError("tables.txt: 'T' row before the first 'table' line")
+            if len(parts) < 5 or parts[2] != "hb" or parts[4] != "f":
+                raise ValueError(f"tables.txt: malformed row {line.strip()!r}")
+            current[int(parts[1])] = (int(parts[3]), tuple(int(x) for x in parts[5:]))
     return tables
 
 

@@ -4,10 +4,13 @@ The main algorithm mirrors the classical primal approach: move to
 coordinates of the lattice generated by the columns, triangulate the
 cone by placing the (lattice-primitive) generator directions, collect
 the lattice points of every half-open fundamental parallelepiped, and
-reduce the candidate pool to irreducibles by increasing degree. A
-brute-force degree-capped search acts as an independent oracle, and the
-explicit non-normality witnesses of the with-loop models are verified
-by exact computation.
+reduce the candidate pool to irreducibles by increasing degree. Each
+simplex costs one Smith normal form U R V = D of its ray matrix R: the
+scaled inverse V diag(vol / d_i) U = vol R^-1 gives the facet normals,
+vol = prod d_i the volume, and V with the d_i the parallelepiped points.
+A brute-force degree-capped search acts as an independent oracle, and
+the explicit non-normality witnesses of the with-loop models are
+verified by exact computation.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from math import prod
+from typing import Iterator, Sequence
 
 from .design import Model, column_of_word, compositions, distinct_columns, iter_columns, transition_pairs
-from .intlinalg import IntLattice, IntVec, adjugate, det_bareiss, independent_subset, primitive_vector, smith_normal_form
+from .intlinalg import IntLattice, IntVec, SnfResult, independent_subset, primitive_vector, smith_normal_form
 from .polyhedra import cone_facets, in_cone_lp
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
@@ -80,15 +84,13 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
         coords.append(tuple(z))
 
     directions = sorted(set(primitive_vector(z) for z in coords))
-    simplices = _placing_triangulation(directions, rank)
 
     def back(z: Sequence[int]) -> IntVec:
         return tuple(sum(q * row[i] for q, row in zip(z, basis_rows)) for i in range(lattice.dim))
 
     candidates: set[IntVec] = set(back(z) for z in directions)
-    for simplex in simplices:
-        rays = [directions[i] for i in simplex]
-        for z in _parallelepiped_points(rays):
+    for simplex, snf in _placing_triangulation(directions, rank):
+        for z in _parallelepiped_points([directions[i] for i in simplex], snf):
             candidates.add(back(z))
     candidates.discard(tuple([0] * lattice.dim))
 
@@ -129,106 +131,72 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     return HilbertBasisResult(model=model, S=S, T=T, elements=elements, normal=normal)
 
 
-def _placing_triangulation(rays: Sequence[IntVec], rank: int) -> list[tuple[int, ...]]:
-    """Triangulate cone(rays) into simplicial subcones on the given rays.
+def _placing_triangulation(rays: Sequence[IntVec], rank: int) -> Iterator[tuple[tuple[int, ...], SnfResult]]:
+    """Triangulate cone(rays) into simplicial subcones, each with the Smith form of its rays.
 
     Incremental placing: start from a linearly independent subset, then
     attach every later ray to the boundary facets it strictly sees.
-    Rays inside the current cone contribute nothing.
+    Rays inside the current cone contribute nothing. The one Smith form
+    of a new simplex's ray matrix R gives vol * R^-1, whose row i is the
+    inward normal of the facet opposite ray i; the same Smith form later
+    yields the simplex's parallelepiped points. Placing never removes a
+    simplex, so each is yielded as soon as it is added.
     """
     n = len(rays)
     picked = independent_subset(rays, rank)
 
-    simplices: list[tuple[int, ...]] = []
-    normal_cache: dict[frozenset[int], IntVec] = {}
-    # boundary facet -> inward-oriented normal (None until first queried);
-    # maintained incrementally: a facet seen twice is interior
-    boundary: dict[frozenset[int], tuple[int, IntVec | None]] = {}
+    # boundary facet -> primitive inward normal; a facet seen twice is interior
+    boundary: dict[frozenset[int], IntVec] = {}
 
-    def add_simplex(simplex: tuple[int, ...]) -> None:
-        s_idx = len(simplices)
-        simplices.append(simplex)
+    def add_simplex(simplex: tuple[int, ...]) -> tuple[tuple[int, ...], SnfResult]:
+        snf = smith_normal_form([[rays[j][i] for j in simplex] for i in range(rank)], check=False)
+        normals, vol = snf.scaled_inverse()
         full = frozenset(simplex)
-        for drop in simplex:
+        for drop, normal in zip(simplex, normals):
+            if sum(a * b for a, b in zip(normal, rays[drop])) != vol:
+                raise AssertionError("simplex normal does not isolate its opposite ray")
             facet = full - {drop}
             if facet in boundary:
                 del boundary[facet]
             else:
-                boundary[facet] = (s_idx, None)
+                boundary[facet] = primitive_vector(normal)
+        return simplex, snf
 
-    def oriented_normal(facet: frozenset[int], owner: int) -> IntVec:
-        normal = normal_cache.get(facet)
-        if normal is None:
-            normal = _nullspace_normal([rays[i] for i in sorted(facet)], rank)
-            normal_cache[facet] = normal
-        opposite = next(iter(set(simplices[owner]) - facet))
-        orient = sum(a * b for a, b in zip(normal, rays[opposite]))
-        if orient < 0:
-            return tuple(-x for x in normal)
-        if orient == 0:
-            raise AssertionError("degenerate simplex facet")
-        return normal
-
-    add_simplex(tuple(sorted(picked)))
+    yield add_simplex(tuple(sorted(picked)))
     remaining = [i for i in range(n) if i not in set(picked)]
     for idx in remaining:
         v = rays[idx]
-        visible: list[frozenset[int]] = []
-        for facet, (owner, normal) in boundary.items():
-            if normal is None:
-                normal = oriented_normal(facet, owner)
-                boundary[facet] = (owner, normal)
-            if sum(a * b for a, b in zip(normal, v)) < 0:
-                visible.append(facet)
+        visible = [facet for facet, normal in boundary.items() if sum(a * b for a, b in zip(normal, v)) < 0]
         for facet in visible:
-            add_simplex(tuple(sorted(facet | {idx})))
-    return simplices
+            yield add_simplex(tuple(sorted(facet | {idx})))
 
 
-def _nullspace_normal(rows: Sequence[IntVec], rank: int) -> IntVec:
-    """Primitive integer normal of the hyperplane through rank-1 rays."""
-    normal = []
-    for j in range(rank):
-        minor = [[row[c] for c in range(rank) if c != j] for row in rows]
-        d = det_bareiss(minor)
-        normal.append(-d if j % 2 else d)
-    if not any(normal):
-        raise AssertionError("facet rows are degenerate")
-    return primitive_vector(normal)
-
-
-def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
+def _parallelepiped_points(rays: Sequence[IntVec], snf: SnfResult) -> list[IntVec]:
     """Nonzero lattice points of the half-open parallelepiped of a simplex.
 
-    Enumerates Z^r / R Z^r through the Smith form of the ray matrix and
-    shifts every class representative into sum(lambda_i rays_i) with all
-    lambda in [0, 1).
+    With U R V = D the Smith form of the ray matrix R (rays as columns)
+    and vol = prod d_i, the classes of Z^r / R Z^r are U^-1 y for y in
+    prod [0, d_i), and vol R^-1 U^-1 y = V diag(vol / d_i) y. Reducing
+    those coefficients mod vol shifts each class into sum(lambda_i rays_i)
+    with every lambda in [0, 1).
     """
-    r = len(rays)
-    R = [[rays[j][i] for j in range(r)] for i in range(r)]  # columns = rays
-    snf = smith_normal_form(R, check=False)
-    diag = [snf.D[i][i] for i in range(r)]
-    volume = 1
-    for d in diag:
-        volume *= d
-    if volume == 0:
-        raise AssertionError("simplex rays are singular")
-    if volume == 1:
+    diag = snf.diagonal
+    vol = prod(diag)
+    if vol == 1:
         return []
-    adj_u, det_u = adjugate(snf.U)
-    if det_u < 0:
-        adj_u = [[-x for x in row] for row in adj_u]
-    adj_r, det_r = adjugate(R)
+    scale = [vol // d for d in diag]
     points = []
-    ranges = [range(d) for d in diag]
-    for ys in product(*ranges):
+    for ys in product(*(range(d) for d in diag)):
         if not any(ys):
             continue
-        x = [sum(adj_u[i][j] * ys[j] for j in range(r)) for i in range(r)]
-        nums = [sum(adj_r[i][j] * x[j] for j in range(r)) for i in range(r)]
-        q = [num // det_r for num in nums]
-        shifted = tuple(x[i] - sum(R[i][j] * q[j] for j in range(r)) for i in range(r))
-        points.append(shifted)
+        lam = [sum(v * s * y for v, s, y in zip(row, scale, ys)) % vol for row in snf.V]
+        point = []
+        for i in range(len(rays)):
+            num = sum(c * ray[i] for c, ray in zip(lam, rays))
+            if num % vol:
+                raise AssertionError("parallelepiped point is not integral")
+            point.append(num // vol)
+        points.append(tuple(point))
     return points
 
 

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
-Smith normal form with verified transformation matrices, incremental
-Hermite-style lattice bases (the one elimination behind every rank and
-independent-subset choice), adjugates, lattice membership tests,
-integer kernels, and the alternating pivot-path pairs used to
-diagonalize the loop-free transition design matrices.
+Smith normal form with verified transformation matrices and the scaled
+inverse read off it, incremental Hermite-style lattice bases (the one
+elimination behind every rank and independent-subset choice), lattice
+membership tests, integer kernels, and the alternating pivot-path pairs
+used to diagonalize the loop-free transition design matrices.
 
 Everything here is arbitrary-precision: inputs and outputs are plain
 Python ints, matrices are tuples of row tuples.
@@ -13,7 +13,7 @@ Python ints, matrices are tuples of row tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -90,18 +90,6 @@ def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """adj(M) and det(M) by cofactor expansion, so that M * adj(M) = det(M) * I."""
-    n = len(matrix)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[matrix[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = det_bareiss(minor)
-            adj[j][i] = -cof if (i + j) % 2 else cof
-    return adj, det_bareiss(matrix)
-
-
 def _det_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
     n = len(mat)
     m = [[x % p for x in row] for row in mat]
@@ -146,6 +134,22 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+    def scaled_inverse(self) -> tuple[list[list[int]], int]:
+        """(N, vol) with N = vol * A^-1 = V * diag(vol / d_i) * U and vol = |det A|.
+
+        N * A = A * N = vol * I, so row i of N vanishes on every column of
+        A but the i-th and is positive on that one. A must be square and
+        nonsingular.
+        """
+        n = len(self.U)
+        if len(self.V) != n:
+            raise DimensionMismatch("a scaled inverse needs a square matrix")
+        if len(self.diagonal) < n:
+            raise AssertionError("matrix is singular")
+        vol = prod(self.diagonal)
+        scaled_u = [[vol // d * x for x in row] for d, row in zip(self.diagonal, self.U)]
+        return mat_mul(self.V, scaled_u), vol
 
 
 def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) -> SnfResult:
@@ -208,49 +212,41 @@ def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) ->
                             return best
         return best
 
+    # One pivot scan per pass; t advances once the pivot row and column
+    # are clear and the pivot divides the rest of the working submatrix.
     t = 0
     limit = min(r, c)
     while t < limit:
         pos = smallest_nonzero(t)
         if pos is None:
             break
-        while True:
-            pos = smallest_nonzero(t)
-            i, j = pos
-            swap_rows(t, i)
-            swap_cols(t, j)
-            if M[t][t] < 0:
-                negate_row(t)
-            p = M[t][t]
-            dirty = False
-            for i2 in range(t + 1, r):
-                x = M[i2][t]
-                if x:
-                    row_addmul(i2, t, -(x // p))
-                    if M[i2][t]:
-                        dirty = True
-            if dirty:
-                continue
-            for j2 in range(t + 1, c):
-                x = M[t][j2]
-                if x:
-                    col_addmul(j2, t, -(x // p))
-                    if M[t][j2]:
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i2 in range(t + 1, r):
-                row = M[i2]
-                for j2 in range(t + 1, c):
-                    if row[j2] % p:
-                        offender = i2
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
+        i, j = pos
+        swap_rows(t, i)
+        swap_cols(t, j)
+        if M[t][t] < 0:
+            negate_row(t)
+        p = M[t][t]
+        dirty = False
+        for i2 in range(t + 1, r):
+            x = M[i2][t]
+            if x:
+                row_addmul(i2, t, -(x // p))
+                if M[i2][t]:
+                    dirty = True
+        if dirty:
+            continue
+        for j2 in range(t + 1, c):
+            x = M[t][j2]
+            if x:
+                col_addmul(j2, t, -(x // p))
+                if M[t][j2]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = next((i2 for i2 in range(t + 1, r) if any(x % p for x in M[i2][t + 1:])), None)
+        if offender is not None:
             row_addmul(t, offender, 1)
+            continue
         t += 1
 
     D = as_int_matrix(M)
@@ -263,8 +259,8 @@ def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) ->
 
 def _verify_snf(A: IntMat, res: SnfResult) -> None:
     r, c = len(A), len(A[0])
-    prod = mat_mul(mat_mul(res.U, A), res.V)
-    if as_int_matrix(prod) != res.D:
+    uav = mat_mul(mat_mul(res.U, A), res.V)
+    if as_int_matrix(uav) != res.D:
         raise AssertionError("SNF verification failed: U*A*V != D")
     for i, row in enumerate(res.D):
         for j, x in enumerate(row):

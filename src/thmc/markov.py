@@ -206,15 +206,14 @@ def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tu
     """
     elements = list(fiber.elements)
     index = {e: i for i, e in enumerate(elements)}
-    move_list = list(moves)
+    counted_moves = [(Counter(mv.negative), Counter(mv.positive)) for mv in moves]
 
     def edges() -> Iterator[tuple[int, int]]:
         for i, e in enumerate(elements):
             ce = Counter(e)
-            for mv in move_list:
-                cneg = Counter(mv.negative)
+            for cneg, cpos in counted_moves:
                 if all(ce[w] >= c for w, c in cneg.items()):
-                    target = ce - cneg + Counter(mv.positive)
+                    target = ce - cneg + cpos
                     j = index.get(tuple(sorted(target.elements())))
                     if j is not None:
                         yield i, j

@@ -22,12 +22,12 @@ from .intlinalg import (
     DegenerateInput,
     IntLattice,
     IntVec,
-    adjugate,
     as_int_matrix,
     independent_subset,
     kernel_lattice_basis,
     mat_vec,
     primitive_vector,
+    smith_normal_form,
 )
 
 
@@ -167,12 +167,11 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     first = independent_subset(gens, dim)
     base = [gens[i] for i in first]
     rest = [g for i, g in enumerate(gens) if i not in set(first)]
-    adj, det = adjugate(base)
-    sign = 1 if det > 0 else -1
+    inverse, _ = smith_normal_form(base).scaled_inverse()
     rays: list[tuple[IntVec, int]] = []  # (ray, zero bitmask over processed constraints)
     processed: list[IntVec] = list(base)
     for i in range(dim):
-        ray = primitive_vector([sign * row[i] for row in adj])
+        ray = primitive_vector([row[i] for row in inverse])
         mask = 0
         for k, g in enumerate(processed):
             d = sum(a * b for a, b in zip(ray, g))
@@ -235,8 +234,8 @@ class SpanCoordinates:
     basis: tuple[IntVec, ...]  # d x r, columns are a lattice basis of the span
     equations: tuple[IntVec, ...]  # primitive integer normals vanishing on the span
     _solver_rows: tuple[int, ...]
-    _solver_adj: tuple[IntVec, ...]
-    _solver_det: int
+    _solver_inv: tuple[IntVec, ...]  # vol * inverse of the basis rows at _solver_rows
+    _solver_vol: int
 
     @classmethod
     def of_columns(cls, columns: Sequence[IntVec]) -> "SpanCoordinates":
@@ -254,27 +253,27 @@ class SpanCoordinates:
         basis_cols = tuple(tuple(int(v[i]) for v in span_basis) for i in range(dim))  # d rows of width r
         row_idx = independent_subset([tuple(span_basis[j][i] for j in range(len(span_basis))) for i in range(dim)], rank)
         square = [[span_basis[j][i] for j in range(rank)] for i in row_idx]
-        adj, det = adjugate(square)
+        inverse, vol = smith_normal_form(square).scaled_inverse()
         return cls(
             dim=dim,
             rank=rank,
             basis=basis_cols,
             equations=equations,
             _solver_rows=tuple(row_idx),
-            _solver_adj=tuple(zip(*adj)),
-            _solver_det=det,
+            _solver_inv=as_int_matrix(inverse),
+            _solver_vol=vol,
         )
 
     def to_coords(self, vector: Sequence[int]) -> IntVec:
         """Coordinates z with B z = vector; the vector must lie in the span lattice."""
         picked = [vector[i] for i in self._solver_rows]
-        det = self._solver_det
+        vol = self._solver_vol
         z = []
-        for j in range(self.rank):
-            num = sum(self._solver_adj[i][j] * picked[i] for i in range(self.rank))
-            if num % det:
+        for row in self._solver_inv:
+            num = sum(a * b for a, b in zip(row, picked))
+            if num % vol:
                 raise ValueError("vector outside the span lattice")
-            z.append(num // det)
+            z.append(num // vol)
         if list(mat_vec(self.basis, z)) != [int(v) for v in vector]:
             raise ValueError("vector outside the span lattice")
         return tuple(z)
@@ -282,15 +281,13 @@ class SpanCoordinates:
     def lift_normal(self, normal: Sequence[int]) -> IntVec:
         """Integer h with h.(B z) = normal.z on the span, canonically reduced.
 
-        Solves (B[rows])^T h[rows] = normal by Cramer's rule via the
-        stored adjugate, leaving h zero off the solver rows, then
-        reduces modulo the equations.
+        Solves (B[rows])^T h[rows] = vol * normal with the stored scaled
+        inverse, leaving h zero off the solver rows, then reduces modulo
+        the equations to a primitive vector.
         """
         h = [0] * self.dim
         for pos, i in enumerate(self._solver_rows):
-            h[i] = sum(self._solver_adj[pos][j] * normal[j] for j in range(self.rank))
-        if self._solver_det < 0:
-            h = [-x for x in h]
+            h[i] = sum(row[pos] * x for row, x in zip(self._solver_inv, normal))
         return self.reduce_normal(h)
 
     def reduce_normal(self, normal: Sequence[int]) -> IntVec:

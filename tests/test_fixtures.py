@@ -88,3 +88,19 @@ def test_hyperplane_row_before_any_T_line_is_a_value_error(monkeypatch):
     monkeypatch.setattr(fixtures, "_read_data", lambda name: "1 0 2\nT 4\n0 1 1\n")
     with pytest.raises(ValueError, match="hyperplanes_d.txt"):
         load_hyperplane_blocks(Model.D)
+
+
+def test_table_row_before_any_table_line_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: "T 4 hb 20 f 20 69 90 51 12\ntable d\n")
+    with pytest.raises(ValueError, match="tables.txt"):
+        load_tables()
+
+
+def test_table_row_without_hb_and_f_is_a_value_error(monkeypatch, capsys):
+    from thmc.cli import main
+
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: "table d\nT 4 20\n")
+    with pytest.raises(ValueError, match="tables.txt"):
+        load_tables()
+    assert main(["tables", "--model", "d", "--T", "4"]) == 1
+    assert "tables.txt" in capsys.readouterr().err

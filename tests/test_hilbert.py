@@ -1,16 +1,21 @@
 """Hilbert bases, the brute-force oracle, normality, witnesses."""
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import thmc.hilbert
 from thmc.design import Model, distinct_columns
 from thmc.hilbert import (
     RangeExceeded,
     check_normality,
     hilbert_basis,
+    _parallelepiped_points,
     hilbert_basis_bruteforce_oracle,
     nonnormality_witness,
 )
-from thmc.intlinalg import IntLattice
+from thmc.intlinalg import IntLattice, det_bareiss, smith_normal_form
 from thmc.polyhedra import cone_facets
 
 
@@ -141,3 +146,39 @@ def test_hb_export_formats():
     assert len(csv.strip().splitlines()) == 20
     summary = result.summary()
     assert summary["count"] == 20 and summary["normal"] is True
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_parallelepiped_points_match_brute_force(R):
+    assume(det_bareiss(R) != 0)
+    n = len(R)
+    snf = smith_normal_form(R)
+    N, vol = snf.scaled_inverse()
+    rays = [tuple(R[i][j] for i in range(n)) for j in range(n)]
+    points = _parallelepiped_points(rays, snf)
+    box = [range(sum(min(x, 0) for x in row), sum(max(x, 0) for x in row) + 1) for row in R]
+    expected = {
+        x
+        for x in product(*box)
+        if any(x) and all(0 <= sum(a * b for a, b in zip(row, x)) < vol for row in N)
+    }
+    assert len(points) == len(set(points))
+    assert set(points) == expected
+
+
+def test_one_smith_form_per_simplex(monkeypatch):
+    # the traced benchmark counts simplices as the SNF calls made through hilbert's own binding
+    real = thmc.hilbert.smith_normal_form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thmc.hilbert, "smith_normal_form", counted)
+    hilbert_basis("d", 3, 5)
+    assert len(calls) == 190
+    calls.clear()
+    hilbert_basis("c", 3, 4)
+    assert len(calls) == 213

@@ -3,14 +3,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thmc.design import Model, column_of_word, iter_columns
 from thmc.intlinalg import (
+    DimensionMismatch,
     IntLattice,
     det_bareiss,
     kernel_lattice_basis,
     lattice_membership,
+    mat_mul,
     mat_vec,
     matrix_from_text,
     matrix_to_text,
@@ -57,6 +59,38 @@ def test_snf_random_matrices_verify(rows):
     snf = smith_normal_form(rows)
     for a, b in zip(snf.diagonal, snf.diagonal[1:]):
         assert b % a == 0
+
+
+
+@st.composite
+def _square_matrices(draw, max_n: int, bound: int):
+    n = draw(st.integers(1, max_n))
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(_square_matrices(5, 9))
+@settings(max_examples=80, deadline=None)
+def test_scaled_inverse_of_nonsingular_matrices(M):
+    det = det_bareiss(M)
+    assume(det != 0)
+    N, vol = smith_normal_form(M).scaled_inverse()
+    assert vol == abs(det)
+    n = len(M)
+    assert mat_mul(N, M) == [[vol if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@given(_square_matrices(5, 9), st.integers(-3, 3))
+@settings(max_examples=30, deadline=None)
+def test_scaled_inverse_rejects_singular_matrices(M, k):
+    M[-1] = [k * x for x in M[0]] if len(M) > 1 else [0]
+    with pytest.raises(AssertionError, match="singular"):
+        smith_normal_form(M).scaled_inverse()
+
+
+def test_scaled_inverse_needs_a_square_matrix():
+    with pytest.raises(DimensionMismatch):
+        smith_normal_form([[1, 0, 0], [0, 1, 0]]).scaled_inverse()
 
 
 def test_det_bareiss():
