@@ -9,9 +9,9 @@ import thmc.hilbert
 from thmc.design import Model, distinct_columns
 from thmc.hilbert import (
     RangeExceeded,
+    _parallelepiped_points,
     check_normality,
     hilbert_basis,
-    _parallelepiped_points,
     hilbert_basis_bruteforce_oracle,
     nonnormality_witness,
 )
@@ -148,7 +148,11 @@ def test_hb_export_formats():
     assert summary["count"] == 20 and summary["normal"] is True
 
 
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
 @settings(max_examples=60, deadline=None)
 def test_parallelepiped_points_match_brute_force(R):
     assume(det_bareiss(R) != 0)
