@@ -4,7 +4,9 @@ Model (a) is the full chain (initial-state rows plus transition rows),
 (b) drops the initial rows, (c) forbids self-loops, and (d) does both.
 Columns are indexed by words in lexicographic order; a column records
 the initial state indicator (models a, c) and the transition counts of
-its word. Everything is exact integer / rational arithmetic.
+its word. The distinct columns come from a walk over the words that
+keeps only distinct running counts. Everything is exact integer /
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def toric_model_map(matrix: DesignMatrix, theta: Sequence[Fraction]) -> tuple[Fr
 
 
 # ---------------------------------------------------------------------------
-# Distinct columns: compositions filtered by the Euler rule
+# Distinct columns: a state walk over running transition counts
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ``parts``-tuples of non-negative integers summing to ``total``, lexicographically.
@@ -253,68 +255,26 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, c + end, (0,) + c))
 
 
-def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:
-    """States from which one word realizes the transition counts x.
-
-    ``x`` is a flat transition vector in :func:`transition_pairs` order.
-    By Euler's theorem a word exists iff out- and in-degrees balance at
-    every state except for at most one +1/-1 pair, and the edge support
-    is connected. The word starts at the +1 state when there is one,
-    otherwise at any state with an outgoing edge. Empty when no word
-    realizes x (also when x has no edges).
-    """
-    pairs = transition_pairs(S, no_loops)
-    surplus = [0] * S  # out-degree minus in-degree, per state
-    for (i, j), v in zip(pairs, x):
-        if v:
-            surplus[i - 1] += v
-            surplus[j - 1] -= v
-    if min(surplus) < -1 or max(surplus) > 1 or surplus.count(1) > 1:
-        return ()
-    edges = [pair for pair, v in zip(pairs, x) if v]
-    if not edges:
-        return ()
-    reached = {edges[0][0]}
-    grew = True
-    while grew:
-        grew = False
-        for i, j in edges:
-            if (i in reached) != (j in reached):
-                reached.update((i, j))
-                grew = True
-    if any(i not in reached for i, _ in edges):
-        return ()
-    if 1 in surplus:
-        return (surplus.index(1) + 1,)
-    return tuple(sorted({i for i, _ in edges}))
-
-
-def _euler_columns(model: Model, S: int, T: int) -> set[tuple[int, ...]]:
-    """Distinct columns: the compositions of T-1 that pass the Euler rule, with their start states."""
-    no_loops = model.no_loops
-    xs = compositions(T - 1, len(transition_pairs(S, no_loops)))
-    if not model.has_initial:
-        return {x for x in xs if start_states(x, S, no_loops)}
-    inits = {s: tuple(1 if v == s else 0 for v in range(1, S + 1)) for s in range(1, S + 1)}
-    return {inits[s] + x for x in xs for s in start_states(x, S, no_loops)}
-
-
-def distinct_columns(model: Model | str, S: int, T: int, *, column_cap: int = DEFAULT_COLUMN_CAP) -> tuple[tuple[int, ...], ...]:
+def distinct_columns(model: Model | str, S: int, T: int) -> tuple[tuple[int, ...], ...]:
     """Sorted distinct column vectors of the design matrix.
 
-    Columns are the transition-count vectors that pass the Euler rule of
-    :func:`start_states`, found among all compositions of T-1 into one
-    part per transition. When there are more compositions than
-    ``column_cap`` the words are streamed instead; when both counts
-    exceed the cap, :class:`SizeCapExceeded` is raised before any work.
+    Walks the words one letter at a time but keeps only the distinct
+    (first state, last state, transition counts) triples, so a column is
+    reached once per way its word can end rather than once per word.
+    Models b/d drop the first state, which their columns do not record.
+    :class:`SizeCapExceeded` is raised before any work when both the word
+    count and the compositions of T-1 exceed ``DEFAULT_COLUMN_CAP``.
     """
     model = Model.parse(model)
+    pairs = transition_pairs(S, model.no_loops)
     words = word_count(S, T, model.no_loops)
-    parts = len(transition_pairs(S, model.no_loops))
-    if comb(T - 2 + parts, parts - 1) <= column_cap:
-        cols = _euler_columns(model, S, T)
-    elif words <= column_cap:
-        cols = {col for _, col in iter_columns(model, S, T)}
-    else:
-        raise SizeCapExceeded(f"{words} words and the compositions of T-1 both exceed the cap of {column_cap}")
-    return tuple(sorted(cols))
+    if min(words, comb(T - 2 + len(pairs), len(pairs) - 1)) > DEFAULT_COLUMN_CAP:
+        raise SizeCapExceeded(f"{words} words and the compositions of T-1 both exceed the cap of {DEFAULT_COLUMN_CAP}")
+    index = {pair: k for k, pair in enumerate(pairs)}
+    steps = {i: tuple((j, index[i, j]) for j in range(1, S + 1) if (i, j) in index) for i in range(1, S + 1)}
+    zero = (0,) * len(pairs)
+    # head: the initial-state indicator that starts the column (empty for b/d)
+    states = {(tuple(int(v == s) for v in range(1, S + 1)) if model.has_initial else (), s, zero) for s in range(1, S + 1)}
+    for _ in range(T - 1):
+        states = {(head, j, x[:k] + (x[k] + 1,) + x[k + 1:]) for head, i, x in states for j, k in steps[i]}
+    return tuple(sorted({head + x for head, _, x in states}))

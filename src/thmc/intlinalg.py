@@ -249,9 +249,8 @@ def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) ->
             continue
         t += 1
 
-    D = as_int_matrix(M)
     diagonal = tuple(M[i][i] for i in range(limit) if M[i][i])
-    result = SnfResult(U=as_int_matrix(U), D=D, V=as_int_matrix(V), diagonal=diagonal)
+    result = SnfResult(U=tuple(map(tuple, U)), D=tuple(map(tuple, M)), V=tuple(map(tuple, V)), diagonal=diagonal)
     if check:
         _verify_snf(A, result)
     return result

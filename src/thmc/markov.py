@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .design import Model, column_of_word, distinct_columns
-from .words import Word, iter_words, word_count
+from .words import Word, iter_words, word_count, word_index
 
 _DEFAULT_DEGREE_CAP = 4
 _DEFAULT_WORD_CAP = 20000
@@ -86,8 +86,6 @@ class Move:
     def as_vector(self) -> tuple[int, ...]:
         """Signed counts over the lexicographic word order."""
         vec = [0] * word_count(self.S, self.T, self.model.no_loops)
-        from .words import word_index
-
         for w in self.positive:
             vec[word_index(w, self.S, self.model.no_loops)] += 1
         for w in self.negative:
@@ -172,11 +170,12 @@ def moves_up_to_degree(
     if m > word_cap:
         raise CapExceeded(f"{m} words exceed the word cap {word_cap}")
     words = list(iter_words(S, T, model.no_loops))
+    columns = [column_of_word(model, S, w) for w in words]
     moves: dict[tuple[Element, Element], Move] = {}
     for degree in range(1, k + 1):
         groups: dict[tuple[int, ...], list[Element]] = {}
-        for combo in combinations_with_replacement(words, degree):
-            groups.setdefault(sufficient(model, S, combo), []).append(combo)
+        for combo, b in _multisets_by_sum(columns, degree):
+            groups.setdefault(b, []).append(tuple(words[i] for i in combo))
         for members in groups.values():
             for a_idx in range(len(members)):
                 for b_idx in range(a_idx + 1, len(members)):
@@ -190,6 +189,25 @@ def moves_up_to_degree(
                     if key not in moves:
                         moves[key] = Move(S=S, T=T, model=model, positive=key[0], negative=key[1])
     return tuple(moves[key] for key in sorted(moves))
+
+
+def _multisets_by_sum(vectors: Sequence[tuple[int, ...]], size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each multiset of ``size`` >= 1 indices into ``vectors`` with the sum of its vectors.
+
+    A lexicographic depth-first search over non-decreasing index tuples,
+    so the order is that of ``combinations_with_replacement``; each level
+    extends the running sum of its prefix by one vector.
+    """
+
+    def extend(combo: tuple[int, ...], total: tuple[int, ...], start: int, left: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        for i in range(start, len(vectors)):
+            grown = combo + (i,), tuple(map(add, total, vectors[i]))
+            if left > 1:
+                yield from extend(*grown, i, left - 1)
+            else:
+                yield grown
+
+    return extend((), (0,) * len(vectors[0]), 0, size)
 
 
 def _cancel(u: Sequence[Word], v: Sequence[Word]) -> tuple[Element, Element]:
@@ -309,9 +327,8 @@ def minimal_connecting_degree(
 
     for degree in range(1, D + 1):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for combo in combinations_with_replacement(range(len(columns)), degree):
-            key = tuple(sum(columns[i][r] for i in combo) for r in range(len(columns[0])))
-            groups.setdefault(key, []).append(combo)
+        for combo, b in _multisets_by_sum(columns, degree):
+            groups.setdefault(b, []).append(combo)
         for b, classes in groups.items():
             fibers_checked += 1
             if len(classes) == 1:

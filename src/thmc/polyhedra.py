@@ -564,12 +564,9 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
 
 def integer_points_equal_columns(T: int) -> bool:
     """Exhaustively compare the polytope's integer points with the column set."""
-    cols = set(model_d_columns(T))
-    inside = set()
-    for x in compositions(T - 1, 6):
-        if in_dilation_lp(sorted(cols), x, 1):
-            inside.add(x)
-    return inside == cols
+    cols = model_d_columns(T)
+    inside = {x for x in compositions(T - 1, 6) if in_dilation_lp(cols, x, 1)}
+    return inside == set(cols)
 
 
 def check_degree_balance(x: Sequence[int], T: int) -> tuple[int, bool]:
@@ -626,11 +623,11 @@ def middle_class_decomposition(x: Sequence[int], T: int) -> tuple[IntVec, IntVec
     decomp = stategraph.cycle_decomposition(graph)
     if decomp.n < 2:
         raise ValueError("need at least two three-cycles to trade away")
-    pair = next((pq for pq, cnt in zip(((1, 2), (1, 3), (2, 3)), decomp.two_cycles_by_pair) if cnt >= 3), None)
+    pair = next((pq for pq, cnt in zip(stategraph._PAIRS3, decomp.two_cycles_by_pair) if cnt >= 3), None)
     if pair is None:
         raise ValueError("need at least three two-cycles of one type to trade away")
     i, j = pair
-    triangle = ((1, 2), (2, 3), (3, 1)) if decomp.three_cycles_cw else ((1, 3), (3, 2), (2, 1))
+    triangle = stategraph._CW3 if decomp.three_cycles_cw else stategraph._CCW3
     two_cycle = ((i, j), (j, i))
     y = list(int(v) for v in x)
     z = list(int(v) for v in x)

@@ -5,7 +5,7 @@ multiplicities are the transition counts of a multiset of words; the
 marked variant also counts how many words start at each state. For
 three states the two-/three-cycle decomposition classifies which
 transition vectors can be polytope vertices. Which graphs come from a
-single word is decided by the Euler rule, :func:`design.start_states`.
+single word is decided by the Euler rule, :func:`start_states`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .design import Model, start_states, transition_pairs
+from .design import Model, transition_pairs
 from .words import PathMultiset, Word
 
 _PAIRS3 = ((1, 2), (1, 3), (2, 3))
@@ -126,6 +126,42 @@ def fiber_equivalent(model: Model | str, W: PathMultiset, W_bar: PathMultiset) -
     return graph_of_multiset(W, marked) == graph_of_multiset(W_bar, marked)
 
 
+def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:
+    """States from which one word realizes the transition counts x.
+
+    ``x`` is a flat transition vector in :func:`design.transition_pairs`
+    order. By Euler's theorem a word exists iff out- and in-degrees
+    balance at every state except for at most one +1/-1 pair, and the
+    edge support is connected. The word starts at the +1 state when
+    there is one, otherwise at any state with an outgoing edge. Empty
+    when no word realizes x (also when x has no edges).
+    """
+    pairs = transition_pairs(S, no_loops)
+    surplus = [0] * S  # out-degree minus in-degree, per state
+    for (i, j), v in zip(pairs, x):
+        if v:
+            surplus[i - 1] += v
+            surplus[j - 1] -= v
+    if min(surplus) < -1 or max(surplus) > 1 or surplus.count(1) > 1:
+        return ()
+    edges = [pair for pair, v in zip(pairs, x) if v]
+    if not edges:
+        return ()
+    reached = {edges[0][0]}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in reached) != (j in reached):
+                reached.update((i, j))
+                grew = True
+    if any(i not in reached for i, _ in edges):
+        return ()
+    if 1 in surplus:
+        return (surplus.index(1) + 1,)
+    return tuple(sorted({i for i, _ in edges}))
+
+
 def _start_states(graph: StateGraph) -> tuple[int, ...]:
     return start_states([v for row in graph.x for v in row], graph.S, no_loops=False)
 
@@ -133,7 +169,7 @@ def _start_states(graph: StateGraph) -> tuple[int, ...]:
 def eulerian_path(graph: StateGraph) -> Word:
     """A word consuming every edge exactly once, for any S, loops allowed.
 
-    The Euler rule of :func:`design.start_states` decides whether such a
+    The Euler rule of :func:`start_states` decides whether such a
     word exists and where it starts: at the out-surplus state when the
     graph is unbalanced, otherwise at the lowest-numbered state with an
     edge. Hierholzer's walk then always takes the lowest-numbered next

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from . import fixtures, hilbert, markov, polyhedra, stategraph
@@ -72,8 +73,6 @@ def _generating_words_model_b(S: int, T: int) -> list[tuple[int, ...]]:
 def _generating_words_model_d(T: int) -> list[tuple[int, ...]]:
     """All pivot-path words plus one base word (S = 3)."""
     words = {tuple(1 if i % 2 == 0 else 2 for i in range(T))}
-    from itertools import permutations
-
     for i, j, k in permutations((1, 2, 3)):
         for kind in ("type1", "type2"):
             pair = pivot_paths(i, j, k, T, kind)
@@ -382,8 +381,6 @@ def check_markov_probe() -> CriterionResult:
                 return False, f"S={S}: minimal_k={rep.minimal_k} exceeds S-1"
         # kernel + walk validity on a small instance, via explicit moves
         moves = markov.moves_up_to_degree(Model.D, 3, 4, 2)
-        for mv in moves:
-            mv.as_vector()  # constructor already asserted the kernel property
         fiber = markov.enumerate_fiber(Model.D, 3, 4, markov.sufficient(Model.D, 3, [(1, 2, 1, 2), (2, 1, 2, 1)]))
         connected, comps = markov.fiber_connected(fiber, moves)
         if not connected:

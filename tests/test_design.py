@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thmc.design
 from thmc.design import (
     LoopViolation,
     Model,
     ParameterSet,
     SizeCapExceeded,
     ZeroNormalizer,
-    _euler_columns,
     build_design_matrix,
     column_of_word,
     distinct_columns,
@@ -152,9 +152,9 @@ def test_distinct_columns_fast_path_with_loops_S2(model, T):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(list(Model)), st.integers(2, 4), st.integers(2, 7))
-def test_euler_rule_columns_match_word_streaming(model, S, T):
-    streamed = {col for _, col in iter_columns(model, S, T)}
-    assert _euler_columns(model, S, T) == streamed
+def test_state_walk_columns_match_word_streaming(model, S, T):
+    streamed = sorted({col for _, col in iter_columns(model, S, T)})
+    assert list(distinct_columns(model, S, T)) == streamed
 
 
 def test_two_disjoint_loop_islands_are_not_a_column():
@@ -170,11 +170,17 @@ def test_distinct_columns_beyond_the_word_cap():
     assert all(sum(c) == 15 for c in cols)
 
 
-def test_distinct_columns_picks_the_enumeration_by_size():
-    # d/S=3/T=8: 792 compositions of 7 into 6 parts, 384 words
-    assert distinct_columns(Model.D, 3, 8, column_cap=500) == distinct_columns(Model.D, 3, 8)
+def test_distinct_columns_size_guard_runs_before_the_walk(monkeypatch):
+    # a/S=5/T=14: 5^14 words and comb(37, 24) compositions of 13, both over 10^7
     with pytest.raises(SizeCapExceeded):
-        distinct_columns(Model.D, 3, 8, column_cap=100)
+        distinct_columns(Model.A, 5, 14)
+    # d/S=3/T=8: 384 words, 792 compositions of 7 into 6 parts
+    expected = distinct_columns(Model.D, 3, 8)
+    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 500)
+    assert distinct_columns(Model.D, 3, 8) == expected
+    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 100)
+    with pytest.raises(SizeCapExceeded):
+        distinct_columns(Model.D, 3, 8)
 
 
 def test_csv_export_layout():

@@ -1,5 +1,6 @@
 """Hilbert bases, the brute-force oracle, normality, witnesses."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ import thmc.hilbert
 from thmc.design import Model, distinct_columns
 from thmc.hilbert import (
     RangeExceeded,
+    WitnessVerificationFailed,
     _parallelepiped_points,
     check_normality,
     hilbert_basis,
@@ -115,6 +117,12 @@ def test_witness_a_3_6():
     assert w.h == (1, 0, 1, 3, 1, 0, 0, 0, 1, 0, 2, 3)
 
 
+def test_witness_a_3_10_beyond_the_fiber_word_cap():
+    # 3^10 = 59,049 words, over enumerate_fiber's default cap of 20,000
+    w = nonnormality_witness(Model.A, 3, 10)
+    assert w.h == (1, 0, 1, 7, 1, 0, 0, 0, 1, 0, 2, 7)
+
+
 def test_witness_b_2_5():
     w = nonnormality_witness(Model.B, 2, 5)
     assert w.h == (1, 0, 0, 3)
@@ -138,6 +146,19 @@ def test_witness_rejects_wrong_models():
         nonnormality_witness(Model.D, 3, 5)
     with pytest.raises(ValueError):
         nonnormality_witness(Model.A, 2, 5)  # printed witness needs S >= 3
+
+
+@pytest.mark.parametrize("model,S,T", [(Model.A, 3, 4), (Model.B, 2, 5)])
+def test_witness_fails_when_its_fiber_is_not_empty(monkeypatch, model, S, T):
+    # check (iii) must reject h once A x = h has a non-negative integer solution
+    real = thmc.hilbert.enumerate_fiber
+
+    def with_a_solution(model, S, T, h, **caps):
+        return replace(real(model, S, T, h, **caps), elements=(((1,) * T,),))
+
+    monkeypatch.setattr(thmc.hilbert, "enumerate_fiber", with_a_solution)
+    with pytest.raises(WitnessVerificationFailed, match="non-negative integer solution"):
+        nonnormality_witness(model, S, T)
 
 
 def test_hb_export_formats():

@@ -3,11 +3,13 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thmc.design import Model, sufficient_statistic
 from thmc.markov import (
     DegreeCapExceeded,
     Move,
+    _multisets_by_sum,
     enumerate_fiber,
     fiber_connected,
     minimal_connecting_degree,
@@ -188,3 +190,13 @@ def test_connectivity_monotone_in_move_set():
     conn2, comps2 = fiber_connected(fiber, k2)
     assert len(comps2) <= len(comps1)
     assert conn2 or not conn1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6), st.integers(1, 4))
+def test_multisets_by_sum_in_combination_order(vectors, size):
+    got = list(_multisets_by_sum(vectors, size))
+    combos = list(combinations_with_replacement(range(len(vectors)), size))
+    assert [combo for combo, _ in got] == combos
+    for combo, total in got:
+        assert total == tuple(sum(vectors[i][r] for i in combo) for r in range(3))

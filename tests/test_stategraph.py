@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from thmc.design import Model, column_of_word
+from thmc.design import Model, column_of_word, compositions, transition_pairs
 from thmc.stategraph import (
     NoEulerianPath,
     StateGraph,
@@ -16,6 +16,7 @@ from thmc.stategraph import (
     graph_of_multiset,
     graph_of_transition_vector,
     graph_of_word,
+    start_states,
 )
 from thmc.words import PathMultiset, iter_words
 
@@ -112,6 +113,27 @@ def test_euler_roundtrip_words_with_loops_S4():
 
 def test_euler_rejects_disjoint_loop_islands():
     g = StateGraph(S=2, x=((1, 0), (0, 1)))
+    with pytest.raises(NoEulerianPath):
+        eulerian_path(g)
+
+
+@pytest.mark.parametrize("S", [2, 3])
+@pytest.mark.parametrize("no_loops", [False, True])
+def test_euler_rule_start_states_are_the_first_letters(S, no_loops):
+    # every composition x of T-1, T <= 6: 2,607 vectors over the four cases
+    model = Model.D if no_loops else Model.B  # columns are the transition vectors
+    for T in range(2, 7):
+        firsts: dict[tuple[int, ...], set[int]] = {}
+        for w in iter_words(S, T, no_loops):
+            firsts.setdefault(column_of_word(model, S, w), set()).add(w[0])
+        for x in compositions(T - 1, len(transition_pairs(S, no_loops))):
+            assert set(start_states(x, S, no_loops)) == firsts.get(x, set())
+
+
+def test_euler_rule_rejects_two_unbalanced_pairs():
+    # 1->2, 2->3, 3->2, 3->4: connected, but states 1 and 3 both have out-surplus +1
+    g = StateGraph(S=4, x=((0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 0)))
+    assert start_states([v for row in g.x for v in row], 4, False) == ()
     with pytest.raises(NoEulerianPath):
         eulerian_path(g)
 
