@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from . import fixtures, hilbert, markov, polyhedra, verify
-from .design import DEFAULT_COLUMN_CAP, Model, build_design_matrix, format_row_label
+from .design import Model, build_design_matrix, format_row_label
 
 _USAGE_ERROR = 1
 _VERIFY_ERROR = 2
@@ -38,18 +37,9 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _column_cap() -> int:
-    return int(os.environ.get("THMC_COLUMN_CAP", DEFAULT_COLUMN_CAP))
-
-
-def _hilbert_cap() -> int | None:
-    value = os.environ.get("THMC_HILBERT_T_CAP")
-    return int(value) if value else None
-
-
 def cmd_design(args: argparse.Namespace) -> int:
     model = Model.parse(args.model)
-    matrix = build_design_matrix(model, args.S, args.T, column_cap=_column_cap())
+    matrix = build_design_matrix(model, args.S, args.T)
     if args.check_fixture:
         fixture = fixtures.load_design_fixture(model)
         if (fixture.S, fixture.T) != (args.S, args.T):
@@ -92,12 +82,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
         return _USAGE_ERROR
     table = fixtures.load_tables()[model.value]
     T_values = _parse_range(args.T) if args.T else sorted(table)
-    cap = [_hilbert_cap()] * len(T_values)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(verify.table_row, [model.value] * len(T_values), T_values, cap))
+            rows = list(pool.map(verify.table_row, [model.value] * len(T_values), T_values))
     else:
-        rows = list(map(verify.table_row, [model.value] * len(T_values), T_values, cap))
+        rows = list(map(verify.table_row, [model.value] * len(T_values), T_values))
     rows.sort()
     failed = False
     records = []
@@ -183,7 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    result = hilbert.hilbert_basis(args.model, args.S, args.T, max_T=args.max_T or _hilbert_cap())
+    result = hilbert.hilbert_basis(args.model, args.S, args.T, max_T=args.max_T)
     if args.format == "csv":
         sys.stdout.write(result.to_csv())
     else:
@@ -192,8 +181,9 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_markov(args: argparse.Namespace) -> int:
-    cap = int(os.environ.get("THMC_FIBER_DEGREE_CAP", max(args.D, 4)))
-    report = markov.minimal_connecting_degree(args.model, args.S, args.T, args.D, degree_cap=cap)
+    if args.moves_out:
+        markov.check_degree("move", args.moves_k)  # refuse before the probe runs
+    report = markov.minimal_connecting_degree(args.model, args.S, args.T, args.D)
     print(report.to_json())
     if args.moves_out:
         moves = markov.moves_up_to_degree(args.model, args.S, args.T, args.moves_k)

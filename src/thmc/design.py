@@ -36,7 +36,7 @@ RowLabel = tuple  # ("init", s) or ("trans", i, j)
 
 
 class SizeCapExceeded(ValueError):
-    """The requested matrix has more columns than the configured cap."""
+    """The requested enumeration has more columns than ``DEFAULT_COLUMN_CAP``."""
 
 
 class LoopViolation(ValueError):
@@ -150,18 +150,16 @@ class DesignMatrix:
         return json.dumps(payload, indent=1)
 
 
-def build_design_matrix(
-    model: Model | str,
-    S: int,
-    T: int,
-    *,
-    column_cap: int = DEFAULT_COLUMN_CAP,
-) -> DesignMatrix:
-    """Assemble the full matrix, columns in lexicographic word order."""
+def build_design_matrix(model: Model | str, S: int, T: int) -> DesignMatrix:
+    """Assemble the full matrix, columns in lexicographic word order.
+
+    :class:`SizeCapExceeded` is raised before any work when the word
+    count exceeds ``DEFAULT_COLUMN_CAP``.
+    """
     model = Model.parse(model)
     count = word_count(S, T, model.no_loops)
-    if count > column_cap:
-        raise SizeCapExceeded(f"{count} columns exceed the cap of {column_cap}")
+    if count > DEFAULT_COLUMN_CAP:
+        raise SizeCapExceeded(f"{count} columns exceed the cap of {DEFAULT_COLUMN_CAP}")
     words, columns = zip(*iter_columns(model, S, T))
     return DesignMatrix(model=model, S=S, T=T, rows=row_labels(model, S), words=words, columns=columns)
 

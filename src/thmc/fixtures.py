@@ -14,6 +14,7 @@ from importlib import resources
 
 from .design import Model, build_design_matrix, format_row_label
 from .intlinalg import IntVec
+from .polyhedra import normals_from_block_text
 from .words import parse_word
 
 
@@ -136,7 +137,7 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
     if model not in (Model.C, Model.D):
         raise ValueError("hyperplane fixtures exist for models c and d only")
     name = f"hyperplanes_{model.value}.txt"
-    rows_by_T: dict[int, list[list[int]]] = {}
+    lines_by_T: dict[int, list[str]] = {}
     cur: int | None = None
     for line in _read_data(name).splitlines():
         parts = line.split()
@@ -144,12 +145,18 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
             continue
         if parts[0] == "T":
             cur = int(parts[1])
-            rows_by_T[cur] = []
+            lines_by_T[cur] = []
         elif cur is None:
             raise ValueError(f"{name}: matrix row before the first 'T' line")
         else:
-            rows_by_T[cur].append([int(x) for x in parts])
-    return {T: tuple(sorted(zip(*rows))) for T, rows in rows_by_T.items()}
+            lines_by_T[cur].append(line)
+    blocks = {}
+    for T, lines in lines_by_T.items():
+        try:
+            blocks[T] = normals_from_block_text("\n".join(lines))
+        except ValueError as exc:
+            raise ValueError(f"{name}: T={T}: {exc}") from None
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     """Minimal generating set of cone(columns) ∩ Z(columns).
 
     Normal iff every element is itself a column (all columns are
-    degree-one irreducibles, so containment is equality).
+    degree-one irreducibles, so containment is equality). T beyond
+    ``max_T`` (default ``_DEFAULT_T_CAP[model]``) is refused before any work.
     """
     model = Model.parse(model)
     cap = max_T if max_T is not None else _DEFAULT_T_CAP[model]
@@ -202,9 +203,9 @@ def _parallelepiped_points(rays: Sequence[IntVec], snf: SnfResult) -> list[IntVe
     return points
 
 
-def check_normality(model: Model | str, S: int, T: int, *, max_T: int | None = None) -> bool:
+def check_normality(model: Model | str, S: int, T: int) -> bool:
     """True iff every Hilbert basis element is a design column."""
-    return hilbert_basis(model, S, T, max_T=max_T).normal
+    return hilbert_basis(model, S, T).normal
 
 
 # ---------------------------------------------------------------------------

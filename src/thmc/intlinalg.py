@@ -294,7 +294,6 @@ class IntLattice:
         self.dim = dim
         self._rows: list[list[int]] = []  # sorted by pivot column
         self._pivots: list[int] = []
-        self._snf_cache: SnfResult | None = None
 
     @classmethod
     def from_vectors(cls, dim: int, vectors: Iterable[Sequence[int]]) -> "IntLattice":
@@ -338,32 +337,18 @@ class IntLattice:
                 v = [(a // g) * y - (b // g) * x for x, y in zip(row, v)]
                 self._rows[idx] = new_row
                 changed = True
-        if changed:
-            self._snf_cache = None
         return changed
 
-    def basis_matrix(self) -> IntMat:
-        """Basis vectors as the columns of a dim x rank matrix."""
-        if not self._rows:
-            raise ValueError("lattice is trivial")
-        return as_int_matrix([[row[i] for row in self._rows] for i in range(self.dim)])
-
     def invariant_factors(self) -> IntVec:
-        """Diagonal of the SNF of any basis matrix (= the nonzero invariant factors)."""
-        return self._snf().diagonal
+        """Nonzero invariant factors: the SNF diagonal of the echelon rows.
 
-    def _snf(self) -> SnfResult:
-        if self._snf_cache is None:
-            self._snf_cache = smith_normal_form(self.basis_matrix())
-        return self._snf_cache
+        The rows are a basis matrix transposed, which has the same factors.
+        """
+        return smith_normal_form(self.echelon_rows()).diagonal
 
     def contains(self, vector: Sequence[int]) -> bool:
-        """Membership via the SNF criterion on a reduced basis."""
-        if len(vector) != self.dim:
-            raise DimensionMismatch(f"expected length {self.dim}, got {len(vector)}")
-        if not self._rows:
-            return all(x == 0 for x in vector)
-        return _snf_membership(self._snf(), vector)
+        """Membership by back-substitution in the echelon basis."""
+        return self.coordinates(vector) is not None
 
     def coordinates(self, vector: Sequence[int]) -> list[int] | None:
         """Integer coordinates of ``vector`` in the echelon basis rows, or None."""
@@ -409,18 +394,6 @@ def independent_subset(vectors: Sequence[Sequence[int]], size: int) -> list[int]
     return picked
 
 
-def _snf_membership(snf: SnfResult, vector: Sequence[int]) -> bool:
-    u_y = mat_vec(snf.U, vector)
-    diag = snf.diagonal
-    for i, x in enumerate(u_y):
-        if i < len(diag):
-            if x % diag[i]:
-                return False
-        elif x:
-            return False
-    return True
-
-
 def lattice_membership(matrix: Iterable[Sequence[int]], vector: Sequence[int]) -> bool:
     """Is ``vector`` an integer combination of the columns of ``matrix``?
 
@@ -431,7 +404,9 @@ def lattice_membership(matrix: Iterable[Sequence[int]], vector: Sequence[int]) -
     A = as_int_matrix(matrix)
     if len(vector) != len(A):
         raise DimensionMismatch(f"vector length {len(vector)} != row count {len(A)}")
-    return _snf_membership(smith_normal_form(A), vector)
+    snf = smith_normal_form(A)
+    u_y = mat_vec(snf.U, vector)
+    return all(x % d == 0 for x, d in zip(u_y, snf.diagonal)) and not any(u_y[snf.rank:])
 
 
 def residue_test(vector: Sequence[int], T: int) -> bool:
@@ -548,27 +523,6 @@ def _validate_pivot_pair(pair: PivotPathPair, T: int) -> None:
     diff = {key: val for key, val in diff.items() if val}
     if diff != {pair.plus: 1, pair.minus: -1}:
         raise AssertionError(f"pivot pair difference {diff} violates the +1/-1 contract")
-
-
-# ---------------------------------------------------------------------------
-# Plain-text matrix interchange: first line "r c", then r whitespace rows.
-
-def matrix_to_text(matrix: Iterable[Sequence[int]]) -> str:
-    A = as_int_matrix(matrix)
-    lines = [f"{len(A)} {len(A[0])}"]
-    lines.extend(" ".join(str(x) for x in row) for row in A)
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> IntMat:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix text must start with 'r c'")
-    r, c = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != r * c:
-        raise ValueError(f"expected {r * c} entries, found {len(body)}")
-    return as_int_matrix([[int(body[i * c + j]) for j in range(c)] for i in range(r)])
 
 
 def primitive_vector(vector: Sequence[int]) -> IntVec:

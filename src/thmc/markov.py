@@ -20,14 +20,21 @@ from .words import Word, iter_words, word_count, word_index
 
 _DEFAULT_DEGREE_CAP = 4
 _DEFAULT_WORD_CAP = 20000
+_MOVES_WORD_CAP = 2000
 
 
 class DegreeCapExceeded(ValueError):
-    """Requested fiber degree beyond the configured cap."""
+    """Requested fiber or move degree beyond ``_DEFAULT_DEGREE_CAP``."""
 
 
 class CapExceeded(ValueError):
     """Requested enumeration larger than the memory guard allows."""
+
+
+def check_degree(kind: str, degree: int) -> None:
+    """Raise :class:`DegreeCapExceeded` when ``degree`` is above ``_DEFAULT_DEGREE_CAP``."""
+    if degree > _DEFAULT_DEGREE_CAP:
+        raise DegreeCapExceeded(f"{kind} degree {degree} exceeds cap {_DEFAULT_DEGREE_CAP}")
 
 
 Element = tuple[Word, ...]  # sorted words, with multiplicity
@@ -112,15 +119,13 @@ def enumerate_fiber(
     T: int,
     b: Sequence[int],
     *,
-    degree_cap: int = _DEFAULT_DEGREE_CAP,
     word_cap: int = _DEFAULT_WORD_CAP,
 ) -> Fiber:
     """All word multisets with marginal b, by pruned depth-first search."""
     model = Model.parse(model)
     marginal = Marginal(model=model, S=S, T=T, b=tuple(int(x) for x in b))
     degree = marginal.degree
-    if degree > degree_cap:
-        raise DegreeCapExceeded(f"marginal degree {degree} exceeds cap {degree_cap}")
+    check_degree("marginal", degree)
     m = word_count(S, T, model.no_loops)
     if m > word_cap:
         raise CapExceeded(f"{m} words exceed the word cap {word_cap}")
@@ -151,24 +156,18 @@ def enumerate_fiber(
     return Fiber(marginal=marginal, elements=tuple(sorted(found)))
 
 
-def moves_up_to_degree(
-    model: Model | str,
-    S: int,
-    T: int,
-    k: int,
-    *,
-    word_cap: int = 2000,
-) -> tuple[Move, ...]:
+def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move, ...]:
     """All kernel moves with positive part of size <= k, deduplicated up to sign.
 
     Obtained as differences of same-marginal word multisets of equal
     degree; common words cancel first, so each move appears in reduced
-    support form.
+    support form. Both caps are checked before any word is streamed.
     """
     model = Model.parse(model)
+    check_degree("move", k)
     m = word_count(S, T, model.no_loops)
-    if m > word_cap:
-        raise CapExceeded(f"{m} words exceed the word cap {word_cap}")
+    if m > _MOVES_WORD_CAP:
+        raise CapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
     words = list(iter_words(S, T, model.no_loops))
     columns = [column_of_word(model, S, w) for w in words]
     moves: dict[tuple[Element, Element], Move] = {}
@@ -303,7 +302,6 @@ def minimal_connecting_degree(
     T: int,
     D: int,
     *,
-    degree_cap: int = _DEFAULT_DEGREE_CAP,
     report_limit: int = 50,
 ) -> ConnectivityReport:
     """Smallest move degree connecting every fiber of marginal degree <= D.
@@ -314,11 +312,11 @@ def minimal_connecting_degree(
     two word replacements apart. The staged union-find therefore
     measures the same quantity as the word-level walk definition without
     materializing word-level fibers. This is a lower-bound probe of the
-    Markov-basis degree: only marginals up to degree D are inspected.
+    Markov-basis degree: only marginals up to degree D are inspected, and
+    D above ``_DEFAULT_DEGREE_CAP`` is refused before any work.
     """
     model = Model.parse(model)
-    if D > degree_cap:
-        raise DegreeCapExceeded(f"degree cap {D} exceeds configured cap {degree_cap}")
+    check_degree("fiber", D)
     columns = distinct_columns(model, S, T)
     minimal_k = 1
     fibers_checked = 0

@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from . import fixtures, hilbert, markov, polyhedra, stategraph
-from .design import Model, column_of_word, distinct_columns, iter_columns
+from .design import Model, build_design_matrix, column_of_word, distinct_columns, iter_columns, transition_pairs
 from .intlinalg import IntLattice, lattice_membership, pivot_paths, residue_test, smith_normal_form
 
 
@@ -81,6 +81,19 @@ def _generating_words_model_d(T: int) -> list[tuple[int, ...]]:
     return sorted(words)
 
 
+def _generated_lattice(model: Model, S: int, T: int) -> IntLattice:
+    """The lattice spanned by the columns of the generating words (model b, or model d at S = 3)."""
+    if model is Model.B:
+        words = _generating_words_model_b(S, T)
+    elif model is Model.D:
+        if S != 3:
+            raise ValueError("lattice route for model d is provided at S = 3")
+        words = _generating_words_model_d(T)
+    else:
+        raise ValueError("lattice route covers models b and d")
+    return IntLattice.from_vectors(len(transition_pairs(S, model.no_loops)), (column_of_word(model, S, w) for w in words))
+
+
 def snf_diagonal_via_lattice(model: Model, S: int, T: int, *, samples: int = 50, seed: int = 0) -> tuple[int, ...]:
     """Invariant factors of the design matrix without materializing it.
 
@@ -89,24 +102,12 @@ def snf_diagonal_via_lattice(model: Model, S: int, T: int, *, samples: int = 50,
     sublattice of the same index, so reaching index T-1 proves equality.
     Sampled columns are double-checked for membership.
     """
-    if model is Model.B:
-        words = _generating_words_model_b(S, T)
-        dim = S * S
-    elif model is Model.D:
-        if S != 3:
-            raise ValueError("lattice route for model d is provided at S = 3")
-        words = _generating_words_model_d(T)
-        dim = 6
-    else:
-        raise ValueError("lattice route covers models b and d")
-    lat = IntLattice(dim)
-    for w in words:
-        lat.add(column_of_word(model, S, w))
+    lat = _generated_lattice(model, S, T)
     factors = lat.invariant_factors()
     index = 1
     for f in factors:
         index *= f
-    if len(factors) != dim or index != T - 1:
+    if len(factors) != lat.dim or index != T - 1:
         raise AssertionError(f"generating subset reached factors {factors}, not index {T - 1}")
     rng = random.Random(seed)
     for _ in range(samples):
@@ -149,11 +150,9 @@ def check_snf_theorems(seed: int = 0) -> CriterionResult:
         # direct full-matrix route on the small cases (U*A*V = D asserted inside)
         direct = 0
         for model, S, T in [(Model.B, 2, 4), (Model.B, 2, 6), (Model.B, 2, 8), (Model.B, 3, 4), (Model.B, 3, 5), (Model.B, 4, 3), (Model.D, 3, 4), (Model.D, 3, 6), (Model.D, 3, 7)]:
-            cols = [col for _, col in iter_columns(model, S, T)]
-            rows = tuple(zip(*cols))
+            rows = build_design_matrix(model, S, T).as_rows()
             snf = smith_normal_form(rows)
-            d = S * S if model is Model.B else 6
-            if snf.diagonal != tuple([1] * (d - 1) + [T - 1]):
+            if snf.diagonal != tuple([1] * (len(rows) - 1) + [T - 1]):
                 return False, f"direct SNF mismatch for {model.value} S={S} T={T}"
             direct += 1
         return True, f"{checked} lattice-route diagonals + {direct} direct full-matrix cross-checks"
@@ -169,28 +168,23 @@ def check_lattice_lemmas(seed: int = 0, vectors: int = 500) -> CriterionResult:
         rng = random.Random(seed)
         agreements = 0
         for model, S in ((Model.B, 3), (Model.D, 3)):
-            dim = S * S if model is Model.B else 6
             for T in range(4, 11):
-                lat = IntLattice(dim)
-                words = _generating_words_model_b(S, T) if model is Model.B else _generating_words_model_d(T)
-                for w in words:
-                    lat.add(column_of_word(model, S, w))
+                lat = _generated_lattice(model, S, T)
                 for _ in range(vectors):
                     if rng.random() < 0.25:
-                        y = [0] * dim
+                        y = [0] * lat.dim
                         for _ in range(rng.randint(1, 3)):
                             col = column_of_word(model, S, _random_word(rng, S, T, model.no_loops))
                             sign = rng.choice((-1, 1))
                             y = [a + sign * b for a, b in zip(y, col)]
                     else:
-                        y = [rng.randint(-10, 10) for _ in range(dim)]
+                        y = [rng.randint(-10, 10) for _ in range(lat.dim)]
                     if lat.contains(y) != residue_test(y, T):
                         return False, f"{model.value} S={S} T={T}: disagreement on {y}"
                     agreements += 1
         # direct matrix route on small instances
         for model, S, T in [(Model.B, 2, 4), (Model.B, 2, 5), (Model.D, 3, 4), (Model.D, 3, 5)]:
-            cols = [col for _, col in iter_columns(model, S, T)]
-            rows = tuple(zip(*cols))
+            rows = build_design_matrix(model, S, T).as_rows()
             for _ in range(50):
                 y = [rng.randint(-6, 6) for _ in range(len(rows))]
                 if lattice_membership(rows, y) != residue_test(y, T):
@@ -222,10 +216,10 @@ def check_witnesses() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # 5/6. Table reproduction
 
-def table_row(model: Model | str, T: int, max_T: int | None = None) -> tuple[int, int, tuple[int, ...], bool]:
+def table_row(model: Model | str, T: int) -> tuple[int, int, tuple[int, ...], bool]:
     """(T, Hilbert basis size, f-vector, normal) of one S=3 table row."""
     model = Model.parse(model)
-    result = hilbert.hilbert_basis(model, 3, T, max_T=max_T)
+    result = hilbert.hilbert_basis(model, 3, T)
     fv = polyhedra.f_vector(distinct_columns(model, 3, T))
     return T, result.count, fv.counts, result.normal
 

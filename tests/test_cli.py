@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from thmc.cli import main
 
 
@@ -124,3 +126,19 @@ def test_markov_report(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["minimal_k"] == 2
     assert moves_path.exists()
+
+
+@pytest.mark.parametrize("extra", [["--D", "5"], ["--D", "2", "--moves-k", "5", "--moves-out", "moves.txt"]])
+def test_markov_degree_guard_runs_before_any_work(capsys, monkeypatch, tmp_path, extra):
+    import thmc.markov
+
+    def no_columns(*args):
+        raise AssertionError("columns enumerated past the degree guard")
+
+    monkeypatch.setattr(thmc.markov, "distinct_columns", no_columns)
+    monkeypatch.setenv("THMC_FIBER_DEGREE_CAP", "9")  # no environment variable lifts the guard
+    monkeypatch.chdir(tmp_path)
+    assert main(["markov", "--model", "d", "--T", "8", *extra]) == 1
+    out, err = capsys.readouterr()
+    assert not out and not (tmp_path / "moves.txt").exists()
+    assert len(err.splitlines()) == 1 and "degree 5 exceeds cap 4" in err

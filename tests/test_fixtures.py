@@ -90,6 +90,13 @@ def test_hyperplane_row_before_any_T_line_is_a_value_error(monkeypatch):
         load_hyperplane_blocks(Model.D)
 
 
+def test_ragged_hyperplane_block_is_a_value_error(monkeypatch):
+    # the second row lacks one entry; truncating to the shortest row would drop a normal
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: "T 4\n1 0 2\n0 1\n1 1 0\n")
+    with pytest.raises(ValueError, match="hyperplanes_c.txt"):
+        load_hyperplane_blocks(Model.C)
+
+
 def test_table_row_before_any_table_line_is_a_value_error(monkeypatch):
     monkeypatch.setattr(fixtures, "_read_data", lambda name: "T 4 hb 20 f 20 69 90 51 12\ntable d\n")
     with pytest.raises(ValueError, match="tables.txt"):

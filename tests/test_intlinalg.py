@@ -14,8 +14,6 @@ from thmc.intlinalg import (
     lattice_membership,
     mat_mul,
     mat_vec,
-    matrix_from_text,
-    matrix_to_text,
     pivot_paths,
     primitive_vector,
     residue_test,
@@ -206,11 +204,6 @@ def test_pivot_path_rejects_bad_indices():
         pivot_paths(1, 1, 2, 6, "type1")
     with pytest.raises(ValueError):
         pivot_paths(1, 2, 3, 3, "type1")
-
-
-def test_matrix_text_roundtrip():
-    mat = ((1, -2, 3), (0, 5, -6))
-    assert matrix_from_text(matrix_to_text(mat)) == mat
 
 
 def test_primitive_vector():

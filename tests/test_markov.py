@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thmc.markov
 from thmc.design import Model, sufficient_statistic
 from thmc.markov import (
     DegreeCapExceeded,
@@ -64,7 +65,16 @@ def test_fiber_completeness_brute_force():
 def test_degree_cap():
     b = tuple(x * 5 for x in sufficient(Model.D, 3, [(1, 2, 1, 2)]))
     with pytest.raises(DegreeCapExceeded):
-        enumerate_fiber(Model.D, 3, 4, b, degree_cap=4)
+        enumerate_fiber(Model.D, 3, 4, b)
+
+
+def test_move_degree_guard_runs_before_the_word_stream(monkeypatch):
+    def no_words(*args):
+        raise AssertionError("words streamed past the degree guard")
+
+    monkeypatch.setattr(thmc.markov, "iter_words", no_words)
+    with pytest.raises(DegreeCapExceeded):
+        moves_up_to_degree(Model.D, 3, 6, 5)
 
 
 def test_moves_are_kernel_vectors():
