@@ -51,13 +51,10 @@ class Model(enum.Enum):
     C = "c"
     D = "d"
 
-    @property
-    def has_initial(self) -> bool:
-        return self in (Model.A, Model.C)
-
-    @property
-    def no_loops(self) -> bool:
-        return self in (Model.C, Model.D)
+    def __init__(self, letter: str) -> None:
+        # plain attributes, set once per member: column_of_word reads them per word
+        self.has_initial = letter in ("a", "c")
+        self.no_loops = letter in ("c", "d")
 
     def column_sum(self, T: int) -> int:
         """Common column sum: T for models a/c, T-1 for b/d."""

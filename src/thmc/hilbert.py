@@ -4,10 +4,13 @@ The main algorithm mirrors the classical primal approach: move to
 coordinates of the lattice generated by the columns, triangulate the
 cone by placing the (lattice-primitive) generator directions, collect
 the lattice points of every half-open fundamental parallelepiped, and
-reduce the candidate pool to irreducibles by increasing degree. Each
-simplex costs one Smith normal form U R V = D of its ray matrix R: the
-scaled inverse V diag(vol / d_i) U = vol R^-1 gives the facet normals,
-vol = prod d_i the volume, and V with the d_i the parallelepiped points.
+reduce the candidate pool to irreducibles by increasing degree. The
+extreme rays are placed first: every later direction already lies in
+the cone and adds no simplex, and a ray's visibility costs one dot
+product per distinct boundary normal. Each simplex costs one Smith
+normal form U R V = D of its ray matrix R: the scaled inverse
+V diag(vol / d_i) U = vol R^-1 gives the facet normals, vol = prod d_i
+the volume, and V with the d_i the parallelepiped points.
 A brute-force degree-capped search acts as an independent oracle, and
 the explicit non-normality witnesses of the with-loop models are
 verified by exact computation.
@@ -24,7 +27,7 @@ from typing import Iterator, Sequence
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
 from .intlinalg import IntLattice, IntVec, SnfResult, independent_subset, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
-from .polyhedra import cone_facets, in_cone_lp
+from .polyhedra import cone_facets, in_cone_lp, vertices_by_facet_rank
 from .words import word_count
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
@@ -80,19 +83,21 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     basis_rows = lattice.echelon_rows()
     rank = lattice.rank
 
-    coords = []
+    direction_of: dict[IntVec, IntVec] = {}
     for c in cols:
         z = lattice.coordinates(c)
         assert z is not None
-        coords.append(tuple(z))
+        direction_of[c] = primitive_vector(z)
 
-    directions = sorted(set(primitive_vector(z) for z in coords))
+    # extreme rays first: once they are placed, every later ray lies in the cone
+    extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
+    directions = sorted(set(direction_of.values()), key=lambda z: (z not in extreme, z))
 
     def back(z: Sequence[int]) -> IntVec:
         return tuple(sum(q * row[i] for q, row in zip(z, basis_rows)) for i in range(lattice.dim))
 
     candidates: set[IntVec] = set(back(z) for z in directions)
-    for simplex, snf in _placing_triangulation(directions, rank):
+    for simplex, snf in _placing_triangulation(directions, rank, len(hrep.inequalities)):
         for z in _parallelepiped_points([directions[i] for i in simplex], snf):
             candidates.add(back(z))
     candidates.discard(tuple([0] * lattice.dim))
@@ -134,22 +139,30 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     return HilbertBasisResult(model=model, S=S, T=T, elements=elements, normal=normal)
 
 
-def _placing_triangulation(rays: Sequence[IntVec], rank: int) -> Iterator[tuple[tuple[int, ...], SnfResult]]:
+def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> Iterator[tuple[tuple[int, ...], SnfResult]]:
     """Triangulate cone(rays) into simplicial subcones, each with the Smith form of its rays.
 
     Incremental placing: start from a linearly independent subset, then
-    attach every later ray to the boundary facets it strictly sees.
-    Rays inside the current cone contribute nothing. The one Smith form
-    of a new simplex's ray matrix R gives vol * R^-1, whose row i is the
-    inward normal of the facet opposite ray i; the same Smith form later
-    yields the simplex's parallelepiped points. Placing never removes a
-    simplex, so each is yielded as soon as it is added.
+    attach every later ray to the boundary facets it strictly sees; a
+    ray inside the current cone adds nothing, so callers place the
+    extreme rays first. Boundary facets are grouped by primitive inward
+    normal and a ray sees a whole group or none of it, so visibility
+    costs one dot product per distinct normal: once the extreme rays
+    are in, one per facet of the cone. At the end the distinct normals
+    must number ``facets``, the count from the double description.
+
+    The one Smith form of a new simplex's ray matrix R gives vol * R^-1,
+    whose row i is the inward normal of the facet opposite ray i; the
+    same Smith form later yields the simplex's parallelepiped points.
+    Placing never removes a simplex, so each is yielded as soon as it is
+    added.
     """
     n = len(rays)
     picked = independent_subset(rays, rank)
 
-    # boundary facet -> primitive inward normal; a facet seen twice is interior
-    boundary: dict[frozenset[int], IntVec] = {}
+    # primitive inward normal -> boundary facets on its hyperplane; a facet
+    # met again from the other side (opposite normal) is interior
+    by_normal: dict[IntVec, set[frozenset[int]]] = {}
 
     def add_simplex(simplex: tuple[int, ...]) -> tuple[tuple[int, ...], SnfResult]:
         snf = smith_normal_form([[rays[j][i] for j in simplex] for i in range(rank)], check=False)
@@ -159,19 +172,32 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int) -> Iterator[tuple[
             if sum(a * b for a, b in zip(normal, rays[drop])) != vol:
                 raise AssertionError("simplex normal does not isolate its opposite ray")
             facet = full - {drop}
-            if facet in boundary:
-                del boundary[facet]
+            normal = primitive_vector(normal)
+            outer = tuple(-x for x in normal)
+            group = by_normal.get(outer)
+            if group is not None and facet in group:
+                group.remove(facet)
+                if not group:
+                    del by_normal[outer]
             else:
-                boundary[facet] = primitive_vector(normal)
+                by_normal.setdefault(normal, set()).add(facet)
         return simplex, snf
 
     yield add_simplex(tuple(sorted(picked)))
-    remaining = [i for i in range(n) if i not in set(picked)]
-    for idx in remaining:
+    for idx in range(n):
+        if idx in picked:
+            continue
         v = rays[idx]
-        visible = [facet for facet, normal in boundary.items() if sum(a * b for a, b in zip(normal, v)) < 0]
+        visible = [
+            facet
+            for normal, group in by_normal.items()
+            if sum(a * b for a, b in zip(normal, v)) < 0
+            for facet in group
+        ]
         for facet in visible:
             yield add_simplex(tuple(sorted(facet | {idx})))
+    if len(by_normal) != facets:
+        raise AssertionError(f"placing ends with {len(by_normal)} boundary normals, but the cone has {facets} facets")
 
 
 def _parallelepiped_points(rays: Sequence[IntVec], snf: SnfResult) -> list[IntVec]:

@@ -159,8 +159,13 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     pairs. Adjacency uses the combinatorial zero-set test, which is
     exact here because all tracked rays satisfy the processed
     constraints with >= 0.
+
+    Generators are inserted in the caller's order (duplicates dropped),
+    and the result is sorted, so the order decides only the cost: a
+    generator inside the current cone costs one pass over the rays.
+    Callers pass the likely extreme generators first.
     """
-    gens = sorted(set(primitive_vector(g) for g in generators if any(g)))
+    gens = list(dict.fromkeys(primitive_vector(g) for g in generators if any(g)))
     if not gens:
         raise DegenerateInput("no nonzero generators")
     dim = len(gens[0])
@@ -387,14 +392,16 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
 
     Normals are primitive, reduced to the canonical representative
     modulo the span equations, and lexicographically sorted; every
-    generator satisfies every inequality with >= 0 (asserted).
+    generator satisfies every inequality with >= 0 (asserted). The
+    columns with the most zero entries, the likely extreme rays, enter
+    the double description first.
     """
     cols = sorted(set(tuple(int(x) for x in c) for c in columns))
     cols = [c for c in cols if any(c)]
     if not cols:
         raise DegenerateInput("all columns are zero")
     span = SpanCoordinates.of_columns(cols)
-    coords = [span.to_coords(c) for c in cols]
+    coords = [span.to_coords(c) for c in sorted(cols, key=lambda c: c.count(0), reverse=True)]
     raw = dual_description(coords)
     normals = tuple(sorted(span.lift_normal(g) for g in raw))
     sums = {sum(c) for c in cols}

@@ -1,7 +1,9 @@
 """Hilbert bases, the brute-force oracle, normality, witnesses."""
 
+import random
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,13 +14,14 @@ from thmc.hilbert import (
     RangeExceeded,
     WitnessVerificationFailed,
     _parallelepiped_points,
+    _placing_triangulation,
     check_normality,
     hilbert_basis,
     hilbert_basis_bruteforce_oracle,
     nonnormality_witness,
 )
-from thmc.intlinalg import IntLattice, det_bareiss, smith_normal_form
-from thmc.polyhedra import cone_facets
+from thmc.intlinalg import IntLattice, det_bareiss, primitive_vector, smith_normal_form
+from thmc.polyhedra import cone_facets, vertices_by_facet_rank
 
 
 def test_hb_model_d_T4():
@@ -194,16 +197,63 @@ def test_parallelepiped_points_match_brute_force(R):
 
 def test_one_smith_form_per_simplex(monkeypatch):
     # the traced benchmark counts simplices as the SNF calls made through hilbert's own binding
-    real = thmc.hilbert.smith_normal_form
+    real_snf = thmc.hilbert.smith_normal_form
+    real_placing = thmc.hilbert._placing_triangulation
     calls = []
+    simplices = []
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return real(*args, **kwargs)
+        return real_snf(*args, **kwargs)
+
+    def placing(*args, **kwargs):
+        for item in real_placing(*args, **kwargs):
+            simplices.append(item[0])
+            yield item
 
     monkeypatch.setattr(thmc.hilbert, "smith_normal_form", counted)
+    monkeypatch.setattr(thmc.hilbert, "_placing_triangulation", placing)
     hilbert_basis("d", 3, 5)
-    assert len(calls) == 190
+    # 190 in lex order; the extreme rays placed first leave fewer, larger simplices
+    assert len(calls) == len(simplices) == 159
     calls.clear()
+    simplices.clear()
     hilbert_basis("c", 3, 4)
-    assert len(calls) == 213
+    assert len(calls) == len(simplices) == 213
+
+
+def test_placing_cross_check_catches_a_dropped_facet(monkeypatch):
+    # the boundary normals of the triangulation must count the facets of the double description
+    real = thmc.hilbert.cone_facets
+
+    def one_facet_short(columns):
+        hrep = real(columns)
+        return replace(hrep, inequalities=hrep.inequalities[1:])
+
+    monkeypatch.setattr(thmc.hilbert, "cone_facets", one_facet_short)
+    with pytest.raises(AssertionError, match="boundary normals"):
+        hilbert_basis("d", 3, 6)
+
+
+def _lattice_directions(model, T):
+    """Primitive column directions in lattice coordinates, as hilbert_basis places them."""
+    cols = distinct_columns(model, 3, T)
+    hrep = cone_facets(cols)
+    lattice = IntLattice.from_vectors(len(cols[0]), cols)
+    direction_of = {c: primitive_vector(lattice.coordinates(c)) for c in cols}
+    extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
+    return sorted(set(direction_of.values())), extreme, lattice.rank, len(hrep.inequalities)
+
+
+@pytest.mark.parametrize("model,T", [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C, 4), (Model.C, 5)])
+def test_triangulation_volume_is_order_independent(model, T):
+    lex, extreme, rank, facets = _lattice_directions(model, T)
+    orders = [lex, sorted(lex, key=lambda z: (z not in extreme, z))]
+    for seed in (1, 2):
+        shuffled = list(lex)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    volumes = {
+        sum(prod(snf.diagonal) for _, snf in _placing_triangulation(rays, rank, facets)) for rays in orders
+    }
+    assert len(volumes) == 1

@@ -1,15 +1,20 @@
 """Cone facets, polytope vertices, f-vectors, dilation and balance checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thmc.design import Model, distinct_columns
+from thmc.intlinalg import IntLattice
 from thmc.polyhedra import (
     DegenerateInput,
+    SpanCoordinates,
     check_degree_balance,
     classify_vertices,
     cone_facets,
+    dual_description,
     f_vector,
     in_cone_lp,
     in_dilation_lp,
@@ -100,6 +105,33 @@ def test_facets_are_valid_and_irredundant():
 def test_facets_independent_of_input_order():
     cols = list(model_d_columns(5))
     assert cone_facets(cols) == cone_facets(list(reversed(cols)))
+
+
+def test_dual_description_independent_of_insertion_order():
+    cols = model_d_columns(13)
+    span = SpanCoordinates.of_columns(cols)
+    coords = [span.to_coords(c) for c in cols]
+    facets = dual_description(coords)
+    assert len(facets) == 24
+    for seed in (1, 2, 3):
+        shuffled = list(coords)
+        random.Random(seed).shuffle(shuffled)
+        assert dual_description(shuffled) == facets
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=2 * n + 2)
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_dual_description_of_small_cones_independent_of_order(gens, rng):
+    # nonnegative generators keep the cone pointed; they must span the space
+    assume(IntLattice.from_vectors(len(gens[0]), gens).rank == len(gens[0]))
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert dual_description(shuffled) == dual_description(gens)
 
 
 def test_f_vector_simplex():
