@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -217,23 +218,34 @@ def _cancel(u: Sequence[Word], v: Sequence[Word]) -> tuple[Element, Element]:
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:
     """Connectivity of the fiber graph with edges u -> u + z, z a move.
 
-    Applying a move keeps every intermediate state inside the fiber (the
-    result is non-negative by construction of the edge test), which is
-    exactly the walk condition of the Markov-basis definition.
+    A move applies to u exactly when its negative part is a sub-multiset
+    of u, so the moves are indexed by their sorted negative part and
+    each element looks up its distinct sorted sub-multisets (at most
+    2^degree - 1). The result u - negative + positive is non-negative by
+    construction, which is exactly the walk condition of the
+    Markov-basis definition.
     """
     elements = list(fiber.elements)
     index = {e: i for i, e in enumerate(elements)}
-    counted_moves = [(Counter(mv.negative), Counter(mv.positive)) for mv in moves]
+    positives_by_negative: dict[Element, list[Element]] = {}
+    for mv in moves:
+        positives_by_negative.setdefault(tuple(sorted(mv.negative)), []).append(mv.positive)
 
     def edges() -> Iterator[tuple[int, int]]:
         for i, e in enumerate(elements):
-            ce = Counter(e)
-            for cneg, cpos in counted_moves:
-                if all(ce[w] >= c for w, c in cneg.items()):
-                    target = ce - cneg + cpos
-                    j = index.get(tuple(sorted(target.elements())))
-                    if j is not None:
-                        yield i, j
+            applied = set()
+            for size in range(1, len(e) + 1):
+                for picked in combinations(range(len(e)), size):
+                    negative = tuple(e[p] for p in picked)
+                    positives = positives_by_negative.get(negative)
+                    if not positives or negative in applied:
+                        continue
+                    applied.add(negative)
+                    rest = [w for p, w in enumerate(e) if p not in picked]
+                    for positive in positives:
+                        j = index.get(tuple(sorted(rest + list(positive))))
+                        if j is not None:
+                            yield i, j
 
     components: dict[int, list[Element]] = {}
     for e, root in zip(elements, _roots(len(elements), edges())):

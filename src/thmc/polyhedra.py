@@ -4,7 +4,10 @@ Vertices are certified by exact LP feasibility (is the point a convex
 combination of the rest?), facets by the double description method run
 in a unimodular coordinate system of the column span, and f-vectors by
 closure-based face enumeration over the vertex-facet incidences. The
-two routes cross-validate each other; no floating point anywhere.
+two routes cross-validate each other: the dilation identity, too, is
+decided by the LP on one side (x in kP) and by the facets on the other
+(x in the cone). The LP tableau is integer: a rational right-hand side
+is scaled to integers once per call. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import stategraph
@@ -34,19 +37,14 @@ from .intlinalg import (
 # ---------------------------------------------------------------------------
 # Exact rational LP feasibility (phase-1 simplex, Bland's rule)
 
-def _as_integer_row(values: Sequence[int | Fraction]) -> list[int]:
-    """Scale one equation row to integers (rows scale independently)."""
-    if all(type(x) is int for x in values):
-        return list(values)
-    fracs = [Fraction(x) for x in values]
-    scale = 1
-    for x in fracs:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    return [int(x * scale) for x in fracs]
+def _integer_multiple(values: Sequence[int | Fraction]) -> list[int]:
+    """The values times the lcm of their denominators: integers with the same ratios."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def linear_feasible(
-    columns: Sequence[Sequence[int | Fraction]],
+    columns: Sequence[Sequence[int]],
     rhs: Sequence[int | Fraction],
     *,
     coefficient_sum: int | Fraction | None = None,
@@ -54,40 +52,42 @@ def linear_feasible(
     """Does rhs = sum(lambda_j * columns[j]) admit a solution with lambda >= 0?
 
     ``coefficient_sum`` adds the constraint sum(lambda) == value (so 1
-    tests convex-hull membership, k tests the k-th dilation). Runs an
-    exact phase-1 simplex on a fraction-free integer tableau: every row
-    carries an implicit positive scale, pivots cross-multiply, and rows
-    are gcd-normalized to keep entries small. Bland's rule (smallest
-    entering index, smallest basic index on ratio ties) guarantees
-    termination.
+    tests convex-hull membership, k tests the k-th dilation). The
+    columns are integer. Where rhs is 0 and no column is negative, every
+    column positive there has lambda = 0, so it is dropped first. The
+    right-hand side (with ``coefficient_sum``) is multiplied once by the
+    lcm L of its denominators (substitute L * lambda for lambda), so the
+    tableau is integer from the start.
+
+    Exact phase-1 simplex on a fraction-free tableau: every row carries
+    an implicit positive scale, pivots cross-multiply, and rows are
+    gcd-normalized. The basis starts as the artificial identity, which
+    is never stored: an artificial that leaves is fixed at 0 and never
+    re-enters, which keeps every feasible point of the original problem.
+    Bland's rule (smallest entering index, smallest basic index on ratio
+    ties, artificial i counting as n + i) guarantees termination.
     """
+    zero_rows = [i for i, x in enumerate(rhs) if x == 0 and all(c[i] >= 0 for c in columns)]
+    columns = [c for c in columns if not any(c[i] for i in zero_rows)]
     if not columns:
         return all(Fraction(x) == 0 for x in rhs) and (coefficient_sum in (None, 0))
     n = len(columns)
-    m = len(rhs) + (0 if coefficient_sum is None else 1)
-    width = n + m + 1  # structural | artificial identity | rhs
-
-    rows: list[list[int]] = []
-    for i in range(len(rhs)):
-        raw = [columns[j][i] for j in range(n)] + [0] * m + [rhs[i]]
-        rows.append(_as_integer_row(raw))
+    values = _integer_multiple(list(rhs) if coefficient_sum is None else [*rhs, coefficient_sum])
+    m = len(values)
+    rows = [list(row) for row in zip(*columns)]
     if coefficient_sum is not None:
-        rows.append(_as_integer_row([1] * n + [0] * m + [coefficient_sum]))
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
-            rows[i] = [-x for x in row]
-        rows[i][n + i] = 1
+        rows.append([1] * n)
+    for row, value in zip(rows, values):
+        row.append(value)
+        if value < 0:
+            row[:] = [-x for x in row]
 
     # Reduced-cost row for min(sum of artificials); value cell goes last.
-    cost = [0] * width
-    for j in range(width):
-        cost[j] = -sum(row[j] for row in rows)
-    for i in range(m):
-        cost[n + i] = 0
+    cost = [-sum(column) for column in zip(*rows)]
     basis = [n + i for i in range(m)]
 
     while True:
-        enter = next((j for j in range(width - 1) if cost[j] < 0), None)
+        enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -119,11 +119,7 @@ def _eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
     """Clear ``row[enter]`` by cross-multiplying with the pivot row, then divide out the gcd."""
     p, f = pivot_row[enter], row[enter]
     new_row = [x * p - y * f for x, y in zip(row, pivot_row)]
-    g = 0
-    for x in new_row:
-        g = gcd(g, x)
-        if g == 1:
-            return new_row
+    g = gcd(*new_row)
     return [x // g for x in new_row] if g > 1 else new_row
 
 
@@ -352,6 +348,12 @@ class HRep:
     equations: tuple[IntVec, ...]
     grading_sum: int | None = None  # common coordinate sum of the generators, if any
 
+    def contains(self, point: Sequence[int]) -> bool:
+        """Is the integer point in the cone?"""
+        return all(sum(a * b for a, b in zip(h, point)) >= 0 for h in self.inequalities) and not any(
+            sum(a * b for a, b in zip(e, point)) for e in self.equations
+        )
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -392,7 +394,7 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
 
     Normals are primitive, reduced to the canonical representative
     modulo the span equations, and lexicographically sorted; every
-    generator satisfies every inequality with >= 0 (asserted). The
+    generator lies in the cone they describe (asserted). The
     columns with the most zero entries, the likely extreme rays, enter
     the double description first.
     """
@@ -407,14 +409,8 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     sums = {sum(c) for c in cols}
     grading = sums.pop() if len(sums) == 1 else None
     rep = HRep(inequalities=normals, equations=span.equations, grading_sum=grading)
-    for h in rep.inequalities:
-        for c in cols:
-            if sum(a * b for a, b in zip(h, c)) < 0:
-                raise AssertionError("facet normal violates a generator")
-    for e in rep.equations:
-        for c in cols:
-            if sum(a * b for a, b in zip(e, c)):
-                raise AssertionError("span equation violates a generator")
+    if not all(rep.contains(c) for c in cols):
+        raise AssertionError("a generator violates a facet normal or a span equation")
     return rep
 
 
@@ -512,13 +508,16 @@ class DilationReport:
 def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> DilationReport:
     """Sample rational points and test x in kP <=> (x in C and sum(x) = k(T-1)).
 
-    Both memberships run through the exact LP (dilation LP on the left,
-    conic LP on the right); points are drawn to land inside, outside,
-    and off the slice.
+    The two sides are decided by independent routes: x in kP by the
+    exact dilation LP, x in C by the double description's H-rep (x,
+    scaled to integers once, meets every inequality with >= 0 and every
+    equation with = 0). Points are drawn to land inside, outside, and
+    off the slice.
     """
     if T < 4 or k < 1:
         raise ValueError("need T >= 4 and k >= 1")
     cols = model_d_columns(T)
+    hrep = cone_facets(cols)
     rng = random.Random((seed, T, k).__hash__() & 0x7FFFFFFF)
     target_sum = k * (T - 1)
     agreements = 0
@@ -561,7 +560,7 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
                 for i in range(6)
             )
         in_dilation = in_dilation_lp(cols, x, k)
-        in_slice = sum(x) == target_sum and all(v >= 0 for v in x) and in_cone_lp(cols, x)
+        in_slice = sum(x) == target_sum and hrep.contains(_integer_multiple(x))
         if in_dilation == in_slice:
             agreements += 1
         else:

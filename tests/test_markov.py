@@ -1,5 +1,7 @@
 """Fibers, moves, connectivity, and the degree probe."""
 
+import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -210,3 +212,50 @@ def test_multisets_by_sum_in_combination_order(vectors, size):
     assert [combo for combo, _ in got] == combos
     for combo, total in got:
         assert total == tuple(sum(vectors[i][r] for i in combo) for r in range(3))
+
+
+def _components_by_direct_scan(fiber, moves):
+    """Reference walk: try every move on every element, then join the components by search."""
+    neighbours = {e: set() for e in fiber.elements}
+    for e in fiber.elements:
+        have = Counter(e)
+        for mv in moves:
+            need = Counter(mv.negative)
+            if all(have[w] >= c for w, c in need.items()):
+                target = tuple(sorted((have - need + Counter(mv.positive)).elements()))
+                if target in neighbours:
+                    neighbours[e].add(target)
+                    neighbours[target].add(e)
+    seen, comps = set(), []
+    for e in fiber.elements:
+        if e in seen:
+            continue
+        seen.add(e)
+        stack, comp = [e], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in neighbours[u] - seen:
+                seen.add(v)
+                stack.append(v)
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_fiber_walk_matches_a_direct_scan(degree):
+    words = list(iter_words(3, 4, True))
+    rng = random.Random(degree)
+    fibers = []
+    for _ in range(6):
+        drawn = [rng.choice(words) for _ in range(degree)]
+        fibers.append(enumerate_fiber(Model.D, 3, 4, sufficient(Model.D, 3, drawn)))
+    split = 0
+    for k in range(1, degree + 1):
+        moves = moves_up_to_degree(Model.D, 3, 4, k)
+        for fiber in fibers:
+            connected, comps = fiber_connected(fiber, moves)
+            assert comps == _components_by_direct_scan(fiber, moves)
+            assert connected == (len(comps) == 1)
+            split += not connected
+    assert split  # the lower move degrees leave some fiber in pieces

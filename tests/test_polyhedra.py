@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -37,6 +38,66 @@ def test_lp_feasible_basic():
     assert not linear_feasible(cols, (-1, 0))
     assert linear_feasible(cols, (Fraction(1, 2), Fraction(1, 2)), coefficient_sum=1)
     assert not linear_feasible(cols, (1, 1), coefficient_sum=1)
+
+
+def test_lp_zero_entries_of_the_right_hand_side():
+    # a zero entry forces lambda = 0 on the columns positive there only when no column is negative there
+    assert linear_feasible([(1, 1), (-1, 1)], (0, 2))
+    assert linear_feasible([(1, 1), (0, 1)], (0, 2))
+    assert not linear_feasible([(1, 1), (0, 1)], (0, 2), coefficient_sum=1)
+    assert not linear_feasible([(1, 1), (1, 0)], (0, 2))
+
+
+def test_lp_without_columns():
+    zero = [Fraction(0)] * 3
+    assert linear_feasible([], zero)
+    assert linear_feasible([], zero, coefficient_sum=Fraction(0))
+    assert not linear_feasible([], zero, coefficient_sum=Fraction(1, 2))
+    assert not linear_feasible([], [Fraction(0), Fraction(1, 3), Fraction(0)])
+
+
+def _rational_points(cols, rng, count):
+    """Positive rational mixes of one to three columns, half of them nudged along e_i - e_j."""
+    for trial in range(count):
+        picks = rng.sample(cols, rng.randint(1, 3))
+        weights = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in picks]
+        x = [sum(w * c[i] for w, c in zip(weights, picks)) for i in range(6)]
+        if trial % 2:
+            i, j = rng.sample(range(6), 2)
+            nudge = Fraction(rng.choice([-1, 1]), rng.randint(1, 6))
+            x[i] += nudge
+            x[j] -= nudge
+        yield x
+
+
+@pytest.mark.parametrize("T", [4, 5])
+def test_cone_lp_agrees_with_the_double_description(T):
+    cols = model_d_columns(T)
+    hrep = cone_facets(cols)
+    answers = []
+    for x in _rational_points(cols, random.Random(T), 150):
+        in_hrep = all(sum(a * v for a, v in zip(h, x)) >= 0 for h in hrep.inequalities) and not any(
+            sum(a * v for a, v in zip(e, x)) for e in hrep.equations
+        )
+        assert in_cone_lp(cols, x) == in_hrep, x
+        answers.append(in_hrep)
+    assert any(answers) and not all(answers)
+
+
+@pytest.mark.parametrize("T", [4, 5])
+def test_lp_answer_unchanged_by_scaling_to_integers(T):
+    cols = model_d_columns(T)
+    rng = random.Random(10 + T)
+    dilation_answers = []
+    for x in _rational_points(cols, rng, 80):
+        k = Fraction(sum(x), T - 1) + rng.choice([0, 0, Fraction(1, 7)])
+        scale = lcm(*(v.denominator for v in x), k.denominator)
+        scaled = [int(v * scale) for v in x]
+        assert linear_feasible(cols, x) == linear_feasible(cols, scaled)
+        in_dilation = linear_feasible(cols, x, coefficient_sum=k)
+        assert in_dilation == linear_feasible(cols, scaled, coefficient_sum=int(k * scale))
+        dilation_answers.append(in_dilation)
+    assert any(dilation_answers) and not all(dilation_answers)
 
 
 def test_polytope_vertices_single_point():

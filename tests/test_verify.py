@@ -1,13 +1,16 @@
 """The verification-suite plumbing itself."""
 
 import time
+from dataclasses import replace
 
 import pytest
 
+import thmc.polyhedra
 from thmc.design import Model
 from thmc.verify import (
     ALL_CRITERIA,
     check_design_fixtures,
+    check_polytope_structure,
     run_suite,
     snf_diagonal_via_lattice,
 )
@@ -44,3 +47,24 @@ def test_suite_is_deterministic():
     a = run_suite(["lattice-lemmas"], seed=3)[0]
     b = run_suite(["lattice-lemmas"], seed=3)[0]
     assert a.details == b.details and a.passed and b.passed
+
+
+def test_polytope_criterion_fails_without_a_facet(monkeypatch):
+    # the cone side of the dilation identity is decided by the double description's H-rep
+    real = thmc.polyhedra.cone_facets
+
+    def one_facet_short(columns):
+        hrep = real(columns)
+        return replace(hrep, inequalities=hrep.inequalities[1:])
+
+    monkeypatch.setattr(thmc.polyhedra, "cone_facets", one_facet_short)
+    result = check_polytope_structure()
+    assert not result.passed and result.details.startswith("dilation counterexamples")
+
+
+def test_polytope_criterion_fails_with_a_negated_dilation_lp(monkeypatch):
+    real = thmc.polyhedra.in_dilation_lp
+    monkeypatch.setattr(thmc.polyhedra, "in_dilation_lp", lambda *args: not real(*args))
+    assert thmc.polyhedra.verify_dilation_slice(4, 1, 30).agreements == 0
+    result = check_polytope_structure()
+    assert not result.passed and result.details.startswith("integer points differ")
