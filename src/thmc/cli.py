@@ -3,7 +3,8 @@
 Subcommands build design matrices, reproduce the published tables and
 hyperplane blocks against the embedded fixtures, run the verification
 suite, and export Hilbert bases and Markov-degree reports. Exit codes:
-0 success, 1 usage error, 2 verification failure.
+0 success, 1 usage error (bad input, unwritable output), 2 verification
+failure or a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
         print("hyperplane fixtures exist for models c and d", file=sys.stderr)
         return _USAGE_ERROR
     blocks = fixtures.load_hyperplane_blocks(model)
-    table_d = fixtures.load_tables()["d"]
+    table = fixtures.load_tables()[model.value]
     T_values = _parse_range(args.T) if args.T else sorted(blocks)
     failed = False
     for T in T_values:
@@ -122,21 +123,14 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
                 print(f"T={T}: no fixture block", file=sys.stderr)
                 return _USAGE_ERROR
             cmp = fixtures.compare_hyperplanes(model, T, nontrivial)
-            if model is Model.D:
-                count_ok = T not in table_d or len(hrep.inequalities) == table_d[T][1][-1]
-                ok = cmp.ok and count_ok
-                failed |= not ok
-                print(f"T={T:2d}: {len(nontrivial)} nontrivial facets, fixture match {'PASS' if ok else 'FAIL'}")
-                if not cmp.ok:
-                    for h in cmp.fixture_only:
-                        print(f"    fixture-only: {h}")
-                    for h in cmp.computed_only:
-                        print(f"    computed-only: {h}")
-            else:
-                print(
-                    f"T={T:2d}: report: {cmp.matches} matching, "
-                    f"{len(cmp.fixture_only)} fixture-only, {len(cmp.computed_only)} computed-only"
-                )
+            count_ok = T not in table or len(hrep.inequalities) == table[T][1][-1]
+            ok = cmp.ok and count_ok
+            failed |= not ok
+            print(f"T={T:2d}: {len(nontrivial)} nontrivial facets, fixture match {'PASS' if ok else 'FAIL'}")
+            for h in cmp.fixture_only:
+                print(f"    fixture-only: {h}")
+            for h in cmp.computed_only:
+                print(f"    computed-only: {h}")
         else:
             print(f"T={T}")
             sys.stdout.write(polyhedra.normals_to_block_text(list(nontrivial)))
@@ -253,9 +247,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"thmc: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except AssertionError as exc:  # a broken internal invariant, not bad input
+        print(f"thmc: internal check failed: {exc}", file=sys.stderr)
+        return _VERIFY_ERROR
 
 
 if __name__ == "__main__":

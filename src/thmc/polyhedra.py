@@ -2,7 +2,7 @@
 
 Vertices are certified by exact LP feasibility (is the point a convex
 combination of the rest?), facets by the double description method run
-in a unimodular coordinate system of the column span, and f-vectors by
+on the pivot coordinates of the column span, and f-vectors by
 closure-based face enumeration over the vertex-facet incidences. The
 two routes cross-validate each other: the dilation identity, too, is
 decided by the LP on one side (x in kP) and by the facets on the other
@@ -25,10 +25,8 @@ from .intlinalg import (
     DegenerateInput,
     IntLattice,
     IntVec,
-    as_int_matrix,
     independent_subset,
     kernel_lattice_basis,
-    mat_vec,
     primitive_vector,
     smith_normal_form,
 )
@@ -224,109 +222,7 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Column-span coordinates (handles non-full-dimensional cones)
-
-@dataclass(frozen=True)
-class SpanCoordinates:
-    """Unimodular identification of span(columns) ∩ Z^d with Z^r."""
-
-    dim: int
-    rank: int
-    basis: tuple[IntVec, ...]  # d x r, columns are a lattice basis of the span
-    equations: tuple[IntVec, ...]  # primitive integer normals vanishing on the span
-    _solver_rows: tuple[int, ...]
-    _solver_inv: tuple[IntVec, ...]  # vol * inverse of the basis rows at _solver_rows
-    _solver_vol: int
-
-    @classmethod
-    def of_columns(cls, columns: Sequence[IntVec]) -> "SpanCoordinates":
-        dim = len(columns[0])
-        # the kernel only depends on the row space; echelonize to <= dim
-        # rows first so the SNF never sees a tall matrix
-        row_lattice = IntLattice.from_vectors(dim, columns)
-        eqs = kernel_lattice_basis(row_lattice.echelon_rows())
-        equations = tuple(sorted(_canonical_sign(primitive_vector(e)) for e in eqs))
-        rank = dim - len(equations)
-        if equations:
-            span_basis = kernel_lattice_basis(as_int_matrix(equations))
-        else:
-            span_basis = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        basis_cols = tuple(tuple(int(v[i]) for v in span_basis) for i in range(dim))  # d rows of width r
-        row_idx = independent_subset([tuple(span_basis[j][i] for j in range(len(span_basis))) for i in range(dim)], rank)
-        square = [[span_basis[j][i] for j in range(rank)] for i in row_idx]
-        inverse, vol = smith_normal_form(square).scaled_inverse()
-        return cls(
-            dim=dim,
-            rank=rank,
-            basis=basis_cols,
-            equations=equations,
-            _solver_rows=tuple(row_idx),
-            _solver_inv=as_int_matrix(inverse),
-            _solver_vol=vol,
-        )
-
-    def to_coords(self, vector: Sequence[int]) -> IntVec:
-        """Coordinates z with B z = vector; the vector must lie in the span lattice."""
-        picked = [vector[i] for i in self._solver_rows]
-        vol = self._solver_vol
-        z = []
-        for row in self._solver_inv:
-            num = sum(a * b for a, b in zip(row, picked))
-            if num % vol:
-                raise ValueError("vector outside the span lattice")
-            z.append(num // vol)
-        if list(mat_vec(self.basis, z)) != [int(v) for v in vector]:
-            raise ValueError("vector outside the span lattice")
-        return tuple(z)
-
-    def lift_normal(self, normal: Sequence[int]) -> IntVec:
-        """Integer h with h.(B z) = normal.z on the span, canonically reduced.
-
-        Solves (B[rows])^T h[rows] = vol * normal with the stored scaled
-        inverse, leaving h zero off the solver rows, then reduces modulo
-        the equations to a primitive vector.
-        """
-        h = [0] * self.dim
-        for pos, i in enumerate(self._solver_rows):
-            h[i] = sum(row[pos] * x for row, x in zip(self._solver_inv, normal))
-        return self.reduce_normal(h)
-
-    def reduce_normal(self, normal: Sequence[int]) -> IntVec:
-        """Canonical representative modulo the equation span.
-
-        Equations are echelonized on their rightmost coordinates and
-        used to zero the corresponding entries of the normal (the
-        printed convention for the loop-free-with-initial cone, whose
-        single relation has a unit coefficient on the last transition
-        coordinate). Falls back to residue reduction when a pivot is not
-        a unit.
-        """
-        h = [int(x) for x in normal]
-        for eq, pivot in _right_echelon(self.equations):
-            v = eq[pivot]
-            q = h[pivot] // v
-            if q:
-                h = [a - q * b for a, b in zip(h, eq)]
-        return primitive_vector(h)
-
-
-def _right_echelon(equations: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
-    rows = [list(e) for e in equations]
-    out: list[tuple[IntVec, int]] = []
-    for row in rows:
-        for other, pivot in out:
-            if row[pivot]:
-                q = row[pivot] // other[pivot]
-                row = [a - q * b for a, b in zip(row, other)]
-        pivot = max((i for i, x in enumerate(row) if x), default=None)
-        if pivot is None:
-            continue
-        if row[pivot] < 0:
-            row = [-x for x in row]
-        out.append((tuple(row), pivot))
-    out.sort(key=lambda item: -item[1])
-    return out
-
+# Span equations
 
 def _canonical_sign(vec: IntVec) -> IntVec:
     for x in vec:
@@ -392,23 +288,35 @@ class FVector:
 def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     """Irredundant facet inequalities of cone(columns) via double description.
 
-    Normals are primitive, reduced to the canonical representative
-    modulo the span equations, and lexicographically sorted; every
-    generator lies in the cone they describe (asserted). The
-    columns with the most zero entries, the likely extreme rays, enter
-    the double description first.
+    The columns are echelonized once; the span equations are the integer
+    kernel of that echelon. The double description runs on the echelon's
+    pivot coordinates, where the projection is injective on the span, so
+    it sees a full-dimensional cone with the same facets. Each normal is
+    lifted back with zeros in the dropped coordinates: those are the
+    pivots of the right echelon of the equations, so the lift is already
+    the canonical representative modulo the equations. Normals are
+    primitive and lexicographically sorted; every generator lies in the
+    cone they describe (asserted). The columns with the most zero
+    entries, the likely extreme rays, enter the double description first.
     """
     cols = sorted(set(tuple(int(x) for x in c) for c in columns))
     cols = [c for c in cols if any(c)]
     if not cols:
         raise DegenerateInput("all columns are zero")
-    span = SpanCoordinates.of_columns(cols)
-    coords = [span.to_coords(c) for c in sorted(cols, key=lambda c: c.count(0), reverse=True)]
-    raw = dual_description(coords)
-    normals = tuple(sorted(span.lift_normal(g) for g in raw))
+    dim = len(cols[0])
+    echelon = IntLattice.from_vectors(dim, cols).echelon_rows()
+    equations = tuple(sorted(_canonical_sign(primitive_vector(e)) for e in kernel_lattice_basis(echelon)))
+    pivots = [next(i for i, x in enumerate(row) if x) for row in echelon]
+    ordered = sorted(cols, key=lambda c: c.count(0), reverse=True)
+    normals = []
+    for ray in dual_description([tuple(c[i] for i in pivots) for c in ordered]):
+        h = [0] * dim
+        for i, x in zip(pivots, ray):
+            h[i] = x
+        normals.append(tuple(h))
     sums = {sum(c) for c in cols}
     grading = sums.pop() if len(sums) == 1 else None
-    rep = HRep(inequalities=normals, equations=span.equations, grading_sum=grading)
+    rep = HRep(inequalities=tuple(sorted(normals)), equations=equations, grading_sum=grading)
     if not all(rep.contains(c) for c in cols):
         raise AssertionError("a generator violates a facet normal or a span equation")
     return rep

@@ -259,21 +259,17 @@ def computed_nontrivial_facets(model: Model, T: int) -> tuple[tuple[tuple[int, .
 
 def check_hyperplanes() -> CriterionResult:
     def run() -> tuple[bool, str]:
-        table_d = fixtures.load_tables()["d"]
         ok = True
         parts = []
-        for T in sorted(fixtures.load_hyperplane_blocks(Model.D)):
-            nontrivial, hrep = computed_nontrivial_facets(Model.D, T)
-            cmp = fixtures.compare_hyperplanes(Model.D, T, nontrivial)
-            count_ok = len(hrep.inequalities) == table_d[T][1][-1]
-            ok &= cmp.ok and count_ok
-            parts.append(f"d/T={T}:{'PASS' if cmp.ok and count_ok else 'FAIL'}")
-        report = []
-        for T in sorted(fixtures.load_hyperplane_blocks(Model.C)):
-            nontrivial, _ = computed_nontrivial_facets(Model.C, T)
-            cmp = fixtures.compare_hyperplanes(Model.C, T, nontrivial)
-            report.append(f"c/T={T}:{cmp.matches} match, {len(cmp.fixture_only)} fixture-only, {len(cmp.computed_only)} computed-only")
-        return ok, " ".join(parts) + " | report mode: " + "; ".join(report)
+        for model in (Model.D, Model.C):
+            table = fixtures.load_tables()[model.value]
+            for T in sorted(fixtures.load_hyperplane_blocks(model)):
+                nontrivial, hrep = computed_nontrivial_facets(model, T)
+                cmp = fixtures.compare_hyperplanes(model, T, nontrivial)
+                row_ok = cmp.ok and len(hrep.inequalities) == table[T][1][-1]
+                ok &= row_ok
+                parts.append(f"{model.value}/T={T}:{'PASS' if row_ok else 'FAIL'}")
+        return ok, " ".join(parts)
 
     return _timed("hyperplanes", run)
 

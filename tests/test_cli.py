@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from thmc import verify
 from thmc.cli import main
 
 
@@ -79,9 +80,32 @@ def test_hyperplanes_check(capsys):
     assert out.count("PASS") == 2
 
 
-def test_hyperplanes_report_mode_model_c(capsys):
+def test_hyperplanes_check_model_c(capsys):
     assert main(["hyperplanes", "--model", "c", "--T", "4", "--check-fixture"]) == 0
-    assert "report" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 1 and "FAIL" not in out
+
+
+def test_hyperplanes_check_fails_on_a_flipped_model_c_entry(capsys, monkeypatch):
+    import thmc.fixtures
+
+    real = thmc.fixtures._read_data
+
+    def flipped(name):
+        text = real(name)
+        if name != "hyperplanes_c.txt":
+            return text
+        lines = text.splitlines()
+        row = lines.index("T 4") + 1
+        first, rest = lines[row].split(None, 1)
+        lines[row] = f"{-int(first) or 1} {rest}"
+        return "\n".join(lines) + "\n"
+
+    monkeypatch.setattr(thmc.fixtures, "_read_data", flipped)
+    assert main(["hyperplanes", "--model", "c", "--T", "4", "--check-fixture"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+    result = verify.check_hyperplanes()
+    assert not result.passed and "c/T=4:FAIL" in result.details and "d/T=4:PASS" in result.details
 
 
 def test_hyperplanes_print_block(capsys):
@@ -142,3 +166,35 @@ def test_markov_degree_guard_runs_before_any_work(capsys, monkeypatch, tmp_path,
     out, err = capsys.readouterr()
     assert not out and not (tmp_path / "moves.txt").exists()
     assert len(err.splitlines()) == 1 and "degree 5 exceeds cap 4" in err
+
+
+def test_unwritable_output_exit_1(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["design", "--model", "d", "--S", "3", "--T", "4", "--format", "csv", "--output", str(missing)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1 and "No such file" in err
+
+
+def _negated_facets(monkeypatch):
+    import thmc.polyhedra
+
+    real = thmc.polyhedra.dual_description
+    monkeypatch.setattr(thmc.polyhedra, "dual_description", lambda gens: tuple(tuple(-x for x in h) for h in real(gens)))
+    return ["hyperplanes", "--model", "d", "--T", "4"]
+
+
+def _failed_witness(monkeypatch):
+    import thmc.hilbert
+
+    def broken(*args, **kwargs):
+        raise thmc.hilbert.WitnessVerificationFailed("lattice combination does not match h")
+
+    monkeypatch.setattr(thmc.hilbert, "hilbert_basis", broken)
+    return ["hilbert", "--model", "d", "--T", "4"]
+
+
+@pytest.mark.parametrize("breakage", [_negated_facets, _failed_witness])
+def test_broken_invariant_exit_2(capsys, monkeypatch, breakage):
+    assert main(breakage(monkeypatch)) == 2
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1 and "Traceback" not in err

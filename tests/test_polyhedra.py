@@ -11,7 +11,6 @@ from thmc.design import Model, distinct_columns
 from thmc.intlinalg import IntLattice
 from thmc.polyhedra import (
     DegenerateInput,
-    SpanCoordinates,
     check_degree_balance,
     classify_vertices,
     cone_facets,
@@ -149,8 +148,9 @@ def test_cone_facets_counts_match_fvector_tail():
         assert len(cone_facets(model_d_columns(T)).inequalities) == 24
 
 
-def test_facets_are_valid_and_irredundant():
-    cols = model_d_columns(5)
+@pytest.mark.parametrize("model, S, T", [(Model.D, 3, 5), (Model.C, 3, 5), (Model.A, 2, 6)])
+def test_facets_are_valid_and_irredundant(model, S, T):
+    cols = distinct_columns(model, S, T)
     hrep = cone_facets(cols)
     for h in hrep.inequalities:
         assert all(sum(a * b for a, b in zip(h, c)) >= 0 for c in cols)
@@ -161,6 +161,32 @@ def test_facets_are_valid_and_irredundant():
     for i, h in enumerate(normals):
         others = normals[:i] + normals[i + 1 :] + eqs
         assert not linear_feasible(others, h)
+    if model.has_initial:
+        # the printed convention: the span relation eliminates the last transition coordinate
+        assert len(hrep.equations) == 1
+        assert all(h[-1] == 0 for h in normals)
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=2 * n + 2),
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_facets_of_an_embedded_cone_gain_a_zero_coordinate(gens_and_a):
+    # x -> (x, a.x) embeds cone(G) in a hyperplane; its facets are G's with a trailing 0
+    gens, a = gens_and_a
+    assume(IntLattice.from_vectors(len(gens[0]), gens).rank == len(gens[0]))
+    flat = cone_facets(gens)
+    embedded = cone_facets([(*g, sum(x * y for x, y in zip(a, g))) for g in gens])
+    assert embedded.inequalities == tuple((*h, 0) for h in flat.inequalities)
+    relation = (*a, -1)
+    if next(x for x in relation if x) < 0:  # the printed sign: first nonzero entry positive
+        relation = tuple(-x for x in relation)
+    assert embedded.equations == (relation,)
 
 
 def test_facets_independent_of_input_order():
@@ -169,13 +195,11 @@ def test_facets_independent_of_input_order():
 
 
 def test_dual_description_independent_of_insertion_order():
-    cols = model_d_columns(13)
-    span = SpanCoordinates.of_columns(cols)
-    coords = [span.to_coords(c) for c in cols]
-    facets = dual_description(coords)
+    cols = model_d_columns(13)  # full-dimensional: the columns are their own coordinates
+    facets = dual_description(cols)
     assert len(facets) == 24
     for seed in (1, 2, 3):
-        shuffled = list(coords)
+        shuffled = list(cols)
         random.Random(seed).shuffle(shuffled)
         assert dual_description(shuffled) == facets
 
