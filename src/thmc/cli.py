@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from . import fixtures, hilbert, markov, polyhedra, verify
 from .design import Model, build_design_matrix, format_row_label
@@ -36,6 +37,17 @@ def _parse_range(text: str) -> list[int]:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo_i, hi_i + 1))
     return [int(text)]
+
+
+def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> list[Any]:
+    """fn over items; in a process pool, which forks all its workers at once, only if two or more get an item."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -83,12 +95,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         return _USAGE_ERROR
     table = fixtures.load_tables()[model.value]
     T_values = _parse_range(args.T) if args.T else sorted(table)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(verify.table_row, [model.value] * len(T_values), T_values))
-    else:
-        rows = list(map(verify.table_row, [model.value] * len(T_values), T_values))
-    rows.sort()
+    rows = _map_jobs(partial(verify.table_row, model.value), T_values, args.jobs)
     failed = False
     records = []
     for row in rows:
@@ -137,8 +144,7 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
     return _VERIFY_ERROR if failed else 0
 
 
-def _run_criterion(name_seed: tuple[str, int]) -> verify.CriterionResult:
-    name, seed = name_seed
+def _run_criterion(name: str, seed: int) -> verify.CriterionResult:
     return verify.run_suite([name], seed=seed)[0]
 
 
@@ -149,12 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"unknown criteria: {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(verify.ALL_CRITERIA)}", file=sys.stderr)
         return _USAGE_ERROR
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_criterion, [(n, args.seed) for n in names]))
-    else:
-        results = [_run_criterion((n, args.seed)) for n in names]
-    results.sort(key=lambda r: names.index(r.name))
+    results = _map_jobs(partial(_run_criterion, seed=args.seed), names, args.jobs)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps({"results": [r.__dict__ for r in results], "passed": not failed}, indent=1))

@@ -36,7 +36,7 @@ RowLabel = tuple  # ("init", s) or ("trans", i, j)
 
 
 class SizeCapExceeded(ValueError):
-    """The requested enumeration has more columns than ``DEFAULT_COLUMN_CAP``."""
+    """The requested enumeration is larger than its size guard allows."""
 
 
 class LoopViolation(ValueError):
@@ -108,6 +108,13 @@ def column_of_word(model: Model, S: int, word: Sequence[int]) -> tuple[int, ...]
     return tuple(entries)
 
 
+def sufficient(model: Model, S: int, words: Sequence[Word]) -> tuple[int, ...]:
+    """Summed design columns of the words: the marginal they share with their fiber."""
+    columns = [column_of_word(model, S, w) for w in words]
+    assert columns, "no words to sum"
+    return tuple(map(sum, zip(*columns)))
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Full design matrix with labeled rows and word-labeled columns."""
@@ -170,8 +177,6 @@ def iter_columns(model: Model | str, S: int, T: int) -> Iterator[tuple[Word, tup
 
 def sufficient_statistic(model: Model | str, multiset: PathMultiset) -> tuple[int, ...]:
     """A applied to the data vector of the multiset: summed design columns."""
-    from .markov import sufficient
-
     words = [w for w, mult in multiset.counts.items() for _ in range(mult)]
     return sufficient(Model.parse(model), multiset.S, words)
 

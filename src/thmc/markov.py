@@ -2,40 +2,46 @@
 
 A fiber is the set of word multisets sharing a marginal (sufficient
 statistic); a move is an integer word-vector in the design-matrix
-kernel. The probe measures the smallest move degree that connects every
-fiber up to a marginal-degree cap; this bounds the true Markov-basis
-degree from below and is reported as evidence, never as a certificate.
+kernel. Every fiber, of words or of columns, is a group of one multiset
+search by sum (:func:`_fibers`). The probe measures the smallest move degree that connects every fiber up
+to a marginal-degree cap; this bounds the true Markov-basis degree from
+below and is reported as evidence, never as a certificate.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
+from math import comb
+from operator import add, le
 from typing import Iterable, Iterator, Sequence
 
-from .design import Model, column_of_word, distinct_columns
+from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, sufficient
+from .stategraph import components
 from .words import Word, iter_words, word_count, word_index
 
 _DEFAULT_DEGREE_CAP = 4
 _DEFAULT_WORD_CAP = 20000
 _MOVES_WORD_CAP = 2000
+_MULTISET_CAP = 10**6
 
 
 class DegreeCapExceeded(ValueError):
     """Requested fiber or move degree beyond ``_DEFAULT_DEGREE_CAP``."""
 
 
-class CapExceeded(ValueError):
-    """Requested enumeration larger than the memory guard allows."""
-
-
 def check_degree(kind: str, degree: int) -> None:
     """Raise :class:`DegreeCapExceeded` when ``degree`` is above ``_DEFAULT_DEGREE_CAP``."""
     if degree > _DEFAULT_DEGREE_CAP:
         raise DegreeCapExceeded(f"{kind} degree {degree} exceeds cap {_DEFAULT_DEGREE_CAP}")
+
+
+def _check_multisets(n: int, degree: int, kind: str) -> None:
+    """Raise :class:`SizeCapExceeded` when the multisets of 1..degree of n items outnumber ``_MULTISET_CAP``."""
+    count = sum(comb(n + d - 1, d) for d in range(1, degree + 1))
+    if count > _MULTISET_CAP:
+        raise SizeCapExceeded(f"{count} multisets of up to {degree} of {n} {kind} exceed the cap {_MULTISET_CAP}")
 
 
 Element = tuple[Word, ...]  # sorted words, with multiplicity
@@ -101,19 +107,6 @@ class Move:
         return tuple(vec)
 
 
-def sufficient(model: Model, S: int, words: Sequence[Word]) -> tuple[int, ...]:
-    """Summed design columns of the words: the marginal they share with their fiber."""
-    total: list[int] | None = None
-    for w in words:
-        col = column_of_word(model, S, w)
-        if total is None:
-            total = [0] * len(col)
-        for i, x in enumerate(col):
-            total[i] += x
-    assert total is not None
-    return tuple(total)
-
-
 def enumerate_fiber(
     model: Model | str,
     S: int,
@@ -122,97 +115,88 @@ def enumerate_fiber(
     *,
     word_cap: int = _DEFAULT_WORD_CAP,
 ) -> Fiber:
-    """All word multisets with marginal b, by pruned depth-first search."""
+    """All word multisets with marginal b, in lexicographic order.
+
+    Only words whose column is <= b in every coordinate can occur; the
+    group of b in :func:`_fibers` over those columns, bounded by b, is the
+    fiber. With no such word the fiber is empty, except at b = 0, whose
+    one element is the empty multiset.
+    """
     model = Model.parse(model)
     marginal = Marginal(model=model, S=S, T=T, b=tuple(int(x) for x in b))
     degree = marginal.degree
     check_degree("marginal", degree)
     m = word_count(S, T, model.no_loops)
     if m > word_cap:
-        raise CapExceeded(f"{m} words exceed the word cap {word_cap}")
-    words = []
-    cols = []
-    for w in iter_words(S, T, model.no_loops):
-        col = column_of_word(model, S, w)
-        if all(c <= t for c, t in zip(col, marginal.b)):
-            words.append(w)
-            cols.append(col)
-
-    found: list[Element] = []
-    chosen: list[Word] = []
-
-    def rec(start: int, remaining: tuple[int, ...], depth: int) -> None:
-        if depth == 0:
-            if not any(remaining):
-                found.append(tuple(chosen))
-            return
-        for idx in range(start, len(words)):
-            col = cols[idx]
-            if all(c <= r for c, r in zip(col, remaining)):
-                chosen.append(words[idx])
-                rec(idx, tuple(r - c for r, c in zip(remaining, col)), depth - 1)
-                chosen.pop()
-
-    rec(0, marginal.b, degree)
-    return Fiber(marginal=marginal, elements=tuple(sorted(found)))
+        raise SizeCapExceeded(f"{m} words exceed the word cap {word_cap}")
+    fitting = [(w, col) for w, col in iter_columns(model, S, T) if all(map(le, col, marginal.b))]
+    if not fitting:
+        return Fiber(marginal=marginal, elements=() if any(marginal.b) else ((),))
+    words, cols = zip(*fitting)
+    group = _fibers(cols, degree, marginal.b).get(marginal.b, ())
+    return Fiber(marginal=marginal, elements=tuple(tuple(words[i] for i in combo) for combo in group))
 
 
 def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move, ...]:
-    """All kernel moves with positive part of size <= k, deduplicated up to sign.
+    """All kernel moves with positive part of size <= k, each once up to sign.
 
-    Obtained as differences of same-marginal word multisets of equal
-    degree; common words cancel first, so each move appears in reduced
-    support form. Both caps are checked before any word is streamed.
+    A move of degree d is a pair of word multisets in one degree-d fiber
+    that share no word, ordered (smaller, larger). A pair that shares
+    words cancels to such a pair in a fiber of lower degree, which that
+    degree already yields (Diaconis-Sturmfels 1998), so nothing is
+    cancelled or deduplicated. The degree, word and multiset caps are
+    checked before any word is streamed.
     """
     model = Model.parse(model)
     check_degree("move", k)
     m = word_count(S, T, model.no_loops)
     if m > _MOVES_WORD_CAP:
-        raise CapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
+        raise SizeCapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
+    _check_multisets(m, k, "words")
     words = list(iter_words(S, T, model.no_loops))
     columns = [column_of_word(model, S, w) for w in words]
-    moves: dict[tuple[Element, Element], Move] = {}
+    pairs = []
     for degree in range(1, k + 1):
-        groups: dict[tuple[int, ...], list[Element]] = {}
-        for combo, b in _multisets_by_sum(columns, degree):
-            groups.setdefault(b, []).append(tuple(words[i] for i in combo))
-        for members in groups.values():
-            for a_idx in range(len(members)):
-                for b_idx in range(a_idx + 1, len(members)):
-                    u, v = members[a_idx], members[b_idx]
-                    pos, neg = _cancel(u, v)
-                    if not pos:
-                        continue
-                    if (neg, pos) in moves:
-                        continue
-                    key = (pos, neg) if pos <= neg else (neg, pos)
-                    if key not in moves:
-                        moves[key] = Move(S=S, T=T, model=model, positive=key[0], negative=key[1])
-    return tuple(moves[key] for key in sorted(moves))
+        for members in _fibers(columns, degree).values():
+            for a, u in enumerate(members):
+                in_u = set(u)
+                pairs.extend((u, v) for v in members[a + 1:] if in_u.isdisjoint(v))
+    # index order is word order, so sorting the index pairs sorts the moves
+    return tuple(
+        Move(S=S, T=T, model=model, positive=tuple(words[i] for i in u), negative=tuple(words[i] for i in v))
+        for u, v in sorted(pairs)
+    )
 
 
-def _multisets_by_sum(vectors: Sequence[tuple[int, ...]], size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _multisets_by_sum(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each multiset of ``size`` >= 1 indices into ``vectors`` with the sum of its vectors.
 
     A lexicographic depth-first search over non-decreasing index tuples,
     so the order is that of ``combinations_with_replacement``; each level
-    extends the running sum of its prefix by one vector.
+    extends the running sum of its prefix by one vector. A prefix whose
+    sum exceeds ``bound`` in some coordinate is not extended; that is exact
+    because the vectors (design columns) are non-negative.
     """
 
     def extend(combo: tuple[int, ...], total: tuple[int, ...], start: int, left: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         for i in range(start, len(vectors)):
-            grown = combo + (i,), tuple(map(add, total, vectors[i]))
+            grown = tuple(map(add, total, vectors[i]))
+            if bound is not None and not all(map(le, grown, bound)):
+                continue
             if left > 1:
-                yield from extend(*grown, i, left - 1)
+                yield from extend(combo + (i,), grown, i, left - 1)
             else:
-                yield grown
+                yield combo + (i,), grown
 
     return extend((), (0,) * len(vectors[0]), 0, size)
 
 
-def _cancel(u: Sequence[Word], v: Sequence[Word]) -> tuple[Element, Element]:
-    cu, cv = Counter(u), Counter(v)
-    return tuple(sorted((cu - cv).elements())), tuple(sorted((cv - cu).elements()))
+def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The multisets of :func:`_multisets_by_sum` grouped by sum, each group in combination order."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for combo, total in _multisets_by_sum(vectors, size, bound):
+        groups.setdefault(total, []).append(combo)
+    return groups
 
 
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:
@@ -247,28 +231,11 @@ def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tu
                         if j is not None:
                             yield i, j
 
-    components: dict[int, list[Element]] = {}
-    for e, root in zip(elements, _roots(len(elements), edges())):
-        components.setdefault(root, []).append(e)
-    comps = tuple(tuple(sorted(c)) for c in sorted(components.values()))
+    by_root: dict[int, list[Element]] = {}
+    for e, root in zip(elements, components(len(elements), edges())):
+        by_root.setdefault(root, []).append(e)
+    comps = tuple(tuple(sorted(c)) for c in sorted(by_root.values()))
     return len(comps) <= 1, comps
-
-
-def _roots(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find: the component representative of each of n nodes once the edges are joined."""
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return [find(i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +292,20 @@ def minimal_connecting_degree(
     measures the same quantity as the word-level walk definition without
     materializing word-level fibers. This is a lower-bound probe of the
     Markov-basis degree: only marginals up to degree D are inspected, and
-    D above ``_DEFAULT_DEGREE_CAP`` is refused before any work.
+    D above ``_DEFAULT_DEGREE_CAP``, or more column multisets than
+    ``_MULTISET_CAP``, is refused before any work.
     """
     model = Model.parse(model)
     check_degree("fiber", D)
     columns = distinct_columns(model, S, T)
+    _check_multisets(len(columns), D, "columns")
     minimal_k = 1
     fibers_checked = 0
     disconnected: list[FiberSummary] = []
     interesting: list[FiberSummary] = []
 
     for degree in range(1, D + 1):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for combo, b in _multisets_by_sum(columns, degree):
-            groups.setdefault(b, []).append(combo)
-        for b, classes in groups.items():
+        for b, classes in _fibers(columns, degree).items():
             fibers_checked += 1
             if len(classes) == 1:
                 continue
@@ -372,9 +338,7 @@ def _class_connectivity(classes: Sequence[tuple[int, ...]], degree: int) -> int:
     """
     first_with: dict[int, int] = {}  # column -> first class containing it
     edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
-    if len(set(_roots(len(classes), edges))) == 1:
-        return 2
-    return degree
+    return 2 if len(set(components(len(classes), edges))) == 1 else degree
 
 
 def moves_to_text(moves: Sequence[Move]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .design import Model, transition_pairs
 from .words import PathMultiset, Word
@@ -132,9 +132,10 @@ def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:
     ``x`` is a flat transition vector in :func:`design.transition_pairs`
     order. By Euler's theorem a word exists iff out- and in-degrees
     balance at every state except for at most one +1/-1 pair, and the
-    edge support is connected. The word starts at the +1 state when
-    there is one, otherwise at any state with an outgoing edge. Empty
-    when no word realizes x (also when x has no edges).
+    edge support is connected: :func:`components` gives every edge the
+    same root. The word starts at the +1 state when there is one,
+    otherwise at any state with an outgoing edge. Empty when no word
+    realizes x (also when x has no edges).
     """
     pairs = transition_pairs(S, no_loops)
     surplus = [0] * S  # out-degree minus in-degree, per state
@@ -144,22 +145,30 @@ def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:
             surplus[j - 1] -= v
     if min(surplus) < -1 or max(surplus) > 1 or surplus.count(1) > 1:
         return ()
-    edges = [pair for pair, v in zip(pairs, x) if v]
-    if not edges:
-        return ()
-    reached = {edges[0][0]}
-    grew = True
-    while grew:
-        grew = False
-        for i, j in edges:
-            if (i in reached) != (j in reached):
-                reached.update((i, j))
-                grew = True
-    if any(i not in reached for i, _ in edges):
+    edges = [(i - 1, j - 1) for (i, j), v in zip(pairs, x) if v]
+    roots = components(S, edges)
+    if len({roots[i] for i, _ in edges}) != 1:
         return ()
     if 1 in surplus:
         return (surplus.index(1) + 1,)
-    return tuple(sorted({i for i, _ in edges}))
+    return tuple(sorted({i + 1 for i, _ in edges}))
+
+
+def components(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find: the component representative of each of n nodes once the edges are joined."""
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    return [find(i) for i in range(n)]
 
 
 def _start_states(graph: StateGraph) -> tuple[int, ...]:

@@ -68,6 +68,49 @@ def test_tables_parallel_jobs(capsys):
     assert out.index("T= 4") < out.index("T= 5") < out.index("T= 6")
 
 
+def _inline_pool(monkeypatch):
+    """Replace the CLI's process pool by one that records ``max_workers`` and maps in this process."""
+    import thmc.cli as cli_mod
+
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+    return workers
+
+
+def test_jobs_start_at_most_one_worker_per_item(capsys, monkeypatch):
+    workers = _inline_pool(monkeypatch)
+    assert main(["tables", "--model", "d", "--T", "4..6", "--jobs", "5000"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
+    assert main(["tables", "--model", "d", "--T", "4", "--jobs", "5000"]) == 0  # one row: no pool
+    assert main(["verify", "--only", "design-fixtures,euler-roundtrip", "--jobs", "5000"]) == 0
+    assert "2/2 criteria passed" in capsys.readouterr().out
+    assert workers == [3, 2]
+
+
+@pytest.mark.parametrize("argv", [["tables", "--model", "d", "--T", "4..6"], ["verify", "--only", "design-fixtures"]])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_1(capsys, monkeypatch, argv, jobs):
+    workers = _inline_pool(monkeypatch)
+    assert main([*argv, "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert not out and not workers
+    assert len(err.splitlines()) == 1 and "--jobs must be at least 1" in err
+
+
 def test_tables_json_format(capsys):
     assert main(["tables", "--model", "c", "--T", "4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -166,6 +209,19 @@ def test_markov_degree_guard_runs_before_any_work(capsys, monkeypatch, tmp_path,
     out, err = capsys.readouterr()
     assert not out and not (tmp_path / "moves.txt").exists()
     assert len(err.splitlines()) == 1 and "degree 5 exceeds cap 4" in err
+
+
+def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):
+    import thmc.markov
+
+    def no_search(*args):
+        raise AssertionError("multisets enumerated past the size guard")
+
+    monkeypatch.setattr(thmc.markov, "_multisets_by_sum", no_search)
+    assert main(["markov", "--model", "d", "--S", "3", "--T", "20", "--D", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1 and "multisets" in err and "exceed the cap" in err
 
 
 def test_unwritable_output_exit_1(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thmc.markov
-from thmc.design import Model, sufficient_statistic
+from thmc.design import Model, SizeCapExceeded, row_labels, sufficient_statistic
 from thmc.markov import (
     DegreeCapExceeded,
     Move,
@@ -79,6 +79,24 @@ def test_move_degree_guard_runs_before_the_word_stream(monkeypatch):
         moves_up_to_degree(Model.D, 3, 6, 5)
 
 
+def _no_search(*args):
+    raise AssertionError("multisets enumerated past the size guard")
+
+
+def test_probe_multiset_guard_runs_before_the_search(monkeypatch):
+    # 1,032 distinct columns: 4.77e10 multisets of degree <= 4
+    monkeypatch.setattr(thmc.markov, "_multisets_by_sum", _no_search)
+    with pytest.raises(SizeCapExceeded, match="multisets"):
+        minimal_connecting_degree(Model.D, 3, 20, 4)
+
+
+def test_move_multiset_guard_runs_before_the_search(monkeypatch):
+    # 1,536 words, under the word cap, but about 2.3e11 multisets of degree <= 4
+    monkeypatch.setattr(thmc.markov, "_multisets_by_sum", _no_search)
+    with pytest.raises(SizeCapExceeded, match="multisets"):
+        moves_up_to_degree(Model.D, 3, 10, 4)
+
+
 def test_moves_are_kernel_vectors():
     moves = moves_up_to_degree(Model.D, 3, 4, 2)
     assert moves
@@ -92,15 +110,18 @@ def test_moves_are_kernel_vectors():
         assert sum(x for x in vec if x > 0) == mv.degree
 
 
-def test_move_count_matches_fiber_difference_oracle():
+@pytest.mark.parametrize(
+    "model, S, T, k, count",
+    [(Model.D, 3, 4, 2, 249), (Model.D, 3, 4, 3, 5001), (Model.A, 2, 4, 3, 682)],
+    ids=["d-T4-k2", "d-T4-k3", "a-T4-k3"],
+)
+def test_move_count_matches_fiber_difference_oracle(model, S, T, k, count):
     """Independent recount: differences of word multisets, grouped by marginal."""
-    from collections import Counter
-
-    words = list(iter_words(3, 4, True))
+    words = list(iter_words(S, T, model.no_loops))
     groups = {}
-    for n in (1, 2):
+    for n in range(1, k + 1):
         for combo in combinations_with_replacement(words, n):
-            groups.setdefault(sufficient(Model.D, 3, combo), []).append(combo)
+            groups.setdefault(sufficient(model, S, combo), []).append(combo)
     expected = set()
     for members in groups.values():
         for i in range(len(members)):
@@ -110,9 +131,9 @@ def test_move_count_matches_fiber_difference_oracle():
                 neg = tuple(sorted((cv - cu).elements()))
                 if pos:
                     expected.add((pos, neg) if pos <= neg else (neg, pos))
-    moves = moves_up_to_degree(Model.D, 3, 4, 2)
-    assert {(mv.positive, mv.negative) for mv in moves} == expected
-    assert len(moves) == 249  # frozen from the oracle above
+    moves = moves_up_to_degree(model, S, T, k)
+    assert [(mv.positive, mv.negative) for mv in moves] == sorted(expected)
+    assert len(moves) == count  # frozen from the oracle above
 
 
 def test_moves_deduplicated_up_to_sign():
@@ -205,13 +226,33 @@ def test_connectivity_monotone_in_move_set():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6), st.integers(1, 4))
-def test_multisets_by_sum_in_combination_order(vectors, size):
-    got = list(_multisets_by_sum(vectors, size))
-    combos = list(combinations_with_replacement(range(len(vectors)), size))
-    assert [combo for combo, _ in got] == combos
-    for combo, total in got:
-        assert total == tuple(sum(vectors[i][r] for i in combo) for r in range(3))
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6),
+    st.integers(1, 4),
+    st.none() | st.lists(st.integers(0, 9), min_size=3, max_size=3),
+)
+def test_multisets_by_sum_in_combination_order(vectors, size, bound):
+    if bound is not None:  # the bound prunes exactly only non-negative vectors, as design columns are
+        vectors = [[abs(x) for x in v] for v in vectors]
+    got = list(_multisets_by_sum(vectors, size, bound))
+    expected = []
+    for combo in combinations_with_replacement(range(len(vectors)), size):
+        total = tuple(sum(vectors[i][r] for i in combo) for r in range(3))
+        if bound is None or all(t <= u for t, u in zip(total, bound)):
+            expected.append((combo, total))
+    assert got == expected
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_fibers_of_zero_and_of_a_marginal_no_word_fits(model):
+    labels = row_labels(model, 3)
+    zero = [0] * len(labels)
+    assert enumerate_fiber(model, 3, 4, zero).elements == ((),)
+    lone = list(zero)  # all three transitions 1 -> 2: no word of length 4 has only those
+    lone[labels.index(("trans", 1, 2))] = 3
+    if model.has_initial:
+        lone[labels.index(("init", 1))] = 1
+    assert enumerate_fiber(model, 3, 4, lone).elements == ()
 
 
 def _components_by_direct_scan(fiber, moves):
