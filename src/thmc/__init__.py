@@ -3,14 +3,10 @@
 from .design import (
     DesignMatrix,
     Model,
-    ParameterSet,
     build_design_matrix,
     column_of_word,
     distinct_columns,
-    evaluate_path_probability,
     row_labels,
-    sufficient_statistic,
-    toric_model_map,
 )
 from .intlinalg import (
     IntLattice,
@@ -28,10 +24,8 @@ from .stategraph import (
     enumerate_Gmn,
     eulerian_path,
     f_T,
-    fiber_equivalent,
-    graph_of_multiset,
 )
-from .words import PathMultiset, enumerate_words, multiset_to_data_vector, word_count
+from .words import enumerate_words, word_count
 
 __version__ = "0.1.0"
 
@@ -39,8 +33,6 @@ __all__ = [
     "DesignMatrix",
     "IntLattice",
     "Model",
-    "ParameterSet",
-    "PathMultiset",
     "SnfResult",
     "StateGraph",
     "build_design_matrix",
@@ -51,18 +43,12 @@ __all__ = [
     "enumerate_Gmn",
     "enumerate_words",
     "eulerian_path",
-    "evaluate_path_probability",
     "f_T",
-    "fiber_equivalent",
-    "graph_of_multiset",
     "kernel_lattice_basis",
     "lattice_membership",
-    "multiset_to_data_vector",
     "pivot_paths",
     "residue_test",
     "row_labels",
     "smith_normal_form",
-    "sufficient_statistic",
-    "toric_model_map",
     "word_count",
 ]

@@ -179,11 +179,11 @@ def cmd_markov(args: argparse.Namespace) -> int:
     if args.moves_out:
         markov.check_degree("move", args.moves_k)  # refuse before the probe runs
     report = markov.minimal_connecting_degree(args.model, args.S, args.T, args.D)
-    print(report.to_json())
-    if args.moves_out:
+    if args.moves_out:  # every cap has passed before anything is written
         moves = markov.moves_up_to_degree(args.model, args.S, args.T, args.moves_k)
         with open(args.moves_out, "w") as fh:
             fh.write(markov.moves_to_text(moves))
+    print(report.to_json())
     return 0
 
 

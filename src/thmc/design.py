@@ -5,8 +5,8 @@ Model (a) is the full chain (initial-state rows plus transition rows),
 Columns are indexed by words in lexicographic order; a column records
 the initial state indicator (models a, c) and the transition counts of
 its word. The distinct columns come from a walk over the words that
-keeps only distinct running counts. Everything is exact integer /
-rational arithmetic.
+keeps only distinct running counts. Everything is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -14,21 +14,13 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
 from typing import Iterator, Sequence
 
-from .words import (
-    PathMultiset,
-    Word,
-    format_word,
-    is_valid_word,
-    iter_words,
-    word_count,
-)
+from .words import Word, format_word, is_valid_word, iter_words, word_count
 
 DEFAULT_COLUMN_CAP = 10**7
 
@@ -173,72 +165,6 @@ def iter_columns(model: Model | str, S: int, T: int) -> Iterator[tuple[Word, tup
     model = Model.parse(model)
     for w in iter_words(S, T, model.no_loops):
         yield w, column_of_word(model, S, w)
-
-
-def sufficient_statistic(model: Model | str, multiset: PathMultiset) -> tuple[int, ...]:
-    """A applied to the data vector of the multiset: summed design columns."""
-    words = [w for w, mult in multiset.counts.items() for _ in range(mult)]
-    return sufficient(Model.parse(model), multiset.S, words)
-
-
-# ---------------------------------------------------------------------------
-# Probability model and toric-model map
-
-@dataclass(frozen=True)
-class ParameterSet:
-    """Initial weights gamma, transition weights beta, normalizer c."""
-
-    gamma: tuple[Fraction, ...]
-    beta: tuple[tuple[Fraction, ...], ...]
-    c: Fraction = Fraction(1)
-
-    @classmethod
-    def uniform(cls, S: int) -> "ParameterSet":
-        one = Fraction(1)
-        return cls(gamma=(one,) * S, beta=tuple((one,) * S for _ in range(S)), c=one)
-
-    @property
-    def S(self) -> int:
-        return len(self.gamma)
-
-
-def evaluate_path_probability(params: ParameterSet, word: Sequence[int], with_initial: bool = True) -> Fraction:
-    """p(w) = c * gamma_{s1} * prod beta_{s_t, s_{t+1}}, exactly.
-
-    With ``with_initial`` off the gamma factor is dropped (models b/d,
-    where the constant initial weight is absorbed into c).
-    """
-    w = tuple(word)
-    if any(s < 1 or s > params.S for s in w):
-        raise ValueError(f"word {w!r} out of range for S={params.S}")
-    p = params.c
-    if with_initial:
-        p *= params.gamma[w[0] - 1]
-    for a, b in zip(w, w[1:]):
-        p *= params.beta[a - 1][b - 1]
-    return p
-
-
-class ZeroNormalizer(ZeroDivisionError):
-    """All monomials of the toric-model map vanished."""
-
-
-def toric_model_map(matrix: DesignMatrix, theta: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Normalized monomial map theta -> (theta^{a_1}, ..., theta^{a_m}) / sum."""
-    if len(theta) != len(matrix.rows):
-        raise ValueError(f"theta has length {len(theta)}, expected {len(matrix.rows)}")
-    theta = tuple(Fraction(t) for t in theta)
-    monomials = []
-    for col in matrix.columns:
-        value = Fraction(1)
-        for t, e in zip(theta, col):
-            if e:
-                value *= t**e
-        monomials.append(value)
-    normalizer = sum(monomials)
-    if normalizer == 0:
-        raise ZeroNormalizer("toric-model map normalizer is zero")
-    return tuple(m / normalizer for m in monomials)
 
 
 # ---------------------------------------------------------------------------

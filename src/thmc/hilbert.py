@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
 from .intlinalg import IntLattice, IntVec, SnfResult, independent_subset, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
-from .polyhedra import cone_facets, in_cone_lp, vertices_by_facet_rank
+from .polyhedra import cone_facets, linear_feasible, vertices_by_facet_rank
 from .words import word_count
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
@@ -229,11 +229,6 @@ def _parallelepiped_points(rays: Sequence[IntVec], snf: SnfResult) -> list[IntVe
     return points
 
 
-def check_normality(model: Model | str, S: int, T: int) -> bool:
-    """True iff every Hilbert basis element is a design column."""
-    return hilbert_basis(model, S, T).normal
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 
@@ -255,7 +250,7 @@ def hilbert_basis_bruteforce_oracle(model: Model | str, S: int, T: int, degree_c
         for y in _degree_k_candidates(model, S, T, k):
             if not lattice.contains(y):
                 continue
-            if not in_cone_lp(cols, y):
+            if not linear_feasible(cols, y):
                 continue
             members.append(y)
     member_set = set(members)

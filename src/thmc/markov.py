@@ -25,6 +25,7 @@ _DEFAULT_DEGREE_CAP = 4
 _DEFAULT_WORD_CAP = 20000
 _MOVES_WORD_CAP = 2000
 _MULTISET_CAP = 10**6
+_PAIR_CAP = 10**5  # sum of C(|fiber|, 2): d/S=3/T=6/k=2 has 61,470 (2 s), T=5/k=3 643,149 (27 s)
 
 
 class DegreeCapExceeded(ValueError):
@@ -145,7 +146,9 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     words cancels to such a pair in a fiber of lower degree, which that
     degree already yields (Diaconis-Sturmfels 1998), so nothing is
     cancelled or deduplicated. The degree, word and multiset caps are
-    checked before any word is streamed.
+    checked before any word is streamed; the pair cap, on the sum of
+    C(|fiber|, 2) over all fibers, once the fibers are grouped and
+    before any pair is built.
     """
     model = Model.parse(model)
     check_degree("move", k)
@@ -155,12 +158,15 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     _check_multisets(m, k, "words")
     words = list(iter_words(S, T, model.no_loops))
     columns = [column_of_word(model, S, w) for w in words]
+    groups = [members for degree in range(1, k + 1) for members in _fibers(columns, degree).values()]
+    candidates = sum(comb(len(members), 2) for members in groups)
+    if candidates > _PAIR_CAP:
+        raise SizeCapExceeded(f"{candidates} candidate move pairs exceed the cap {_PAIR_CAP}")
     pairs = []
-    for degree in range(1, k + 1):
-        for members in _fibers(columns, degree).values():
-            for a, u in enumerate(members):
-                in_u = set(u)
-                pairs.extend((u, v) for v in members[a + 1:] if in_u.isdisjoint(v))
+    for members in groups:
+        for a, u in enumerate(members):
+            in_u = set(u)
+            pairs.extend((u, v) for v in members[a + 1:] if in_u.isdisjoint(v))
     # index order is word order, so sorting the index pairs sorts the moves
     return tuple(
         Move(S=S, T=T, model=model, positive=tuple(words[i] for i in u), negative=tuple(words[i] for i in v))

@@ -12,7 +12,6 @@ is scaled to integers once per call. No floating point anywhere.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,14 +118,6 @@ def _eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
     new_row = [x * p - y * f for x, y in zip(row, pivot_row)]
     g = gcd(*new_row)
     return [x // g for x in new_row] if g > 1 else new_row
-
-
-def in_cone_lp(columns: Sequence[Sequence[int]], point: Sequence[int | Fraction]) -> bool:
-    return linear_feasible(columns, point)
-
-
-def in_dilation_lp(columns: Sequence[Sequence[int]], point: Sequence[int | Fraction], k: int | Fraction) -> bool:
-    return linear_feasible(columns, point, coefficient_sum=k)
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +241,6 @@ class HRep:
             sum(a * b for a, b in zip(e, point)) for e in self.equations
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "inequalities": [list(h) for h in self.inequalities],
-                "equations": [list(e) for e in self.equations],
-                "grading_sum": self.grading_sum,
-            }
-        )
-
-
-@dataclass(frozen=True)
-class VRep:
-    """Vertices of the column polytope (equivalently primitive data for extreme rays)."""
-
-    points: tuple[IntVec, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({"points": [list(p) for p in self.points]})
-
 
 @dataclass(frozen=True)
 class FVector:
@@ -322,7 +294,7 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     return rep
 
 
-def polytope_vertices(columns: Iterable[Sequence[int]]) -> VRep:
+def polytope_vertices(columns: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
     """Columns that are vertices of the convex hull, by exact LP.
 
     A deduplicated column is a vertex iff it is not a convex combination
@@ -332,13 +304,13 @@ def polytope_vertices(columns: Iterable[Sequence[int]]) -> VRep:
     if not cols:
         raise DegenerateInput("no columns")
     if len(cols) == 1:
-        return VRep(points=tuple(cols))
+        return tuple(cols)
     verts = []
     for i, c in enumerate(cols):
         others = cols[:i] + cols[i + 1 :]
         if not linear_feasible(others, c, coefficient_sum=1):
             verts.append(c)
-    return VRep(points=tuple(verts))
+    return tuple(verts)
 
 
 def vertices_by_facet_rank(columns: Sequence[IntVec], hrep: HRep) -> tuple[IntVec, ...]:
@@ -467,7 +439,7 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
                 Fraction(numer * sum(w * p[i] for w, p in zip(weights, picks)), q * total)
                 for i in range(6)
             )
-        in_dilation = in_dilation_lp(cols, x, k)
+        in_dilation = linear_feasible(cols, x, coefficient_sum=k)
         in_slice = sum(x) == target_sum and hrep.contains(_integer_multiple(x))
         if in_dilation == in_slice:
             agreements += 1
@@ -479,19 +451,8 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
 def integer_points_equal_columns(T: int) -> bool:
     """Exhaustively compare the polytope's integer points with the column set."""
     cols = model_d_columns(T)
-    inside = {x for x in compositions(T - 1, 6) if in_dilation_lp(cols, x, 1)}
+    inside = {x for x in compositions(T - 1, 6) if linear_feasible(cols, x, coefficient_sum=1)}
     return inside == set(cols)
-
-
-def check_degree_balance(x: Sequence[int], T: int) -> tuple[int, bool]:
-    """Degree k = sum(x)/(T-1) and the three |out-in| <= k balance checks."""
-    total = sum(int(v) for v in x)
-    if total % (T - 1):
-        raise ValueError(f"coordinate sum {total} is not a multiple of T-1 = {T - 1}")
-    k = total // (T - 1)
-    graph = stategraph.graph_of_transition_vector(x, 3)
-    ok = all(abs(graph.out_degree(i) - graph.in_degree(i)) <= k for i in (1, 2, 3))
-    return k, ok
 
 
 @dataclass(frozen=True)

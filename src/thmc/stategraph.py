@@ -1,21 +1,20 @@
-"""State graphs of path multisets: Euler paths, cycle decompositions, G_{m,n}.
+"""State graphs of words: Euler paths, cycle decompositions, G_{m,n}.
 
 A state graph is a directed multigraph on the states 1..S whose edge
-multiplicities are the transition counts of a multiset of words; the
-marked variant also counts how many words start at each state. For
-three states the two-/three-cycle decomposition classifies which
-transition vectors can be polytope vertices. Which graphs come from a
-single word is decided by the Euler rule, :func:`start_states`.
+multiplicities are the transition counts of a word (or of a sum of
+words: a transition vector). For three states the two-/three-cycle
+decomposition classifies which transition vectors can be polytope
+vertices. Which graphs come from a single word is decided by the Euler
+rule, :func:`start_states`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .design import Model, transition_pairs
-from .words import PathMultiset, Word
+from .design import transition_pairs
+from .words import Word, is_valid_word
 
 _PAIRS3 = ((1, 2), (1, 3), (2, 3))
 _CW3 = ((1, 2), (2, 3), (3, 1))
@@ -28,19 +27,16 @@ class NoEulerianPath(ValueError):
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Directed multigraph on 1..S; ``marks`` counts word starts when present."""
+    """Directed multigraph on 1..S; ``x[i-1][j-1]`` is the multiplicity of edge i -> j."""
 
     S: int
     x: tuple[tuple[int, ...], ...]
-    marks: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.x) != self.S or any(len(row) != self.S for row in self.x):
             raise ValueError("multiplicity matrix must be S x S")
         if any(v < 0 for row in self.x for v in row):
             raise ValueError("multiplicities must be non-negative")
-        if self.marks is not None and (len(self.marks) != self.S or any(v < 0 for v in self.marks)):
-            raise ValueError("marks must be a length-S non-negative vector")
 
     def mult(self, i: int, j: int) -> int:
         return self.x[i - 1][j - 1]
@@ -49,56 +45,18 @@ class StateGraph:
     def edge_count(self) -> int:
         return sum(v for row in self.x for v in row)
 
-    def out_degree(self, i: int) -> int:
-        return sum(self.x[i - 1])
-
-    def in_degree(self, i: int) -> int:
-        return sum(row[i - 1] for row in self.x)
-
     def has_self_loops(self) -> bool:
         return any(self.x[i][i] for i in range(self.S))
 
-    def to_json(self) -> str:
-        edges = [[i + 1, j + 1, self.x[i][j]] for i in range(self.S) for j in range(self.S) if self.x[i][j]]
-        payload: dict = {"S": self.S, "edges": edges}
-        if self.marks is not None:
-            payload["marks"] = list(self.marks)
-        return json.dumps(payload)
 
-    def to_dot(self) -> str:
-        lines = ["digraph state_graph {"]
-        for i in range(1, self.S + 1):
-            label = f"{i}" if self.marks is None else f"{i} [{self.marks[i - 1]}]"
-            lines.append(f'  n{i} [label="{label}"];')
-        for i in range(1, self.S + 1):
-            for j in range(1, self.S + 1):
-                m = self.mult(i, j)
-                if m == 1:
-                    lines.append(f"  n{i} -> n{j};")
-                elif m > 1:
-                    lines.append(f'  n{i} -> n{j} [label="{m}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def graph_of_multiset(multiset: PathMultiset, marked: bool = False) -> StateGraph:
-    """Transition-count multigraph of a word multiset, optionally marked."""
-    S = multiset.S
+def graph_of_word(word: Sequence[int], S: int) -> StateGraph:
+    """Transition-count multigraph of one word."""
+    if not is_valid_word(word, S, False):
+        raise ValueError(f"invalid word {tuple(word)!r} for S={S}")
     x = [[0] * S for _ in range(S)]
-    marks = [0] * S
-    for word, mult in multiset.counts.items():
-        marks[word[0] - 1] += mult
-        for a, b in zip(word, word[1:]):
-            x[a - 1][b - 1] += mult
-    return StateGraph(
-        S=S,
-        x=tuple(tuple(row) for row in x),
-        marks=tuple(marks) if marked else None,
-    )
-
-
-def graph_of_word(word: Sequence[int], S: int, marked: bool = False) -> StateGraph:
-    return graph_of_multiset(PathMultiset.of([word], S=S), marked=marked)
+    for a, b in zip(word, word[1:]):
+        x[a - 1][b - 1] += 1
+    return StateGraph(S=S, x=tuple(map(tuple, x)))
 
 
 def graph_of_transition_vector(x: Sequence[int], S: int = 3, *, no_loops: bool = True) -> StateGraph:
@@ -110,20 +68,6 @@ def graph_of_transition_vector(x: Sequence[int], S: int = 3, *, no_loops: bool =
     for (i, j), v in zip(pairs, x):
         mat[i - 1][j - 1] = int(v)
     return StateGraph(S=S, x=tuple(tuple(row) for row in mat))
-
-
-def fiber_equivalent(model: Model | str, W: PathMultiset, W_bar: PathMultiset) -> bool:
-    """Same sufficient statistic, decided on (marked) state graphs.
-
-    Models b/d compare unmarked graphs, models a/c marked graphs. Both
-    multisets must share S, T, and the loop policy; words must have
-    equal length, so equal graphs force equal cardinality as well.
-    """
-    model = Model.parse(model)
-    if (W.S, W.T, W.no_loops) != (W_bar.S, W_bar.T, W_bar.no_loops):
-        raise ValueError("multisets must share S, T, and the loop policy")
-    marked = model.has_initial
-    return graph_of_multiset(W, marked) == graph_of_multiset(W_bar, marked)
 
 
 def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:

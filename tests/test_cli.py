@@ -224,6 +224,20 @@ def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "multisets" in err and "exceed the cap" in err
 
 
+def test_markov_move_caps_run_before_any_output(capsys, monkeypatch, tmp_path):
+    import thmc.markov
+
+    def no_moves(*args, **kwargs):
+        raise AssertionError("a move was built past the pair guard")
+
+    monkeypatch.setattr(thmc.markov, "Move", no_moves)
+    moves_path = tmp_path / "moves.txt"
+    assert main(["markov", "--model", "d", "--T", "5", "--D", "2", "--moves-k", "3", "--moves-out", str(moves_path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and not moves_path.exists()
+    assert len(err.splitlines()) == 1 and "candidate move pairs exceed the cap" in err
+
+
 def test_unwritable_output_exit_1(capsys, tmp_path):
     missing = tmp_path / "missing" / "x.csv"
     assert main(["design", "--model", "d", "--S", "3", "--T", "4", "--format", "csv", "--output", str(missing)]) == 1

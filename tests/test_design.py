@@ -1,6 +1,4 @@
-"""Design matrix construction, sufficient statistics, probability map."""
-
-from fractions import Fraction
+"""Design matrix construction and sufficient statistics."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,19 +7,15 @@ import thmc.design
 from thmc.design import (
     LoopViolation,
     Model,
-    ParameterSet,
     SizeCapExceeded,
-    ZeroNormalizer,
     build_design_matrix,
     column_of_word,
     distinct_columns,
-    evaluate_path_probability,
     iter_columns,
     row_labels,
-    sufficient_statistic,
-    toric_model_map,
+    sufficient,
 )
-from thmc.words import PathMultiset, iter_words
+from thmc.words import iter_words
 
 
 def test_column_examples():
@@ -64,33 +58,17 @@ def test_size_cap():
 
 
 def test_sufficient_statistic_examples():
-    W = PathMultiset.of([(1, 2, 1, 2)], S=3, no_loops=True)
-    assert sufficient_statistic(Model.D, W) == (2, 0, 1, 0, 0, 0)
-    W = PathMultiset.of([(1, 1, 1, 1), (2, 2, 2, 2)], S=2)
-    assert sufficient_statistic(Model.B, W) == (3, 0, 0, 3)
+    assert sufficient(Model.D, 3, [(1, 2, 1, 2)]) == (2, 0, 1, 0, 0, 0)
+    assert sufficient(Model.B, 2, [(1, 1, 1, 1), (2, 2, 2, 2)]) == (3, 0, 0, 3)
     # hand count: 1212 has transitions 12,21,12; 2121 has 21,12,21
-    W = PathMultiset.of([(1, 2, 1, 2), (2, 1, 2, 1)], S=3, no_loops=True)
-    assert sufficient_statistic(Model.D, W) == (3, 0, 3, 0, 0, 0)
+    assert sufficient(Model.D, 3, [(1, 2, 1, 2), (2, 1, 2, 1)]) == (3, 0, 3, 0, 0, 0)
 
 
 def test_sufficient_statistic_linearity():
-    W1 = PathMultiset.of([(1, 2, 1, 2)], S=3, no_loops=True)
-    W2 = PathMultiset.of([(2, 3, 2, 3), (1, 2, 1, 2)], S=3, no_loops=True)
-    merged = PathMultiset(S=3, T=4, no_loops=True, counts={(1, 2, 1, 2): 2, (2, 3, 2, 3): 1})
-    combined = tuple(a + b for a, b in zip(sufficient_statistic(Model.D, W1), sufficient_statistic(Model.D, W2)))
-    assert sufficient_statistic(Model.D, merged) == combined
-
-
-def test_path_probability_identity_parameters():
-    params = ParameterSet.uniform(2)
-    for w in iter_words(2, 4, False):
-        assert evaluate_path_probability(params, w) == 1
-
-
-def test_path_probability_uniform_chain():
-    half = Fraction(1, 2)
-    params = ParameterSet(gamma=(half, half), beta=((half, half), (half, half)), c=Fraction(1))
-    assert evaluate_path_probability(params, (1, 1, 1, 1)) == Fraction(1, 16)
+    W1 = [(1, 2, 1, 2)]
+    W2 = [(2, 3, 2, 3), (1, 2, 1, 2)]
+    combined = tuple(a + b for a, b in zip(sufficient(Model.D, 3, W1), sufficient(Model.D, 3, W2)))
+    assert sufficient(Model.D, 3, W1 + W2) == combined
 
 
 def test_probability_exponents_match_design_column():
@@ -106,36 +84,6 @@ def test_probability_exponents_match_design_column():
             else:
                 exponents.append(sum(1 for a, b in zip(w, w[1:]) if (a, b) == (label[1], label[2])))
         assert tuple(exponents) == col
-
-
-def test_toric_model_map_uniform():
-    matrix = build_design_matrix(Model.B, 2, 3)
-    probs = toric_model_map(matrix, [Fraction(1)] * 4)
-    assert len(set(probs)) == 1 and sum(probs) == 1
-
-
-def test_toric_model_map_monomial_weights():
-    matrix = build_design_matrix(Model.B, 2, 4)
-    probs = toric_model_map(matrix, [Fraction(2), Fraction(1), Fraction(1), Fraction(1)])
-    idx = matrix.words.index((1, 1, 1, 1))
-    monomials = [2 ** col[0] for col in matrix.columns]
-    assert probs[idx] == Fraction(8, sum(monomials))
-
-
-def test_toric_model_map_sums_to_one():
-    import random
-
-    rng = random.Random(7)
-    matrix = build_design_matrix(Model.D, 3, 4)
-    for _ in range(100):
-        theta = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in matrix.rows]
-        assert sum(toric_model_map(matrix, theta)) == 1
-
-
-def test_toric_model_map_zero_normalizer():
-    matrix = build_design_matrix(Model.B, 2, 3)
-    with pytest.raises(ZeroNormalizer):
-        toric_model_map(matrix, [Fraction(0)] * 4)
 
 
 @pytest.mark.parametrize("model,S,T", [(Model.D, 3, 5), (Model.D, 3, 8), (Model.C, 3, 5), (Model.C, 3, 7)])

@@ -15,7 +15,6 @@ from thmc.hilbert import (
     WitnessVerificationFailed,
     _parallelepiped_points,
     _placing_triangulation,
-    check_normality,
     hilbert_basis,
     hilbert_basis_bruteforce_oracle,
     nonnormality_witness,
@@ -69,9 +68,9 @@ def test_range_cap():
 
 
 def test_normality_examples():
-    assert check_normality(Model.D, 3, 6)
-    assert check_normality(Model.C, 3, 5)
-    assert not check_normality(Model.B, 2, 4)
+    assert hilbert_basis(Model.D, 3, 6).normal
+    assert hilbert_basis(Model.C, 3, 5).normal
+    assert not hilbert_basis(Model.B, 2, 4).normal
 
 
 def test_nonnormal_b_witness_is_basis_element():
@@ -82,14 +81,14 @@ def test_nonnormal_b_witness_is_basis_element():
 
 def test_model_a_S2_normal_small_range():
     for T in (3, 4, 5, 6, 7, 8):
-        assert check_normality(Model.A, 2, T)
+        assert hilbert_basis(Model.A, 2, T).normal
 
 
 @pytest.mark.slow
 def test_model_a_S2_normal_default_range():
     # the sweep the two-state normality conjecture rests on (default cap 30)
     for T in range(3, 31):
-        assert check_normality(Model.A, 2, T)
+        assert hilbert_basis(Model.A, 2, T).normal
 
 
 def test_oracle_empty_cap():

@@ -1,12 +1,21 @@
-"""The package's modules import each other without a cycle."""
+"""The package's modules import each other without a cycle, and every top-level name has a caller."""
 
 import ast
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import thmc
 
 PACKAGE = Path(thmc.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Top-level names that nothing in the package or the benchmark calls, kept on purpose.
+KEPT_UNREFERENCED = {
+    "polytope_vertices",  # the LP route to the vertices, the cross-check of vertices_by_facet_rank
+    "middle_class_decomposition",  # the finite-vertex proof step, for the midpoint cross-route of the f-vectors
+    "enumerate_Gmn",  # the G_{m,n} case constructions, for the same cross-route
+}
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -35,3 +44,34 @@ def test_intra_package_imports_have_no_cycle():
     except CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
     assert set(order) == modules.keys()
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names, attributes, import aliases and string constants in a syntax tree (the tracer names its targets by string)."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.asname or node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def test_every_top_level_name_is_referenced():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
+    bench = [BENCH / name for name in ("run.py", "workloads.py", "tracer.py")]
+    references = sum(map(_references, [*trees.values(), *(ast.parse(path.read_text()) for path in bench)]), Counter())
+    unreferenced = set()
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if references[node.name] == _references(node)[node.name]:  # only its own definition names it
+                    unreferenced.add(f"{path.stem}.{node.name}")
+    unexpected = sorted(n for n in unreferenced if n.split(".")[1] not in KEPT_UNREFERENCED)
+    assert not unexpected, f"defined but never referenced: {', '.join(unexpected)}"
+    assert {n.split(".")[1] for n in unreferenced} == KEPT_UNREFERENCED, "KEPT_UNREFERENCED names a function that is now referenced or gone"

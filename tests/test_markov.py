@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thmc.markov
-from thmc.design import Model, SizeCapExceeded, row_labels, sufficient_statistic
+from thmc.design import Model, SizeCapExceeded, row_labels
 from thmc.markov import (
     DegreeCapExceeded,
     Move,
@@ -21,7 +21,7 @@ from thmc.markov import (
     sufficient,
 )
 from thmc.stategraph import graph_of_word
-from thmc.words import PathMultiset, iter_words
+from thmc.words import iter_words
 
 
 def test_degree_one_fiber_is_euler_words():
@@ -97,13 +97,21 @@ def test_move_multiset_guard_runs_before_the_search(monkeypatch):
         moves_up_to_degree(Model.D, 3, 10, 4)
 
 
+def test_move_pair_guard_runs_before_any_move(monkeypatch):
+    # 48 words pass the word and multiset caps, but the fibers of degree <= 3 hold 643,149 candidate pairs
+    def no_moves(*args, **kwargs):
+        raise AssertionError("a move was built past the pair guard")
+
+    monkeypatch.setattr(thmc.markov, "Move", no_moves)
+    with pytest.raises(SizeCapExceeded, match="pairs"):
+        moves_up_to_degree(Model.D, 3, 5, 3)
+
+
 def test_moves_are_kernel_vectors():
     moves = moves_up_to_degree(Model.D, 3, 4, 2)
     assert moves
     for mv in moves:
-        W_pos = PathMultiset.of(mv.positive, S=3, no_loops=True)
-        W_neg = PathMultiset.of(mv.negative, S=3, no_loops=True)
-        assert sufficient_statistic(Model.D, W_pos) == sufficient_statistic(Model.D, W_neg)
+        assert sufficient(Model.D, 3, mv.positive) == sufficient(Model.D, 3, mv.negative)
         assert len(mv.positive) == len(mv.negative)
         assert mv.degree <= 2
         vec = mv.as_vector()

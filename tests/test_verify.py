@@ -6,10 +6,12 @@ from dataclasses import replace
 import pytest
 
 import thmc.polyhedra
+import thmc.stategraph
 from thmc.design import Model
 from thmc.verify import (
     ALL_CRITERIA,
     check_design_fixtures,
+    check_euler_roundtrip,
     check_polytope_structure,
     run_suite,
     snf_diagonal_via_lattice,
@@ -63,8 +65,30 @@ def test_polytope_criterion_fails_without_a_facet(monkeypatch):
 
 
 def test_polytope_criterion_fails_with_a_negated_dilation_lp(monkeypatch):
-    real = thmc.polyhedra.in_dilation_lp
-    monkeypatch.setattr(thmc.polyhedra, "in_dilation_lp", lambda *args: not real(*args))
+    real = thmc.polyhedra.linear_feasible
+
+    def negated_dilation(columns, rhs, *, coefficient_sum=None):
+        answer = real(columns, rhs, coefficient_sum=coefficient_sum)
+        return answer if coefficient_sum is None else not answer
+
+    monkeypatch.setattr(thmc.polyhedra, "linear_feasible", negated_dilation)
     assert thmc.polyhedra.verify_dilation_slice(4, 1, 30).agreements == 0
     result = check_polytope_structure()
     assert not result.passed and result.details.startswith("integer points differ")
+
+
+def _graph_drops_last_letter(monkeypatch):
+    real = thmc.stategraph.graph_of_word
+    monkeypatch.setattr(thmc.stategraph, "graph_of_word", lambda word, S: real(word[:-1], S))
+
+
+def _euler_path_reversed(monkeypatch):
+    real = thmc.stategraph.eulerian_path
+    monkeypatch.setattr(thmc.stategraph, "eulerian_path", lambda graph: real(graph)[::-1])
+
+
+@pytest.mark.parametrize("mutate", [_graph_drops_last_letter, _euler_path_reversed])
+def test_euler_criterion_fails_on_a_broken_round_trip(monkeypatch, mutate):
+    mutate(monkeypatch)
+    result = check_euler_roundtrip()
+    assert not result.passed and result.details.startswith("round trip failed")

@@ -1,21 +1,16 @@
-"""Word enumeration, indexing, and data vectors."""
+"""Word enumeration and indexing."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
 
 from thmc.words import (
-    InconsistentWords,
     InvalidDimension,
-    PathMultiset,
     enumerate_words,
     format_word,
     iter_words,
-    multiset_to_data_vector,
     parse_word,
     word_count,
-    word_from_index,
     word_index,
 )
 
@@ -67,15 +62,7 @@ def test_invalid_dimensions():
         enumerate_words(3, 1, False)
 
 
-@given(st.integers(2, 4), st.integers(2, 6), st.booleans(), st.data())
-def test_index_round_trip(S, T, no_loops, data):
-    total = word_count(S, T, no_loops)
-    idx = data.draw(st.integers(0, total - 1))
-    word = word_from_index(idx, S, T, no_loops)
-    assert word_index(word, S, no_loops) == idx
-
-
-@pytest.mark.parametrize("S,T,no_loops", [(2, 4, False), (3, 4, True)])
+@pytest.mark.parametrize("S,T,no_loops", [(2, 4, False), (3, 4, True), (4, 6, False), (4, 6, True)])
 def test_index_is_lex_position(S, T, no_loops):
     for pos, w in enumerate(iter_words(S, T, no_loops)):
         assert word_index(w, S, no_loops) == pos
@@ -86,33 +73,3 @@ def test_word_formatting():
     assert parse_word("1212") == (1, 2, 1, 2)
     assert format_word((1, 12)) == "1,12"
     assert parse_word("1,12") == (1, 12)
-
-
-def test_data_vector_single_word():
-    W = PathMultiset.of([(1, 1, 1, 1)], S=2)
-    vec = multiset_to_data_vector(W)
-    assert vec.entries[0] == 1 and sum(vec.entries) == 1
-
-
-def test_data_vector_three_words():
-    W = PathMultiset.of([(1, 1, 2), (2, 2, 3), (3, 3, 1)], S=3)
-    vec = multiset_to_data_vector(W)
-    assert sum(vec.entries) == 3
-    assert sorted(vec.entries, reverse=True)[:3] == [1, 1, 1]
-
-
-def test_data_vector_with_multiplicity():
-    W = PathMultiset(S=3, T=4, no_loops=True, counts={(1, 2, 1, 2): 2, (3, 2, 3, 2): 1})
-    vec = multiset_to_data_vector(W)
-    assert vec.entries[word_index((1, 2, 1, 2), 3, True)] == 2
-    assert vec.entries[word_index((3, 2, 3, 2), 3, True)] == 1
-    assert vec.total == 3
-
-
-def test_multiset_rejects_mixed_parameters():
-    with pytest.raises(InconsistentWords):
-        PathMultiset(S=2, T=3, no_loops=False, counts={(1, 2, 1): 1, (1, 2): 1})
-    with pytest.raises(InconsistentWords):
-        PathMultiset(S=2, T=3, no_loops=True, counts={(1, 1, 2): 1})
-    with pytest.raises(InconsistentWords):
-        PathMultiset(S=2, T=3, no_loops=False, counts={(1, 2, 1): 0})
