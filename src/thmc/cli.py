@@ -176,8 +176,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_markov(args: argparse.Namespace) -> int:
-    if args.moves_out:
-        markov.check_degree("move", args.moves_k)  # refuse before the probe runs
+    if args.moves_out:  # the caps that need no fiber refuse before the probe runs
+        markov.check_move_caps(args.model, args.S, args.T, args.moves_k)
     report = markov.minimal_connecting_degree(args.model, args.S, args.T, args.D)
     if args.moves_out:  # every cap has passed before anything is written
         moves = markov.moves_up_to_degree(args.model, args.S, args.T, args.moves_k)

@@ -83,21 +83,27 @@ def format_row_label(label: RowLabel) -> str:
     return f"{label[1]}{label[2]}" if max(label[1], label[2]) <= 9 else f"{label[1]},{label[2]}"
 
 
+@lru_cache(maxsize=None)
+def _pair_index(S: int, no_loops: bool) -> dict[tuple[int, int], int]:
+    """Row of each transition (i, j) among :func:`transition_pairs`."""
+    return {pair: k for k, pair in enumerate(transition_pairs(S, no_loops))}
+
+
 def column_of_word(model: Model, S: int, word: Sequence[int]) -> tuple[int, ...]:
     """Design column of one word, without materializing the matrix."""
-    w = tuple(int(s) for s in word)
+    w = tuple(map(int, word))
     if not is_valid_word(w, S, False):
         raise ValueError(f"invalid word {w!r} for S={S}")
-    if model.no_loops and any(a == b for a, b in zip(w, w[1:])):
-        raise LoopViolation(f"word {w!r} has a self-loop under model {model.value}")
-    entries: list[int] = []
+    index = _pair_index(S, model.no_loops)
+    counts = [0] * len(index)
+    try:
+        for pair in zip(w, w[1:]):
+            counts[index[pair]] += 1
+    except KeyError:  # the states are valid, so a missing pair is a self-loop
+        raise LoopViolation(f"word {w!r} has a self-loop under model {model.value}") from None
     if model.has_initial:
-        entries.extend(1 if s == w[0] else 0 for s in range(1, S + 1))
-    counts = [[0] * (S + 1) for _ in range(S + 1)]
-    for a, b in zip(w, w[1:]):
-        counts[a][b] += 1
-    entries.extend(counts[i][j] for i, j in transition_pairs(S, model.no_loops))
-    return tuple(entries)
+        return (0,) * (w[0] - 1) + (1,) + (0,) * (S - w[0]) + tuple(counts)
+    return tuple(counts)
 
 
 def sufficient(model: Model, S: int, words: Sequence[Word]) -> tuple[int, ...]:
@@ -196,7 +202,7 @@ def distinct_columns(model: Model | str, S: int, T: int) -> tuple[tuple[int, ...
     words = word_count(S, T, model.no_loops)
     if min(words, comb(T - 2 + len(pairs), len(pairs) - 1)) > DEFAULT_COLUMN_CAP:
         raise SizeCapExceeded(f"{words} words and the compositions of T-1 both exceed the cap of {DEFAULT_COLUMN_CAP}")
-    index = {pair: k for k, pair in enumerate(pairs)}
+    index = _pair_index(S, model.no_loops)
     steps = {i: tuple((j, index[i, j]) for j in range(1, S + 1) if (i, j) in index) for i in range(1, S + 1)}
     zero = (0,) * len(pairs)
     # head: the initial-state indicator that starts the column (empty for b/d)

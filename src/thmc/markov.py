@@ -3,18 +3,19 @@
 A fiber is the set of word multisets sharing a marginal (sufficient
 statistic); a move is an integer word-vector in the design-matrix
 kernel. Every fiber, of words or of columns, is a group of one multiset
-search by sum (:func:`_fibers`). The probe measures the smallest move degree that connects every fiber up
-to a marginal-degree cap; this bounds the true Markov-basis degree from
-below and is reported as evidence, never as a certificate.
+search by sum (:func:`_fibers`). The probe summarizes, per fiber up to
+a marginal-degree cap, whether its column classes share columns; this
+bounds the true Markov-basis degree from below and is reported as
+evidence, never as a certificate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, groupby
 from math import comb
-from operator import add, le
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, sufficient
@@ -43,6 +44,16 @@ def _check_multisets(n: int, degree: int, kind: str) -> None:
     count = sum(comb(n + d - 1, d) for d in range(1, degree + 1))
     if count > _MULTISET_CAP:
         raise SizeCapExceeded(f"{count} multisets of up to {degree} of {n} {kind} exceed the cap {_MULTISET_CAP}")
+
+
+def check_move_caps(model: Model | str, S: int, T: int, k: int) -> None:
+    """The degree, word and multiset caps of :func:`moves_up_to_degree`, which need no fiber."""
+    model = Model.parse(model)
+    check_degree("move", k)
+    m = word_count(S, T, model.no_loops)
+    if m > _MOVES_WORD_CAP:
+        raise SizeCapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
+    _check_multisets(m, k, "words")
 
 
 Element = tuple[Word, ...]  # sorted words, with multiplicity
@@ -151,11 +162,7 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     before any pair is built.
     """
     model = Model.parse(model)
-    check_degree("move", k)
-    m = word_count(S, T, model.no_loops)
-    if m > _MOVES_WORD_CAP:
-        raise SizeCapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
-    _check_multisets(m, k, "words")
+    check_move_caps(model, S, T, k)
     words = list(iter_words(S, T, model.no_loops))
     columns = [column_of_word(model, S, w) for w in words]
     groups = [members for degree in range(1, k + 1) for members in _fibers(columns, degree).values()]
@@ -174,35 +181,49 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     )
 
 
-def _multisets_by_sum(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each multiset of ``size`` >= 1 indices into ``vectors`` with the sum of its vectors.
+def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Each multiset of ``size`` >= 1 indices into ``vectors``, grouped by the sum of its vectors.
 
     A lexicographic depth-first search over non-decreasing index tuples,
-    so the order is that of ``combinations_with_replacement``; each level
-    extends the running sum of its prefix by one vector. A prefix whose
-    sum exceeds ``bound`` in some coordinate is not extended; that is exact
-    because the vectors (design columns) are non-negative.
+    so each group is in the order of ``combinations_with_replacement``
+    and the groups in order of first appearance. Each vector is packed
+    into one integer, a field of ``width`` bits per coordinate, so a step
+    of the search is one integer add. Every sum and bound stays below
+    2^(width-2) in absolute value, so ``room - grown`` keeps the top bit
+    of a field set exactly when that coordinate of the sum is within
+    ``bound``; a prefix over the bound is not extended, which is exact
+    because the vectors (design columns) are non-negative. No bound is
+    the bound that no sum of ``size`` vectors exceeds.
     """
+    dim = len(vectors[0])
+    top = size * max(abs(x) for v in vectors for x in v)
+    if bound is None:
+        bound = (top,) * dim
+    width = max(top, *map(abs, bound)).bit_length() + 2
+    guard = sum(1 << (width * r + width - 1) for r in range(dim))
 
-    def extend(combo: tuple[int, ...], total: tuple[int, ...], start: int, left: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        for i in range(start, len(vectors)):
-            grown = tuple(map(add, total, vectors[i]))
-            if bound is not None and not all(map(le, grown, bound)):
-                continue
-            if left > 1:
-                yield from extend(combo + (i,), grown, i, left - 1)
-            else:
-                yield combo + (i,), grown
+    def pack(v: Sequence[int]) -> int:
+        return sum(x << (width * r) for r, x in enumerate(v))
 
-    return extend((), (0,) * len(vectors[0]), 0, size)
+    packed = [pack(v) for v in vectors]
+    room = guard + pack(bound)
+    n = len(packed)
+    groups: dict[int, list[tuple[int, ...]]] = {}
 
+    def extend(combo: tuple[int, ...], total: int, start: int, left: int) -> None:
+        slack = room - total
+        if left > 1:
+            for i in range(start, n):
+                if (slack - packed[i]) & guard == guard:
+                    extend(combo + (i,), total + packed[i], i, left - 1)
+            return
+        for i in range(start, n):
+            if (slack - packed[i]) & guard == guard:
+                groups.setdefault(total + packed[i], []).append(combo + (i,))
 
-def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The multisets of :func:`_multisets_by_sum` grouped by sum, each group in combination order."""
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo, total in _multisets_by_sum(vectors, size, bound):
-        groups.setdefault(total, []).append(combo)
-    return groups
+    extend((), 0, 0, size)
+    mask, offset = (1 << width) - 1, 1 << (width - 1)
+    return {tuple(((key + guard) >> (width * r) & mask) - offset for r in range(dim)): members for key, members in groups.items()}
 
 
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:
@@ -289,16 +310,18 @@ def minimal_connecting_degree(
     *,
     report_limit: int = 50,
 ) -> ConnectivityReport:
-    """Smallest move degree connecting every fiber of marginal degree <= D.
+    """Degree-capped probe of the move degree the fibers of marginal degree <= D need.
 
     Works on column-multiset classes: elements sharing a column multiset
-    connect by degree-1 word swaps, distinct classes in one fiber always
-    differ in at least two columns, and two classes sharing a column are
-    two word replacements apart. The staged union-find therefore
-    measures the same quantity as the word-level walk definition without
-    materializing word-level fibers. This is a lower-bound probe of the
-    Markov-basis degree: only marginals up to degree D are inspected, and
-    D above ``_DEFAULT_DEGREE_CAP``, or more column multisets than
+    connect by degree-1 word swaps, and distinct classes in one fiber
+    differ in at least two columns. Each multi-class fiber of degree d
+    is connected at 2 when its classes form one component under "shares
+    a column" (:func:`_class_components`), and at d otherwise. That is
+    not the word-level walk definition: two classes sharing a column
+    still differ by a move of degree up to d-1. This is a lower-bound
+    probe of the Markov-basis degree, reported as evidence: only
+    marginals up to degree D are inspected, and D above
+    ``_DEFAULT_DEGREE_CAP``, or more column multisets than
     ``_MULTISET_CAP``, is refused before any work.
     """
     model = Model.parse(model)
@@ -315,7 +338,7 @@ def minimal_connecting_degree(
             fibers_checked += 1
             if len(classes) == 1:
                 continue
-            connected_at = _class_connectivity(classes, degree)
+            connected_at = 2 if _class_components(classes) == 1 else degree
             summary = FiberSummary(b=b, degree=degree, classes=len(classes), connected_at=connected_at)
             minimal_k = max(minimal_k, connected_at)
             if connected_at > degree:
@@ -335,16 +358,25 @@ def minimal_connecting_degree(
     )
 
 
-def _class_connectivity(classes: Sequence[tuple[int, ...]], degree: int) -> int:
-    """Smallest k with the shared-column stage graph connected; <= degree always.
+def _class_components(classes: Sequence[tuple[int, ...]]) -> int:
+    """Number of components of the classes under "shares a column".
 
-    Classes sharing a column are <= 2 word replacements apart; a full
-    class swap costs `degree`. Stage 2 therefore unions shared-column
-    classes, and anything still separate connects at k = degree.
+    The classes come in combination order, so each run with the same
+    first column shares that column and is one set of columns; a block
+    merges with every earlier set it meets, and those sets are disjoint.
     """
-    first_with: dict[int, int] = {}  # column -> first class containing it
-    edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
-    return 2 if len(set(components(len(classes), edges))) == 1 else degree
+    merged: list[set[int]] = []
+    for _, block in groupby(classes, itemgetter(0)):
+        columns = set(chain.from_iterable(block))
+        apart = []
+        for other in merged:
+            if columns.isdisjoint(other):
+                apart.append(other)
+            else:
+                columns |= other
+        apart.append(columns)
+        merged = apart
+    return len(merged)
 
 
 def moves_to_text(moves: Sequence[Move]) -> str:

@@ -217,7 +217,7 @@ def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("multisets enumerated past the size guard")
 
-    monkeypatch.setattr(thmc.markov, "_multisets_by_sum", no_search)
+    monkeypatch.setattr(thmc.markov, "_fibers", no_search)
     assert main(["markov", "--model", "d", "--S", "3", "--T", "20", "--D", "4"]) == 1
     out, err = capsys.readouterr()
     assert not out
@@ -236,6 +236,20 @@ def test_markov_move_caps_run_before_any_output(capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     assert not out and not moves_path.exists()
     assert len(err.splitlines()) == 1 and "candidate move pairs exceed the cap" in err
+
+
+def test_markov_move_multiset_cap_runs_before_the_probe(capsys, monkeypatch, tmp_path):
+    import thmc.markov
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("the probe ran before the move caps")
+
+    monkeypatch.setattr(thmc.markov, "minimal_connecting_degree", no_probe)
+    moves_path = tmp_path / "moves.txt"
+    assert main(["markov", "--model", "d", "--T", "10", "--D", "2", "--moves-k", "4", "--moves-out", str(moves_path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and not moves_path.exists()
+    assert len(err.splitlines()) == 1 and "multisets of up to 4 of 1536 words exceed the cap" in err
 
 
 def test_unwritable_output_exit_1(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Design matrix construction and sufficient statistics."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from thmc.design import (
     iter_columns,
     row_labels,
     sufficient,
+    transition_pairs,
 )
 from thmc.words import iter_words
 
@@ -28,6 +31,28 @@ def test_column_examples():
 def test_loop_violation():
     with pytest.raises(LoopViolation):
         column_of_word(Model.D, 3, (1, 1, 2, 3))
+
+
+@pytest.mark.parametrize("S", [3, 4])
+@pytest.mark.parametrize("model", list(Model))
+def test_column_of_word_counts_the_transition_pairs(model, S):
+    for w in iter_words(S, 4, model.no_loops):
+        head = tuple(int(w[0] == s) for s in range(1, S + 1)) if model.has_initial else ()
+        steps = list(zip(w, w[1:]))
+        assert column_of_word(model, S, w) == head + tuple(steps.count(pair) for pair in transition_pairs(S, model.no_loops))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_column_of_word_rejects_an_invalid_word(model):
+    for word, shown in [((1, 4, 2), "(1, 4, 2)"), ((0, 1), "(0, 1)"), ((), "()")]:
+        with pytest.raises(ValueError, match=re.escape(f"invalid word {shown} for S=3")):
+            column_of_word(model, 3, word)
+
+
+@pytest.mark.parametrize("model", [Model.C, Model.D])
+def test_column_of_word_rejects_a_looped_word(model):
+    with pytest.raises(LoopViolation, match=re.escape(f"word (2, 3, 3, 1) has a self-loop under model {model.value}")):
+        column_of_word(model, 3, (2, 3, 3, 1))
 
 
 def test_row_label_order():

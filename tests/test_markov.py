@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thmc.markov
-from thmc.design import Model, SizeCapExceeded, row_labels
+from thmc.design import Model, SizeCapExceeded, distinct_columns, row_labels
 from thmc.markov import (
     DegreeCapExceeded,
     Move,
-    _multisets_by_sum,
+    _class_components,
+    _fibers,
     enumerate_fiber,
     fiber_connected,
     minimal_connecting_degree,
@@ -20,7 +21,7 @@ from thmc.markov import (
     moves_up_to_degree,
     sufficient,
 )
-from thmc.stategraph import graph_of_word
+from thmc.stategraph import components, graph_of_word
 from thmc.words import iter_words
 
 
@@ -85,14 +86,14 @@ def _no_search(*args):
 
 def test_probe_multiset_guard_runs_before_the_search(monkeypatch):
     # 1,032 distinct columns: 4.77e10 multisets of degree <= 4
-    monkeypatch.setattr(thmc.markov, "_multisets_by_sum", _no_search)
+    monkeypatch.setattr(thmc.markov, "_fibers", _no_search)
     with pytest.raises(SizeCapExceeded, match="multisets"):
         minimal_connecting_degree(Model.D, 3, 20, 4)
 
 
 def test_move_multiset_guard_runs_before_the_search(monkeypatch):
     # 1,536 words, under the word cap, but about 2.3e11 multisets of degree <= 4
-    monkeypatch.setattr(thmc.markov, "_multisets_by_sum", _no_search)
+    monkeypatch.setattr(thmc.markov, "_fibers", _no_search)
     with pytest.raises(SizeCapExceeded, match="multisets"):
         moves_up_to_degree(Model.D, 3, 10, 4)
 
@@ -233,6 +234,16 @@ def test_connectivity_monotone_in_move_set():
     assert conn2 or not conn1
 
 
+def _fibers_by_combinations(vectors, size, bound):
+    """Reference: the bounded multisets of ``combinations_with_replacement``, grouped by sum in order of first appearance."""
+    groups = {}
+    for combo in combinations_with_replacement(range(len(vectors)), size):
+        total = tuple(sum(vectors[i][r] for i in combo) for r in range(len(vectors[0])))
+        if bound is None or all(t <= u for t, u in zip(total, bound)):
+            groups.setdefault(total, []).append(combo)
+    return list(groups.items())
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6),
@@ -242,13 +253,35 @@ def test_connectivity_monotone_in_move_set():
 def test_multisets_by_sum_in_combination_order(vectors, size, bound):
     if bound is not None:  # the bound prunes exactly only non-negative vectors, as design columns are
         vectors = [[abs(x) for x in v] for v in vectors]
-    got = list(_multisets_by_sum(vectors, size, bound))
-    expected = []
-    for combo in combinations_with_replacement(range(len(vectors)), size):
-        total = tuple(sum(vectors[i][r] for i in combo) for r in range(3))
-        if bound is None or all(t <= u for t, u in zip(total, bound)):
-            expected.append((combo, total))
-    assert got == expected
+    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-40, 40), min_size=4, max_size=4), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.none() | st.lists(st.integers(0, 90), min_size=4, max_size=4),
+)
+def test_fibers_of_wide_entries_and_bounds(vectors, size, bound):
+    # sums reach 120 in absolute value, so each packed field needs 9 bits
+    if bound is not None:
+        vectors = [[abs(x) for x in v] for v in vectors]
+    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
+
+
+@pytest.mark.parametrize("T, D", [(4, 4), (5, 3)])
+def test_class_components_match_the_union_find(T, D):
+    columns = distinct_columns(Model.D, 3, T)
+    checked = 0
+    for degree in range(1, D + 1):
+        for classes in _fibers(columns, degree).values():
+            if len(classes) == 1:
+                continue
+            first_with = {}  # column -> first class containing it
+            edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
+            assert _class_components(classes) == len(set(components(len(classes), edges))), classes
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("model", list(Model))
