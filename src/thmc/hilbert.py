@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
 from .intlinalg import IntLattice, IntVec, SnfResult, independent_subset, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
-from .polyhedra import cone_facets, linear_feasible, vertices_by_facet_rank
+from .polyhedra import PackedNormals, cone_facets, l1_reach, linear_feasible, vertices_by_facet_rank
 from .words import word_count
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
@@ -103,36 +103,27 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     candidates.discard(tuple([0] * lattice.dim))
 
     colsum = model.column_sum(T)
-    normals = hrep.inequalities
-
-    def in_cone(v: IntVec) -> bool:
-        return all(sum(a * b for a, b in zip(h, v)) >= 0 for h in normals)
-
+    # a difference of two candidates has at most twice their L1 norm, so one pack tests them all
+    pack = PackedNormals(hrep.inequalities, 2 * l1_reach(candidates))
+    packed: dict[IntVec, int] = {}
     for v in candidates:
-        if not in_cone(v):
+        packed[v] = pack.value(v)
+        if not pack.inside(packed[v]):
             raise AssertionError("parallelepiped candidate escaped the cone")
         if sum(v) % colsum:
             raise AssertionError("candidate degree is not integral")
 
     ordered = sorted(candidates, key=lambda v: (sum(v), v))
     accepted: list[IntVec] = []
-    by_degree: dict[int, list[IntVec]] = {}
+    by_degree: dict[int, list[int]] = {}  # packed values of the accepted elements
     for v in ordered:
         deg = sum(v) // colsum
-        reducible = False
-        for d in range(1, deg):  # strictly smaller degree suffices
-            for h in by_degree.get(d, ()):
-                # the cone sits in the orthant, so dominance is a cheap prefilter
-                if all(a >= b for a, b in zip(v, h)):
-                    diff = tuple(a - b for a, b in zip(v, h))
-                    if in_cone(diff):
-                        reducible = True
-                        break
-            if reducible:
-                break
-        if not reducible:
+        # value(v) - value(h) + guard packs v - h, which is in the cone (so also in the orthant)
+        # iff every facet keeps its guard bit; strictly smaller degrees suffice
+        shifted = packed[v] + pack.guard
+        if not any(pack.inside(shifted - h) for d in range(1, deg) for h in by_degree.get(d, ())):
             accepted.append(v)
-            by_degree.setdefault(deg, []).append(v)
+            by_degree.setdefault(deg, []).append(packed[v])
 
     elements = tuple(sorted(accepted))
     normal = set(elements) <= set(cols)

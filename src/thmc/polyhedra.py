@@ -1,22 +1,30 @@
 """Exact rational polyhedral computation for the transition cones and polytopes.
 
 Vertices are certified by exact LP feasibility (is the point a convex
-combination of the rest?), facets by the double description method run
-on the pivot coordinates of the column span, and f-vectors by
-closure-based face enumeration over the vertex-facet incidences. The
-two routes cross-validate each other: the dilation identity, too, is
-decided by the LP on one side (x in kP) and by the facets on the other
-(x in the cone). The LP tableau is integer: a rational right-hand side
-is scaled to integers once per call. No floating point anywhere.
+combination of the rest?) and, independently, by tight-facet masks;
+facets come from the double description method run on the pivot
+coordinates of the column span, and f-vectors from closure-based face
+enumeration over the vertex-facet incidences. The two routes
+cross-validate each other: the dilation identity, too, is decided by
+the LP on one side (x in kP) and by the facets on the other (x in the
+cone). Every column-against-facet test (the double description's ray
+signs, the containment assertion, the vertex masks, the incidences and
+the Hilbert-basis cone tests) evaluates all normals at once in one
+packed integer sum (:class:`PackedNormals`). The LP tableau is integer:
+a rational right-hand side is scaled to integers once per call. No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from . import stategraph
 from .design import Model, compositions, distinct_columns, transition_pairs
@@ -132,6 +140,65 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Packed evaluation: every normal against one point in one integer sum
+
+def l1_reach(points: Iterable[Sequence[int]]) -> int:
+    """The largest L1 norm among the points (0 for none)."""
+    return max((sum(map(abs, p)) for p in points), default=0)
+
+
+class PackedNormals:
+    """Integer normals packed so that one sum evaluates all of them at a point.
+
+    Normal f takes the field of ``width`` bits at offset width * f of one
+    integer per coordinate, so guard + sum(p_i * coord_i) holds guard + h_f.p
+    in field f. ``width`` = bit_length(max |entry| * reach) + 2, where
+    ``reach`` bounds the L1 norm of every point evaluated, so each h_f.p
+    lies strictly inside +-2^(width-2): every field stays in [0, 2^width)
+    and nothing carries between fields, for signed normals and points
+    alike. A field's top (guard) bit is set exactly when h_f.p >= 0.
+    """
+
+    def __init__(self, normals: Sequence[Sequence[int]], reach: int):
+        self.count = len(normals)
+        top = max(map(abs, chain.from_iterable(normals)), default=0) * reach
+        self.width = width = top.bit_length() + 2
+        self.guard = sum(1 << (width * f + width - 1) for f in range(self.count))
+        self.low = self.guard - (self.guard >> (width - 1))  # the bits below the guard of each field
+        self.coords = tuple(sum(x << (width * f) for f, x in enumerate(column)) for column in zip(*normals))
+
+    def value(self, point: Sequence[int]) -> int:
+        """guard + the packed dot products h_f.point."""
+        return self.guard + sum(map(mul, point, self.coords))
+
+    def inside(self, value: int) -> bool:
+        """Is h_f.point >= 0 for every f?"""
+        return value & self.guard == self.guard
+
+    def tight(self, value: int) -> int:
+        """The guard bits of the fields with h_f.point == 0.
+
+        The bits below a field's guard hold h_f.p mod 2^(width-1), zero
+        only at h_f.p == 0 because |h_f.p| < 2^(width-2); adding ``low``
+        carries into the guard bit of every other field.
+        """
+        return self.guard & ~((value & self.low) + self.low)
+
+    def fields(self, mask: int) -> Iterator[int]:
+        """Indices f of the guard bits set in ``mask``, in increasing order."""
+        while mask:
+            bit = mask & -mask
+            yield bit.bit_length() // self.width - 1
+            mask ^= bit
+
+    def decode(self, value: int) -> list[int]:
+        """Every h_f.point, in order."""
+        width = self.width
+        field, half = (1 << width) - 1, 1 << (width - 1)
+        return [(value >> (width * f) & field) - half for f in range(self.count)]
+
+
+# ---------------------------------------------------------------------------
 # Double description: facets of a full-dimensional pointed cone
 
 def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
@@ -147,69 +214,52 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
 
     Generators are inserted in the caller's order (duplicates dropped),
     and the result is sorted, so the order decides only the cost: a
-    generator inside the current cone costs one pass over the rays.
-    Callers pass the likely extreme generators first.
+    generator inside the current cone costs one packed evaluation of the
+    rays, and only its tight rays gain a zero bit. The pack is rebuilt
+    when the ray set changes; its width comes from the generators' L1
+    bound, computed once. Callers pass the likely extreme generators first.
     """
     gens = list(dict.fromkeys(primitive_vector(g) for g in generators if any(g)))
     if not gens:
         raise DegenerateInput("no nonzero generators")
     dim = len(gens[0])
     first = independent_subset(gens, dim)
-    base = [gens[i] for i in first]
-    rest = [g for i, g in enumerate(gens) if i not in set(first)]
-    inverse, _ = smith_normal_form(base).scaled_inverse()
-    rays: list[tuple[IntVec, int]] = []  # (ray, zero bitmask over processed constraints)
-    processed: list[IntVec] = list(base)
-    for i in range(dim):
-        ray = primitive_vector([row[i] for row in inverse])
-        mask = 0
-        for k, g in enumerate(processed):
-            d = sum(a * b for a, b in zip(ray, g))
-            if d == 0:
-                mask |= 1 << k
-            elif d < 0:
-                raise AssertionError("initial dual simplex inconsistent")
-        rays.append((ray, mask))
-
-    for g in rest:
-        k = len(processed)
-        pos, zero, neg = [], [], []
-        for ray, mask in rays:
-            d = sum(a * b for a, b in zip(ray, g))
-            if d > 0:
-                pos.append((ray, mask, d))
-            elif d == 0:
-                zero.append((ray, mask | (1 << k)))
-            else:
-                neg.append((ray, mask, d))
-        processed.append(g)
-        if not neg:
-            rays = [(r, m) for r, m, _ in pos] + zero
+    chosen = set(first)
+    order = [gens[i] for i in first] + [g for i, g in enumerate(gens) if i not in chosen]
+    inverse, _ = smith_normal_form(order[:dim]).scaled_inverse()
+    rays = [primitive_vector([row[i] for row in inverse]) for i in range(dim)]
+    masks = [0] * dim  # zero set of each ray over the processed generators, as bits
+    reach = l1_reach(gens)
+    pack = PackedNormals(rays, reach)
+    for k, g in enumerate(order):
+        value = pack.value(g)
+        if pack.inside(value):
+            for f in pack.fields(pack.tight(value)):
+                masks[f] |= 1 << k
             continue
-        new_rays = [(r, m) for r, m, _ in pos] + zero
-        all_masks = [m for _, m, _ in pos] + [m for _, m in zero] + [m for _, m, _ in neg]
-        pos_offset = 0
-        neg_offset = len(pos) + len(zero)
-        for ip, (rp, mp, dp) in enumerate(pos):
-            for jn, (rn, mn, dn) in enumerate(neg):
-                zmask = mp & mn
-                if bin(zmask).count("1") < dim - 2:
+        if k < dim:
+            raise AssertionError("initial dual simplex inconsistent")
+        d = pack.decode(value)
+        kept = [f for f, x in enumerate(d) if x >= 0]
+        neg = [f for f, x in enumerate(d) if x < 0]
+        new_rays = [rays[f] for f in kept]
+        new_masks = [masks[f] | (0 if d[f] else 1 << k) for f in kept]
+        for ip in kept:
+            if not d[ip]:
+                continue
+            for jn in neg:
+                zmask = masks[ip] & masks[jn]
+                if zmask.bit_count() < dim - 2:
                     continue
-                contained = False
-                for idx, other in enumerate(all_masks):
-                    if idx == pos_offset + ip or idx == neg_offset + jn:
-                        continue
-                    if zmask & ~other == 0:
-                        contained = True
-                        break
-                if contained:
+                if any(zmask & ~other == 0 for idx, other in enumerate(masks) if idx != ip and idx != jn):
                     continue
-                # dp > 0, dn < 0: dp*rn - dn*rp is a conic combination vanishing on g
-                ray = primitive_vector([dp * b - dn * a for a, b in zip(rp, rn)])
-                new_rays.append((ray, zmask | (1 << k)))
-        rays = new_rays
+                # d[ip] > 0 > d[jn]: d[ip]*r_jn - d[jn]*r_ip is a conic combination vanishing on g
+                new_rays.append(primitive_vector([d[ip] * b - d[jn] * a for a, b in zip(rays[ip], rays[jn])]))
+                new_masks.append(zmask | 1 << k)
+        rays, masks = new_rays, new_masks
+        pack = PackedNormals(rays, reach)
 
-    return tuple(sorted(ray for ray, _ in rays))
+    return tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +318,9 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     pivots of the right echelon of the equations, so the lift is already
     the canonical representative modulo the equations. Normals are
     primitive and lexicographically sorted; every generator lies in the
-    cone they describe (asserted). The columns with the most zero
-    entries, the likely extreme rays, enter the double description first.
+    cone they describe and satisfies the equations (asserted, one packed
+    evaluation per column). The columns with the most zero entries, the
+    likely extreme rays, enter the double description first.
     """
     cols = sorted(set(tuple(int(x) for x in c) for c in columns))
     cols = [c for c in cols if any(c)]
@@ -289,7 +340,9 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     sums = {sum(c) for c in cols}
     grading = sums.pop() if len(sums) == 1 else None
     rep = HRep(inequalities=tuple(sorted(normals)), equations=equations, grading_sum=grading)
-    if not all(rep.contains(c) for c in cols):
+    # an equation e enters as e.x >= 0 and -e.x >= 0, so one guard test checks every row
+    pack = PackedNormals([*rep.inequalities, *equations, *(tuple(-x for x in e) for e in equations)], l1_reach(cols))
+    if not all(pack.inside(pack.value(c)) for c in cols):
         raise AssertionError("a generator violates a facet normal or a span equation")
     return rep
 
@@ -314,19 +367,32 @@ def polytope_vertices(columns: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
 
 
 def vertices_by_facet_rank(columns: Sequence[IntVec], hrep: HRep) -> tuple[IntVec, ...]:
-    """Vertex detection via tight-facet rank; cross-validates the LP route.
+    """Columns that span extreme rays, by their tight-facet masks; cross-validates the LP route.
 
-    A generator spans an extreme ray iff its tight facet normals
-    together with the span equations have rank (ambient - 1).
+    The columns must be distinct with one nonzero coordinate sum
+    (asserted), so the extreme rays are the vertices of their convex
+    hull, and every face of the hull is the hull of the columns on it.
+    The smallest face through a column is cut out by the facets tight at
+    it, so the column is a vertex iff no other column is tight on all of
+    them: its tight mask is unique and no other mask strictly contains
+    it. A strict superset has more bits, so the masks are scanned by
+    falling bit count against the maximal masks found so far. The name
+    is kept from the tight-facet rank test this replaced, because
+    ``perfbench/tracer.py`` wraps the function by name.
     """
     cols = sorted(set(columns))
-    dim = len(cols[0])
-    verts = []
-    for c in cols:
-        tight = [h for h in hrep.inequalities if sum(a * b for a, b in zip(h, c)) == 0]
-        if IntLattice.from_vectors(dim, tight + list(hrep.equations)).rank == dim - 1:
-            verts.append(c)
-    return tuple(verts)
+    sums = {sum(c) for c in cols}
+    if len(sums) != 1 or 0 in sums:
+        raise AssertionError(f"vertex test needs distinct columns with one nonzero coordinate sum, got sums {sorted(sums)}")
+    pack = PackedNormals(hrep.inequalities, l1_reach(cols))
+    masks = [pack.tight(pack.value(c)) for c in cols]
+    count = Counter(masks)
+    maximal: list[int] = []
+    for mask in sorted(count, key=int.bit_count, reverse=True):
+        if all(mask & other != mask for other in maximal):
+            maximal.append(mask)
+    vertex_masks = {mask for mask in maximal if count[mask] == 1}
+    return tuple(c for c, mask in zip(cols, masks) if mask in vertex_masks)
 
 
 def f_vector(columns: Iterable[Sequence[int]]) -> FVector:
@@ -341,11 +407,12 @@ def f_vector_from_incidence(vertices: Sequence[IntVec], hrep: HRep) -> FVector:
     dim = affine_rank(vertices)
     if dim < 1:
         raise ValueError("polytope must have dimension >= 1")
-    facet_sets = []
-    for h in hrep.inequalities:
-        members = frozenset(i for i, v in enumerate(vertices) if sum(a * b for a, b in zip(h, v)) == 0)
-        if members:
-            facet_sets.append(members)
+    pack = PackedNormals(hrep.inequalities, l1_reach(vertices))
+    members: list[list[int]] = [[] for _ in hrep.inequalities]
+    for i, v in enumerate(vertices):
+        for f in pack.fields(pack.tight(pack.value(v))):
+            members[f].append(i)
+    facet_sets = [frozenset(m) for m in members if m]
     faces: set[frozenset[int]] = set(facet_sets)
     frontier = list(facet_sets)
     while frontier:

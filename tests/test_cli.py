@@ -1,9 +1,14 @@
 """CLI contract: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thmc
 from thmc import verify
 from thmc.cli import main
 
@@ -267,6 +272,20 @@ def _negated_facets(monkeypatch):
     return ["hyperplanes", "--model", "d", "--T", "4"]
 
 
+def _tilted_facet(monkeypatch):
+    import thmc.polyhedra
+
+    # 4r + t for the first normal r of d/T=4: exactly one column falls outside it, by 1
+    real = thmc.polyhedra.dual_description
+
+    def tilted(gens):
+        first, *rest = real(gens)
+        return (tuple(4 * x + y for x, y in zip(first, (-1, 0, 1, 0, 1, 1))), *rest)
+
+    monkeypatch.setattr(thmc.polyhedra, "dual_description", tilted)
+    return ["hyperplanes", "--model", "d", "--T", "4"]
+
+
 def _failed_witness(monkeypatch):
     import thmc.hilbert
 
@@ -277,8 +296,23 @@ def _failed_witness(monkeypatch):
     return ["hilbert", "--model", "d", "--T", "4"]
 
 
-@pytest.mark.parametrize("breakage", [_negated_facets, _failed_witness])
+@pytest.mark.parametrize("breakage", [_negated_facets, _tilted_facet, _failed_witness])
 def test_broken_invariant_exit_2(capsys, monkeypatch, breakage):
     assert main(breakage(monkeypatch)) == 2
     out, err = capsys.readouterr()
     assert not out and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    # from a checkout: only the source directory on the path, run from elsewhere
+    env = {**os.environ, "PYTHONPATH": str(Path(thmc.__file__).resolve().parents[1])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "thmc", *args], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    ok = run("verify", "--only", "design-fixtures", "--format", "json")
+    assert ok.returncode == 0, ok.stderr
+    payload = json.loads(ok.stdout)
+    assert payload["passed"] and [r["name"] for r in payload["results"]] == ["design-fixtures"]
+    unknown = run("verify", "--only", "no-such-criterion")
+    assert unknown.returncode == 1 and not unknown.stdout and "unknown criteria" in unknown.stderr

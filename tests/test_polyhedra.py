@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -11,11 +12,13 @@ from thmc.design import Model, distinct_columns
 from thmc.intlinalg import IntLattice
 from thmc.polyhedra import (
     DegenerateInput,
+    PackedNormals,
     classify_vertices,
     cone_facets,
     dual_description,
     f_vector,
     integer_points_equal_columns,
+    l1_reach,
     linear_feasible,
     middle_class_decomposition,
     model_d_columns,
@@ -112,13 +115,78 @@ def test_nonvertex_column_T5():
     assert len(verts) == 27
 
 
-@pytest.mark.parametrize("T", [4, 5, 6])
+@pytest.mark.parametrize("T", [4, 5, 6, 7, 8])
 def test_vertex_routes_agree(T):
+    # exact LP against the tight-facet masks
     cols = model_d_columns(T)
     hrep = cone_facets(cols)
     by_lp = set(polytope_vertices(cols))
-    by_rank = set(vertices_by_facet_rank(cols, hrep))
-    assert by_lp == by_rank
+    by_masks = set(vertices_by_facet_rank(cols, hrep))
+    assert by_lp == by_masks
+
+
+def test_model_d_vertex_counts_have_period_six():
+    # T = 0..5 (mod 6): 54, 77, 54, 63, 68, 63 vertices, from T = 13 on
+    expected = {0: 54, 1: 77, 2: 54, 3: 63, 4: 68, 5: 63}
+    for T in range(13, 26):
+        cols = model_d_columns(T)
+        assert len(vertices_by_facet_rank(cols, cone_facets(cols))) == expected[T % 6], T
+
+
+def test_vertex_test_needs_one_coordinate_sum():
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    with pytest.raises(AssertionError, match="one nonzero coordinate sum"):
+        vertices_by_facet_rank(cols, cone_facets(cols))
+
+
+def _dot(h, p):
+    return sum(a * b for a, b in zip(h, p))
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=1, max_size=8),
+            st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=1, max_size=8),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_packed_normals_match_the_dot_products(normals_and_points):
+    normals, points = normals_and_points
+    reach = l1_reach(points)
+    # two points of L1 norm `reach` on the coordinate of the largest |entry|: h.p = +-max|entry| * reach, the width bound
+    f, i = max(product(range(len(normals)), range(len(normals[0]))), key=lambda fi: abs(normals[fi[0]][fi[1]]))
+    for sign in (1, -1):
+        points.append(tuple(sign * reach if j == i else 0 for j in range(len(normals[0]))))
+    assert abs(_dot(normals[f], points[-1])) == max(abs(x) for h in normals for x in h) * reach
+    pack = PackedNormals(normals, l1_reach(points))
+    for p in points:
+        dots = [_dot(h, p) for h in normals]
+        value = pack.value(p)
+        assert pack.inside(value) == all(d >= 0 for d in dots)
+        tight = pack.tight(value)
+        assert [tight >> (pack.width * g + pack.width - 1) & 1 for g in range(len(normals))] == [int(d == 0) for d in dots]
+        assert tight & ~pack.guard == 0
+        assert list(pack.fields(tight)) == [g for g, d in enumerate(dots) if d == 0]
+        assert pack.decode(value) == dots
+
+
+# 4r + t for the first normal r of d/T=4: exactly one column falls outside it, by 1
+_TILT = (-1, 0, 1, 0, 1, 1)
+
+
+def test_containment_check_fails_on_one_field(monkeypatch):
+    import thmc.polyhedra
+
+    cols = model_d_columns(4)
+    real = thmc.polyhedra.dual_description
+    first, *rest = real(cols)  # d/T=4 is full-dimensional: the pivot coordinates are all six
+    tilted = tuple(4 * x + y for x, y in zip(first, _TILT))
+    assert sorted(v for v in (_dot(tilted, c) for c in cols) if v < 0) == [-1]
+    monkeypatch.setattr(thmc.polyhedra, "dual_description", lambda gens: (tilted, *rest))
+    with pytest.raises(AssertionError, match="violates a facet normal"):
+        cone_facets(cols)
 
 
 def test_cone_facets_orthant():
