@@ -95,6 +95,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         return _USAGE_ERROR
     table = fixtures.load_tables()[model.value]
     T_values = _parse_range(args.T) if args.T else sorted(table)
+    for T in T_values:  # every row is refused before the first is computed
+        hilbert.check_T_cap(model, T)
     rows = _map_jobs(partial(verify.table_row, model.value), T_values, args.jobs)
     failed = False
     records = []
@@ -122,13 +124,14 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
     blocks = fixtures.load_hyperplane_blocks(model)
     table = fixtures.load_tables()[model.value]
     T_values = _parse_range(args.T) if args.T else sorted(blocks)
+    missing = [T for T in T_values if T not in blocks]
+    if args.check_fixture and missing:  # refused before the first T is computed
+        print(f"no fixture block for T={', '.join(map(str, missing))}", file=sys.stderr)
+        return _USAGE_ERROR
     failed = False
     for T in T_values:
         nontrivial, hrep = verify.computed_nontrivial_facets(model, T)
         if args.check_fixture:
-            if T not in blocks:
-                print(f"T={T}: no fixture block", file=sys.stderr)
-                return _USAGE_ERROR
             cmp = fixtures.compare_hyperplanes(model, T, nontrivial)
             count_ok = T not in table or len(hrep.inequalities) == table[T][1][-1]
             ok = cmp.ok and count_ok

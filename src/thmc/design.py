@@ -125,10 +125,6 @@ class DesignMatrix:
     columns: tuple[tuple[int, ...], ...]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.columns)
-
-    @property
     def column_sum(self) -> int:
         return self.model.column_sum(self.T)
 

@@ -66,6 +66,13 @@ class HilbertBasisResult:
         }
 
 
+def check_T_cap(model: Model, T: int, max_T: int | None = None) -> None:
+    """Refuse T beyond ``max_T`` (default ``_DEFAULT_T_CAP[model]``)."""
+    cap = max_T if max_T is not None else _DEFAULT_T_CAP[model]
+    if T > cap:
+        raise RangeExceeded(f"T={T} beyond configured cap {cap} for model {model.value}")
+
+
 def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = None) -> HilbertBasisResult:
     """Minimal generating set of cone(columns) ∩ Z(columns).
 
@@ -74,9 +81,7 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     ``max_T`` (default ``_DEFAULT_T_CAP[model]``) is refused before any work.
     """
     model = Model.parse(model)
-    cap = max_T if max_T is not None else _DEFAULT_T_CAP[model]
-    if T > cap:
-        raise RangeExceeded(f"T={T} beyond configured cap {cap} for model {model.value}")
+    check_T_cap(model, T, max_T)
     cols = distinct_columns(model, S, T)
     hrep = cone_facets(cols)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)

@@ -3,8 +3,8 @@
 Vertices are certified by exact LP feasibility (is the point a convex
 combination of the rest?) and, independently, by tight-facet masks;
 facets come from the double description method run on the pivot
-coordinates of the column span, and f-vectors from closure-based face
-enumeration over the vertex-facet incidences. The two routes
+coordinates of the column span, and f-vectors from a graded face walk
+over the vertex-facet incidences. The two routes
 cross-validate each other: the dilation identity, too, is decided by
 the LP on one side (x in kP) and by the facets on the other (x in the
 cone). Every column-against-facet test (the double description's ray
@@ -263,18 +263,6 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Span equations
-
-def _canonical_sign(vec: IntVec) -> IntVec:
-    for x in vec:
-        if x > 0:
-            return vec
-        if x < 0:
-            return tuple(-v for v in vec)
-    return vec
-
-
-# ---------------------------------------------------------------------------
 # Public representations
 
 @dataclass(frozen=True)
@@ -283,7 +271,6 @@ class HRep:
 
     inequalities: tuple[IntVec, ...]
     equations: tuple[IntVec, ...]
-    grading_sum: int | None = None  # common coordinate sum of the generators, if any
 
     def contains(self, point: Sequence[int]) -> bool:
         """Is the integer point in the cone?"""
@@ -328,7 +315,8 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
         raise DegenerateInput("all columns are zero")
     dim = len(cols[0])
     echelon = IntLattice.from_vectors(dim, cols).echelon_rows()
-    equations = tuple(sorted(_canonical_sign(primitive_vector(e)) for e in kernel_lattice_basis(echelon)))
+    kernel = [primitive_vector(e) for e in kernel_lattice_basis(echelon)]
+    equations = tuple(sorted(e if next(filter(None, e)) > 0 else tuple(-x for x in e) for e in kernel))  # first nonzero entry positive
     pivots = [next(i for i, x in enumerate(row) if x) for row in echelon]
     ordered = sorted(cols, key=lambda c: c.count(0), reverse=True)
     normals = []
@@ -337,9 +325,7 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
         for i, x in zip(pivots, ray):
             h[i] = x
         normals.append(tuple(h))
-    sums = {sum(c) for c in cols}
-    grading = sums.pop() if len(sums) == 1 else None
-    rep = HRep(inequalities=tuple(sorted(normals)), equations=equations, grading_sum=grading)
+    rep = HRep(inequalities=tuple(sorted(normals)), equations=equations)
     # an equation e enters as e.x >= 0 and -e.x >= 0, so one guard test checks every row
     pack = PackedNormals([*rep.inequalities, *equations, *(tuple(-x for x in e) for e in equations)], l1_reach(cols))
     if not all(pack.inside(pack.value(c)) for c in cols):
@@ -366,6 +352,15 @@ def polytope_vertices(columns: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
     return tuple(verts)
 
 
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that no other contains, scanned by falling bit count (a superset has more bits)."""
+    maximal: list[int] = []
+    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(mask & other != mask for other in maximal):
+            maximal.append(mask)
+    return maximal
+
+
 def vertices_by_facet_rank(columns: Sequence[IntVec], hrep: HRep) -> tuple[IntVec, ...]:
     """Columns that span extreme rays, by their tight-facet masks; cross-validates the LP route.
 
@@ -374,10 +369,8 @@ def vertices_by_facet_rank(columns: Sequence[IntVec], hrep: HRep) -> tuple[IntVe
     hull, and every face of the hull is the hull of the columns on it.
     The smallest face through a column is cut out by the facets tight at
     it, so the column is a vertex iff no other column is tight on all of
-    them: its tight mask is unique and no other mask strictly contains
-    it. A strict superset has more bits, so the masks are scanned by
-    falling bit count against the maximal masks found so far. The name
-    is kept from the tight-facet rank test this replaced, because
+    them: its tight mask is unique and maximal. The name is kept from
+    the tight-facet rank test this replaced, because
     ``perfbench/tracer.py`` wraps the function by name.
     """
     cols = sorted(set(columns))
@@ -387,16 +380,12 @@ def vertices_by_facet_rank(columns: Sequence[IntVec], hrep: HRep) -> tuple[IntVe
     pack = PackedNormals(hrep.inequalities, l1_reach(cols))
     masks = [pack.tight(pack.value(c)) for c in cols]
     count = Counter(masks)
-    maximal: list[int] = []
-    for mask in sorted(count, key=int.bit_count, reverse=True):
-        if all(mask & other != mask for other in maximal):
-            maximal.append(mask)
-    vertex_masks = {mask for mask in maximal if count[mask] == 1}
+    vertex_masks = {mask for mask in _maximal(count) if count[mask] == 1}
     return tuple(c for c, mask in zip(cols, masks) if mask in vertex_masks)
 
 
 def f_vector(columns: Iterable[Sequence[int]]) -> FVector:
-    """Proper face counts from the vertex-facet incidence closure."""
+    """Proper face counts of the columns' convex hull, by the graded face walk."""
     cols = sorted(set(tuple(int(x) for x in c) for c in columns))
     hrep = cone_facets(cols)
     verts = vertices_by_facet_rank(cols, hrep)
@@ -404,32 +393,35 @@ def f_vector(columns: Iterable[Sequence[int]]) -> FVector:
 
 
 def f_vector_from_incidence(vertices: Sequence[IntVec], hrep: HRep) -> FVector:
+    """Proper face counts by a graded walk over the vertex-facet incidences (Kaibel-Pfetsch 2002).
+
+    A face is an int with bit i set when vertex i is on it; the facets'
+    masks come from the packed tight masks. The faces one dimension
+    below F are the maximal members of {F & G : G a facet} - {0, F}, so
+    the walk goes level by level from the facets, as given, down to the
+    vertices; the level sizes, reversed, are f_0 ... f_{d-1}. Three
+    checks fail on an incidence no polytope has: the level count must be
+    the vertices' affine rank, the last level one face per vertex, and
+    the counts must meet the Euler relation.
+    """
     dim = affine_rank(vertices)
     if dim < 1:
         raise ValueError("polytope must have dimension >= 1")
     pack = PackedNormals(hrep.inequalities, l1_reach(vertices))
-    members: list[list[int]] = [[] for _ in hrep.inequalities]
+    facets = [0] * pack.count
     for i, v in enumerate(vertices):
         for f in pack.fields(pack.tight(pack.value(v))):
-            members[f].append(i)
-    facet_sets = [frozenset(m) for m in members if m]
-    faces: set[frozenset[int]] = set(facet_sets)
-    frontier = list(facet_sets)
-    while frontier:
-        nxt = []
-        for face in frontier:
-            for fs in facet_sets:
-                child = face & fs
-                if child and child != face and child not in faces:
-                    faces.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    counts = [0] * dim
-    for face in faces:
-        d = affine_rank([vertices[i] for i in face])
-        if d < dim:
-            counts[d] += 1
-    return FVector(dim=dim, counts=tuple(counts))
+            facets[f] |= 1 << i
+    levels: list[set[int]] = []
+    level = set(facets) - {0}
+    while level:
+        levels.append(level)
+        level = {child for face in level for child in _maximal(face & g for g in facets if face & g not in (0, face))}
+    if len(levels) != dim:
+        raise AssertionError(f"face walk has {len(levels)} levels, the vertices span dimension {dim}")
+    if levels[-1] != {1 << i for i in range(len(vertices))}:
+        raise AssertionError("the face walk's last level is not one face per vertex")
+    return FVector(dim=dim, counts=tuple(len(level) for level in reversed(levels)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,6 @@ class StateGraph:
         if any(v < 0 for row in self.x for v in row):
             raise ValueError("multiplicities must be non-negative")
 
-    def mult(self, i: int, j: int) -> int:
-        return self.x[i - 1][j - 1]
-
     @property
     def edge_count(self) -> int:
         return sum(v for row in self.x for v in row)

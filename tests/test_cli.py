@@ -156,6 +156,26 @@ def test_hyperplanes_check_fails_on_a_flipped_model_c_entry(capsys, monkeypatch)
     assert not result.passed and "c/T=4:FAIL" in result.details and "d/T=4:PASS" in result.details
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tables", "--model", "d", "--T", "15..16"], "T=16 beyond configured cap 15 for model d"),
+        (["tables", "--model", "c", "--T", "9..10"], "T=10 beyond configured cap 9 for model c"),
+        (["hyperplanes", "--model", "d", "--T", "14..16", "--check-fixture"], "no fixture block for T=16"),
+    ],
+)
+def test_every_T_of_a_range_is_refused_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("a row was computed before the whole range was checked")
+
+    monkeypatch.setattr(verify, "table_row", no_work)
+    monkeypatch.setattr(verify, "computed_nontrivial_facets", no_work)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_hyperplanes_print_block(capsys):
     assert main(["hyperplanes", "--model", "d", "--T", "4"]) == 0
     out = capsys.readouterr().out

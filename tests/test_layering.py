@@ -1,9 +1,10 @@
-"""The package's modules import each other without a cycle, and every top-level name has a caller."""
+"""The package's modules import each other without a cycle, and every top-level name and method has a caller."""
 
 import ast
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from typing import Iterator
 
 import thmc
 
@@ -61,17 +62,28 @@ def _references(tree: ast.AST) -> Counter:
     return found
 
 
+def _definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """(qualified name, node) of each top-level function and class, and of each method and property but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not (member.name.startswith("__") and member.name.endswith("__")):
+                        yield f"{node.name}.{member.name}", member
+
+
 def test_every_top_level_name_is_referenced():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
     bench = [BENCH / name for name in ("run.py", "workloads.py", "tracer.py")]
     references = sum(map(_references, [*trees.values(), *(ast.parse(path.read_text()) for path in bench)]), Counter())
-    unreferenced = set()
+    unreferenced = {}
     for path, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if references[node.name] == _references(node)[node.name]:  # only its own definition names it
-                    unreferenced.add(f"{path.stem}.{node.name}")
-    unexpected = sorted(n for n in unreferenced if n.split(".")[1] not in KEPT_UNREFERENCED)
+        for qualified, node in _definitions(tree):
+            if references[node.name] == _references(node)[node.name]:  # only its own definition names it
+                unreferenced[f"{path.stem}.{qualified}"] = node.name
+    unexpected = sorted(n for n, name in unreferenced.items() if name not in KEPT_UNREFERENCED)
     assert not unexpected, f"defined but never referenced: {', '.join(unexpected)}"
-    assert {n.split(".")[1] for n in unreferenced} == KEPT_UNREFERENCED, "KEPT_UNREFERENCED names a function that is now referenced or gone"
+    assert set(unreferenced.values()) == KEPT_UNREFERENCED, "KEPT_UNREFERENCED names a function that is now referenced or gone"

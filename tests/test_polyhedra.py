@@ -1,6 +1,7 @@
 """Cone facets, polytope vertices, f-vectors and dilation checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -8,6 +9,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from thmc import polyhedra
 from thmc.design import Model, distinct_columns
 from thmc.intlinalg import IntLattice
 from thmc.polyhedra import (
@@ -17,6 +19,7 @@ from thmc.polyhedra import (
     cone_facets,
     dual_description,
     f_vector,
+    f_vector_from_incidence,
     integer_points_equal_columns,
     l1_reach,
     linear_feasible,
@@ -294,6 +297,66 @@ def test_f_vector_tables_small():
     assert f_vector(distinct_columns(Model.C, 3, 4)).counts == (24, 156, 434, 606, 444, 162, 24)
 
 
+def test_f_vector_of_model_b_in_dimension_eight():
+    assert f_vector(distinct_columns(Model.B, 3, 4)).counts == (53, 480, 1492, 2256, 1908, 942, 258, 33)
+
+
+def _lifted(points):
+    """The points with one more coordinate that gives them all the same coordinate sum."""
+    top = max(map(sum, points))
+    return [(*p, top - sum(p)) for p in points]
+
+
+def test_f_vector_of_cube_and_octahedron():
+    cube = list(product((0, 1), repeat=3))
+    octahedron = [tuple(1 + s * (i == j) for j in range(3)) for i in range(3) for s in (-1, 1)]
+    assert f_vector(_lifted(cube)).counts == (8, 12, 6)
+    assert f_vector(_lifted(octahedron)).counts == (6, 12, 8)
+
+
+def _incidence(model):
+    cols = distinct_columns(model, 3, 4)
+    hrep = cone_facets(cols)
+    return vertices_by_facet_rank(cols, hrep), hrep
+
+
+@pytest.mark.parametrize("model", [Model.D, Model.C])
+def test_f_vector_fails_without_any_one_facet(model):
+    verts, hrep = _incidence(model)
+    for i in range(len(hrep.inequalities)):
+        dropped = replace(hrep, inequalities=hrep.inequalities[:i] + hrep.inequalities[i + 1 :])
+        with pytest.raises(AssertionError):
+            f_vector_from_incidence(verts, dropped)
+
+
+def test_f_vector_fails_without_any_one_vertex():
+    verts, hrep = _incidence(Model.C)
+    assert len(verts) == 24
+    for i in range(len(verts)):
+        with pytest.raises(AssertionError):
+            f_vector_from_incidence(verts[:i] + verts[i + 1 :], hrep)
+
+
+def test_each_face_walk_check_can_fail():
+    verts, hrep = _incidence(Model.D)
+    with pytest.raises(AssertionError, match="face walk has 1 levels"):
+        f_vector_from_incidence(verts, replace(hrep, inequalities=hrep.inequalities[:1]))
+    with pytest.raises(AssertionError, match="last level is not one face per vertex"):
+        f_vector_from_incidence(verts, replace(hrep, inequalities=hrep.inequalities[1:]))
+    verts, hrep = _incidence(Model.C)
+    with pytest.raises(AssertionError, match="Euler relation violated"):
+        f_vector_from_incidence(verts[1:], hrep)
+
+
+def test_face_walk_computes_one_affine_rank(monkeypatch):
+    verts, hrep = _incidence(Model.C)
+    calls = []
+    rank = polyhedra.affine_rank
+    monkeypatch.setattr(polyhedra, "affine_rank", lambda points: calls.append(len(points)) or rank(points))
+    assert f_vector_from_incidence(verts, hrep).counts == (24, 156, 434, 606, 444, 162, 24)
+    assert calls == [24]
+
+
 def test_dilation_identity_samples():
     rep = verify_dilation_slice(4, 2, 60, seed=2)
     assert rep.ok and rep.agreements == 60
@@ -373,6 +436,3 @@ def test_normals_block_text_roundtrip():
     text = normals_to_block_text(normals)
     assert normals_from_block_text(text) == tuple(sorted(normals))
 
-
-def test_hrep_grading_sum():
-    assert cone_facets(model_d_columns(4)).grading_sum == 3
