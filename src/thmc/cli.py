@@ -147,18 +147,10 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
     return _VERIFY_ERROR if failed else 0
 
 
-def _run_criterion(name: str, seed: int) -> verify.CriterionResult:
-    return verify.run_suite([name], seed=seed)[0]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = args.only.split(",") if args.only else list(verify.ALL_CRITERIA)
-    unknown = [n for n in names if n not in verify.ALL_CRITERIA]
-    if unknown:
-        print(f"unknown criteria: {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(verify.ALL_CRITERIA)}", file=sys.stderr)
-        return _USAGE_ERROR
-    results = _map_jobs(partial(_run_criterion, seed=args.seed), names, args.jobs)
+    names = verify.criterion_names(args.only.split(",") if args.only else None)  # refused before any runs
+    runs = _map_jobs(partial(verify.run_suite, seed=args.seed), [[name] for name in names], args.jobs)
+    results = [result for [result] in runs]
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps({"results": [r.__dict__ for r in results], "passed": not failed}, indent=1))

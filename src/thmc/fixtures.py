@@ -163,7 +163,6 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
 class HyperplaneComparison:
     model: Model
     T: int
-    matches: int
     fixture_only: tuple[IntVec, ...]
     computed_only: tuple[IntVec, ...]
 
@@ -179,7 +178,6 @@ def compare_hyperplanes(model: Model | str, T: int, computed_nontrivial: tuple[I
     return HyperplaneComparison(
         model=model,
         T=T,
-        matches=len(fixture & computed),
         fixture_only=tuple(sorted(fixture - computed)),
         computed_only=tuple(sorted(computed - fixture)),
     )

@@ -25,9 +25,9 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
-from .intlinalg import IntLattice, IntVec, SnfResult, independent_subset, primitive_vector, smith_normal_form
+from .intlinalg import IntLattice, IntVec, PackedNormals, SnfResult, independent_subset, l1_reach, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
-from .polyhedra import PackedNormals, cone_facets, l1_reach, linear_feasible, vertices_by_facet_rank
+from .polyhedra import cone_facets, linear_feasible, vertices_by_facet_rank
 from .words import word_count
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}

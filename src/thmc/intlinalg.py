@@ -3,8 +3,10 @@
 Smith normal form with verified transformation matrices and the scaled
 inverse read off it, incremental Hermite-style lattice bases (the one
 elimination behind every rank and independent-subset choice), lattice
-membership tests, integer kernels, and the alternating pivot-path pairs
-used to diagonalize the loop-free transition design matrices.
+membership tests, integer kernels, the alternating pivot-path pairs
+used to diagonalize the loop-free transition design matrices, and the
+one packed-integer format (:class:`PackedNormals`) in which a single
+integer sum evaluates many dot products at once.
 
 Everything here is arbitrary-precision: inputs and outputs are plain
 Python ints, matrices are tuples of row tuples.
@@ -13,8 +15,10 @@ Python ints, matrices are tuples of row tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -533,3 +537,64 @@ def primitive_vector(vector: Sequence[int]) -> IntVec:
     if g == 0:
         return tuple(int(x) for x in vector)
     return tuple(int(x) // g for x in vector)
+
+
+# ---------------------------------------------------------------------------
+# Packed evaluation: every normal against one point in one integer sum
+
+def l1_reach(points: Iterable[Sequence[int]]) -> int:
+    """The largest L1 norm among the points (0 for none)."""
+    return max((sum(map(abs, p)) for p in points), default=0)
+
+
+class PackedNormals:
+    """Integer normals packed so that one sum evaluates all of them at a point.
+
+    Normal f takes the field of ``width`` bits at offset width * f of one
+    integer per coordinate, so guard + sum(p_i * coord_i) holds guard + h_f.p
+    in field f. ``width`` = bit_length(max |entry| * reach) + 2, and
+    ``reach`` must make max |entry| * reach >= every |h_f.p| evaluated
+    (an L1 bound on the points, :func:`l1_reach`, is one way to meet it),
+    so each h_f.p lies strictly inside +-2^(width-2): every field stays in
+    [0, 2^width) and nothing carries between fields, for signed normals
+    and points alike. A field's top (guard) bit is set exactly when
+    h_f.p >= 0.
+    """
+
+    def __init__(self, normals: Sequence[Sequence[int]], reach: int):
+        self.count = len(normals)
+        top = max(map(abs, chain.from_iterable(normals)), default=0) * reach
+        self.width = width = top.bit_length() + 2
+        self.guard = sum(1 << (width * f + width - 1) for f in range(self.count))
+        self.low = self.guard - (self.guard >> (width - 1))  # the bits below the guard of each field
+        self.coords = tuple(sum(x << (width * f) for f, x in enumerate(column)) for column in zip(*normals))
+
+    def value(self, point: Sequence[int]) -> int:
+        """guard + the packed dot products h_f.point."""
+        return self.guard + sum(map(mul, point, self.coords))
+
+    def inside(self, value: int) -> bool:
+        """Is h_f.point >= 0 for every f?"""
+        return value & self.guard == self.guard
+
+    def tight(self, value: int) -> int:
+        """The guard bits of the fields with h_f.point == 0.
+
+        The bits below a field's guard hold h_f.p mod 2^(width-1), zero
+        only at h_f.p == 0 because |h_f.p| < 2^(width-2); adding ``low``
+        carries into the guard bit of every other field.
+        """
+        return self.guard & ~((value & self.low) + self.low)
+
+    def fields(self, mask: int) -> Iterator[int]:
+        """Indices f of the guard bits set in ``mask``, in increasing order."""
+        while mask:
+            bit = mask & -mask
+            yield bit.bit_length() // self.width - 1
+            mask ^= bit
+
+    def decode(self, value: int) -> list[int]:
+        """Every h_f.point, in order."""
+        width = self.width
+        field, half = (1 << width) - 1, 1 << (width - 1)
+        return [(value >> (width * f) & field) - half for f in range(self.count)]

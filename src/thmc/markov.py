@@ -19,6 +19,7 @@ from operator import itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, sufficient
+from .intlinalg import PackedNormals, identity_matrix
 from .stategraph import components
 from .words import Word, iter_words, word_count, word_index
 
@@ -34,7 +35,9 @@ class DegreeCapExceeded(ValueError):
 
 
 def check_degree(kind: str, degree: int) -> None:
-    """Raise :class:`DegreeCapExceeded` when ``degree`` is above ``_DEFAULT_DEGREE_CAP``."""
+    """Raise ``ValueError`` for a degree below 1, :class:`DegreeCapExceeded` for one above ``_DEFAULT_DEGREE_CAP``."""
+    if degree < 1:
+        raise ValueError(f"{kind} degree {degree} is below 1")
     if degree > _DEFAULT_DEGREE_CAP:
         raise DegreeCapExceeded(f"{kind} degree {degree} exceeds cap {_DEFAULT_DEGREE_CAP}")
 
@@ -60,24 +63,7 @@ Element = tuple[Word, ...]  # sorted words, with multiplicity
 
 
 @dataclass(frozen=True)
-class Marginal:
-    model: Model
-    S: int
-    T: int
-    b: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        colsum = self.model.column_sum(self.T)
-        total = sum(self.b)
-        if total % colsum:
-            raise ValueError("marginal total is not a multiple of the column sum")
-        return total // colsum
-
-
-@dataclass(frozen=True)
 class Fiber:
-    marginal: Marginal
     elements: tuple[Element, ...]
 
     @property
@@ -135,18 +121,21 @@ def enumerate_fiber(
     one element is the empty multiset.
     """
     model = Model.parse(model)
-    marginal = Marginal(model=model, S=S, T=T, b=tuple(int(x) for x in b))
-    degree = marginal.degree
-    check_degree("marginal", degree)
+    b = tuple(int(x) for x in b)
+    degree, rest = divmod(sum(b), model.column_sum(T))
+    if rest:
+        raise ValueError("marginal total is not a multiple of the column sum")
+    if degree:  # degree 0 needs no search: see the b = 0 case below
+        check_degree("marginal", degree)
     m = word_count(S, T, model.no_loops)
     if m > word_cap:
         raise SizeCapExceeded(f"{m} words exceed the word cap {word_cap}")
-    fitting = [(w, col) for w, col in iter_columns(model, S, T) if all(map(le, col, marginal.b))]
+    fitting = [(w, col) for w, col in iter_columns(model, S, T) if all(map(le, col, b))]
     if not fitting:
-        return Fiber(marginal=marginal, elements=() if any(marginal.b) else ((),))
+        return Fiber(elements=() if any(b) else ((),))
     words, cols = zip(*fitting)
-    group = _fibers(cols, degree, marginal.b).get(marginal.b, ())
-    return Fiber(marginal=marginal, elements=tuple(tuple(words[i] for i in combo) for combo in group))
+    group = _fibers(cols, degree, b).get(b, ())
+    return Fiber(elements=tuple(tuple(words[i] for i in combo) for combo in group))
 
 
 def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move, ...]:
@@ -187,26 +176,22 @@ def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] 
     A lexicographic depth-first search over non-decreasing index tuples,
     so each group is in the order of ``combinations_with_replacement``
     and the groups in order of first appearance. Each vector is packed
-    into one integer, a field of ``width`` bits per coordinate, so a step
-    of the search is one integer add. Every sum and bound stays below
-    2^(width-2) in absolute value, so ``room - grown`` keeps the top bit
-    of a field set exactly when that coordinate of the sum is within
-    ``bound``; a prefix over the bound is not extended, which is exact
-    because the vectors (design columns) are non-negative. No bound is
-    the bound that no sum of ``size`` vectors exceeds.
+    by :class:`PackedNormals` with one unit normal per coordinate, so a
+    step of the search is one integer add. Its reach is the largest sum
+    or bound entry, so ``room - grown`` keeps the guard bit of a field
+    set exactly when that coordinate of the sum is within ``bound``; a
+    prefix over the bound is not extended, which is exact because the
+    vectors (design columns) are non-negative. No bound is the bound
+    that no sum of ``size`` vectors exceeds.
     """
     dim = len(vectors[0])
     top = size * max(abs(x) for v in vectors for x in v)
     if bound is None:
         bound = (top,) * dim
-    width = max(top, *map(abs, bound)).bit_length() + 2
-    guard = sum(1 << (width * r + width - 1) for r in range(dim))
-
-    def pack(v: Sequence[int]) -> int:
-        return sum(x << (width * r) for r, x in enumerate(v))
-
-    packed = [pack(v) for v in vectors]
-    room = guard + pack(bound)
+    pack = PackedNormals(identity_matrix(dim), max(top, *map(abs, bound)))
+    guard = pack.guard
+    packed = [pack.value(v) - guard for v in vectors]
+    room = pack.value(bound)
     n = len(packed)
     groups: dict[int, list[tuple[int, ...]]] = {}
 
@@ -222,8 +207,8 @@ def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] 
                 groups.setdefault(total + packed[i], []).append(combo + (i,))
 
     extend((), 0, 0, size)
-    mask, offset = (1 << width) - 1, 1 << (width - 1)
-    return {tuple(((key + guard) >> (width * r) & mask) - offset for r in range(dim)): members for key, members in groups.items()}
+    del extend  # it names itself: dropping that name frees the groups now, not at the next cyclic collection
+    return {tuple(pack.decode(key + guard)): members for key, members in groups.items()}
 
 
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:

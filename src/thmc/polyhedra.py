@@ -21,10 +21,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import stategraph
 from .design import Model, compositions, distinct_columns, transition_pairs
@@ -32,8 +30,10 @@ from .intlinalg import (
     DegenerateInput,
     IntLattice,
     IntVec,
+    PackedNormals,
     independent_subset,
     kernel_lattice_basis,
+    l1_reach,
     primitive_vector,
     smith_normal_form,
 )
@@ -137,65 +137,6 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
         return -1
     base = points[0]
     return IntLattice.from_vectors(len(base), [[a - b for a, b in zip(p, base)] for p in points[1:]]).rank
-
-
-# ---------------------------------------------------------------------------
-# Packed evaluation: every normal against one point in one integer sum
-
-def l1_reach(points: Iterable[Sequence[int]]) -> int:
-    """The largest L1 norm among the points (0 for none)."""
-    return max((sum(map(abs, p)) for p in points), default=0)
-
-
-class PackedNormals:
-    """Integer normals packed so that one sum evaluates all of them at a point.
-
-    Normal f takes the field of ``width`` bits at offset width * f of one
-    integer per coordinate, so guard + sum(p_i * coord_i) holds guard + h_f.p
-    in field f. ``width`` = bit_length(max |entry| * reach) + 2, where
-    ``reach`` bounds the L1 norm of every point evaluated, so each h_f.p
-    lies strictly inside +-2^(width-2): every field stays in [0, 2^width)
-    and nothing carries between fields, for signed normals and points
-    alike. A field's top (guard) bit is set exactly when h_f.p >= 0.
-    """
-
-    def __init__(self, normals: Sequence[Sequence[int]], reach: int):
-        self.count = len(normals)
-        top = max(map(abs, chain.from_iterable(normals)), default=0) * reach
-        self.width = width = top.bit_length() + 2
-        self.guard = sum(1 << (width * f + width - 1) for f in range(self.count))
-        self.low = self.guard - (self.guard >> (width - 1))  # the bits below the guard of each field
-        self.coords = tuple(sum(x << (width * f) for f, x in enumerate(column)) for column in zip(*normals))
-
-    def value(self, point: Sequence[int]) -> int:
-        """guard + the packed dot products h_f.point."""
-        return self.guard + sum(map(mul, point, self.coords))
-
-    def inside(self, value: int) -> bool:
-        """Is h_f.point >= 0 for every f?"""
-        return value & self.guard == self.guard
-
-    def tight(self, value: int) -> int:
-        """The guard bits of the fields with h_f.point == 0.
-
-        The bits below a field's guard hold h_f.p mod 2^(width-1), zero
-        only at h_f.p == 0 because |h_f.p| < 2^(width-2); adding ``low``
-        carries into the guard bit of every other field.
-        """
-        return self.guard & ~((value & self.low) + self.low)
-
-    def fields(self, mask: int) -> Iterator[int]:
-        """Indices f of the guard bits set in ``mask``, in increasing order."""
-        while mask:
-            bit = mask & -mask
-            yield bit.bit_length() // self.width - 1
-            mask ^= bit
-
-    def decode(self, value: int) -> list[int]:
-        """Every h_f.point, in order."""
-        width = self.width
-        field, half = (1 << width) - 1, 1 << (width - 1)
-        return [(value >> (width * f) & field) - half for f in range(self.count)]
 
 
 # ---------------------------------------------------------------------------

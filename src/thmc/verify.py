@@ -1,21 +1,29 @@
 """The verification suite: every headline property checked at full strength.
 
-Each criterion is a standalone function returning a result record, so
-the CLI, the test suite, and ad-hoc runs all share one implementation.
-Randomized checks take an explicit seed and are reproducible.
+Each criterion is a plain function ``(seed) -> (passed, details)``,
+registered once by name in :data:`ALL_CRITERIA`. :func:`run_suite` is
+the one place that checks the names, times a criterion and turns its
+crash into a failure, so the CLI, the test suite, and ad-hoc runs all
+share one implementation. Randomized checks use the seed and are
+reproducible; the deterministic ones ignore it.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from math import prod
+from time import perf_counter
+from typing import Callable, Iterable
 
 from . import fixtures, hilbert, markov, polyhedra, stategraph
 from .design import Model, build_design_matrix, column_of_word, distinct_columns, iter_columns, transition_pairs
 from .intlinalg import IntLattice, lattice_membership, pivot_paths, residue_test, smith_normal_form
+
+_SNF_SAMPLES = 50  # sampled columns double-checked against each generated lattice
+_LATTICE_VECTORS = 500  # random vectors per (model, T) in criterion 3
+_DILATION_SAMPLES = 200  # points per (T, k) slice of the dilation identity in criterion 8
 
 
 @dataclass
@@ -26,36 +34,24 @@ class CriterionResult:
     seconds: float
 
 
-def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CriterionResult:
-    start = time.perf_counter()
-    try:
-        passed, details = fn()
-    except Exception as exc:  # a crash is a failure with the error as detail
-        passed, details = False, f"error: {exc!r}"
-    return CriterionResult(name=name, passed=passed, details=details, seconds=time.perf_counter() - start)
-
-
 # ---------------------------------------------------------------------------
 # 1. Printed design matrices
 
-def check_design_fixtures() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        notes = []
-        ok = True
-        for model in (Model.A, Model.B, Model.C, Model.D):
-            cmp = fixtures.compare_design_fixture(model)
-            ok &= cmp.ok
-            if model in (Model.A, Model.B):
-                notes.append(f"{model.value}: entrywise={'OK' if cmp.strict_entrywise else 'FAIL'}")
-            else:
-                tag = "identity" if cmp.permutation == tuple(range(len(cmp.permutation or ()))) else "permuted"
-                notes.append(
-                    f"{model.value}: multiset={'OK' if cmp.columns_match_as_multiset else 'FAIL'}"
-                    f" (printed data column order vs lex header: {tag})"
-                )
-        return ok, "; ".join(notes)
-
-    return _timed("design-fixtures", run)
+def check_design_fixtures(seed: int) -> tuple[bool, str]:
+    notes = []
+    ok = True
+    for model in (Model.A, Model.B, Model.C, Model.D):
+        cmp = fixtures.compare_design_fixture(model)
+        ok &= cmp.ok
+        if model in (Model.A, Model.B):
+            notes.append(f"{model.value}: entrywise={'OK' if cmp.strict_entrywise else 'FAIL'}")
+        else:
+            tag = "identity" if cmp.permutation == tuple(range(len(cmp.permutation or ()))) else "permuted"
+            notes.append(
+                f"{model.value}: multiset={'OK' if cmp.columns_match_as_multiset else 'FAIL'}"
+                f" (printed data column order vs lex header: {tag})"
+            )
+    return ok, "; ".join(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +59,7 @@ def check_design_fixtures() -> CriterionResult:
 
 def _generating_words_model_b(S: int, T: int) -> list[tuple[int, ...]]:
     """Words 1...1st for all (s, t): the subset the diagonalization proof reduces."""
-    words = []
-    for s in range(1, S + 1):
-        for t in range(1, S + 1):
-            words.append((1,) * (T - 2) + (s, t))
-    return words
+    return [(1,) * (T - 2) + (s, t) for s in range(1, S + 1) for t in range(1, S + 1)]
 
 
 def _generating_words_model_d(T: int) -> list[tuple[int, ...]]:
@@ -94,23 +86,20 @@ def _generated_lattice(model: Model, S: int, T: int) -> IntLattice:
     return IntLattice.from_vectors(len(transition_pairs(S, model.no_loops)), (column_of_word(model, S, w) for w in words))
 
 
-def snf_diagonal_via_lattice(model: Model, S: int, T: int, *, samples: int = 50, seed: int = 0) -> tuple[int, ...]:
+def snf_diagonal_via_lattice(model: Model, S: int, T: int, *, seed: int = 0) -> tuple[int, ...]:
     """Invariant factors of the design matrix without materializing it.
 
     A small generating word set pins the column lattice from below; the
     uniform column sum T-1 pins it from above inside the residue
     sublattice of the same index, so reaching index T-1 proves equality.
-    Sampled columns are double-checked for membership.
+    ``_SNF_SAMPLES`` sampled columns are double-checked for membership.
     """
     lat = _generated_lattice(model, S, T)
     factors = lat.invariant_factors()
-    index = 1
-    for f in factors:
-        index *= f
-    if len(factors) != lat.dim or index != T - 1:
+    if len(factors) != lat.dim or prod(factors) != T - 1:
         raise AssertionError(f"generating subset reached factors {factors}, not index {T - 1}")
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(_SNF_SAMPLES):
         w = _random_word(rng, S, T, model.no_loops)
         col = column_of_word(model, S, w)
         if sum(col) != model.column_sum(T):
@@ -131,86 +120,62 @@ def _random_word(rng: random.Random, S: int, T: int, no_loops: bool) -> tuple[in
     return tuple(word)
 
 
-def check_snf_theorems(seed: int = 0) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        checked = 0
-        for S in (2, 3, 4):
-            for T in range(3, 11):
-                expected = tuple([1] * (S * S - 1) + [T - 1])
-                got = snf_diagonal_via_lattice(Model.B, S, T, seed=seed)
-                if got != expected:
-                    return False, f"model b S={S} T={T}: diagonal {got}"
-                checked += 1
-        for T in range(4, 13):
-            expected = tuple([1] * 5 + [T - 1])
-            got = snf_diagonal_via_lattice(Model.D, 3, T, seed=seed)
-            if got != expected:
-                return False, f"model d T={T}: diagonal {got}"
-            checked += 1
-        # direct full-matrix route on the small cases (U*A*V = D asserted inside)
-        direct = 0
-        for model, S, T in [(Model.B, 2, 4), (Model.B, 2, 6), (Model.B, 2, 8), (Model.B, 3, 4), (Model.B, 3, 5), (Model.B, 4, 3), (Model.D, 3, 4), (Model.D, 3, 6), (Model.D, 3, 7)]:
-            rows = build_design_matrix(model, S, T).as_rows()
-            snf = smith_normal_form(rows)
-            if snf.diagonal != tuple([1] * (len(rows) - 1) + [T - 1]):
-                return False, f"direct SNF mismatch for {model.value} S={S} T={T}"
-            direct += 1
-        return True, f"{checked} lattice-route diagonals + {direct} direct full-matrix cross-checks"
-
-    return _timed("snf-theorems", run)
+def check_snf_theorems(seed: int) -> tuple[bool, str]:
+    lattice_route = [(Model.B, S, T) for S in (2, 3, 4) for T in range(3, 11)] + [(Model.D, 3, T) for T in range(4, 13)]
+    for model, S, T in lattice_route:
+        got = snf_diagonal_via_lattice(model, S, T, seed=seed)
+        if got != tuple([1] * (len(transition_pairs(S, model.no_loops)) - 1) + [T - 1]):
+            return False, f"model {model.value} S={S} T={T}: diagonal {got}"
+    # direct full-matrix route on the small cases (U*A*V = D asserted inside)
+    direct = [(Model.B, 2, 4), (Model.B, 2, 6), (Model.B, 2, 8), (Model.B, 3, 4), (Model.B, 3, 5), (Model.B, 4, 3), (Model.D, 3, 4), (Model.D, 3, 6), (Model.D, 3, 7)]
+    for model, S, T in direct:
+        rows = build_design_matrix(model, S, T).as_rows()
+        snf = smith_normal_form(rows)
+        if snf.diagonal != tuple([1] * (len(rows) - 1) + [T - 1]):
+            return False, f"direct SNF mismatch for {model.value} S={S} T={T}"
+    return True, f"{len(lattice_route)} lattice-route diagonals + {len(direct)} direct full-matrix cross-checks"
 
 
 # ---------------------------------------------------------------------------
 # 3. Lattice membership lemmas
 
-def check_lattice_lemmas(seed: int = 0, vectors: int = 500) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        rng = random.Random(seed)
-        agreements = 0
-        for model, S in ((Model.B, 3), (Model.D, 3)):
-            for T in range(4, 11):
-                lat = _generated_lattice(model, S, T)
-                for _ in range(vectors):
-                    if rng.random() < 0.25:
-                        y = [0] * lat.dim
-                        for _ in range(rng.randint(1, 3)):
-                            col = column_of_word(model, S, _random_word(rng, S, T, model.no_loops))
-                            sign = rng.choice((-1, 1))
-                            y = [a + sign * b for a, b in zip(y, col)]
-                    else:
-                        y = [rng.randint(-10, 10) for _ in range(lat.dim)]
-                    if lat.contains(y) != residue_test(y, T):
-                        return False, f"{model.value} S={S} T={T}: disagreement on {y}"
-                    agreements += 1
-        # direct matrix route on small instances
-        for model, S, T in [(Model.B, 2, 4), (Model.B, 2, 5), (Model.D, 3, 4), (Model.D, 3, 5)]:
-            rows = build_design_matrix(model, S, T).as_rows()
-            for _ in range(50):
-                y = [rng.randint(-6, 6) for _ in range(len(rows))]
-                if lattice_membership(rows, y) != residue_test(y, T):
-                    return False, f"direct route disagreement {model.value} S={S} T={T}: {y}"
+def check_lattice_lemmas(seed: int) -> tuple[bool, str]:
+    rng = random.Random(seed)
+    agreements = 0
+    for model, S in ((Model.B, 3), (Model.D, 3)):
+        for T in range(4, 11):
+            lat = _generated_lattice(model, S, T)
+            for _ in range(_LATTICE_VECTORS):
+                if rng.random() < 0.25:
+                    y = [0] * lat.dim
+                    for _ in range(rng.randint(1, 3)):
+                        col = column_of_word(model, S, _random_word(rng, S, T, model.no_loops))
+                        sign = rng.choice((-1, 1))
+                        y = [a + sign * b for a, b in zip(y, col)]
+                else:
+                    y = [rng.randint(-10, 10) for _ in range(lat.dim)]
+                if lat.contains(y) != residue_test(y, T):
+                    return False, f"{model.value} S={S} T={T}: disagreement on {y}"
                 agreements += 1
-        return True, f"{agreements} membership/residue agreements"
-
-    return _timed("lattice-lemmas", run)
+    # direct matrix route on small instances
+    for model, S, T in [(Model.B, 2, 4), (Model.B, 2, 5), (Model.D, 3, 4), (Model.D, 3, 5)]:
+        rows = build_design_matrix(model, S, T).as_rows()
+        for _ in range(50):
+            y = [rng.randint(-6, 6) for _ in range(len(rows))]
+            if lattice_membership(rows, y) != residue_test(y, T):
+                return False, f"direct route disagreement {model.value} S={S} T={T}: {y}"
+            agreements += 1
+    return True, f"{agreements} membership/residue agreements"
 
 
 # ---------------------------------------------------------------------------
 # 4. Non-normality witnesses
 
-def check_witnesses() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        count = 0
-        for T in range(4, 9):
-            hilbert.nonnormality_witness(Model.A, 3, T)
-            count += 1
-        for S in (2, 3):
-            for T in range(3, 9):
-                hilbert.nonnormality_witness(Model.B, S, T)
-                count += 1
-        return True, f"{count} witnesses verified (cone + lattice + integer infeasibility)"
-
-    return _timed("nonnormality-witnesses", run)
+def check_witnesses(seed: int) -> tuple[bool, str]:
+    cases = [(Model.A, 3, T) for T in range(4, 9)] + [(Model.B, S, T) for S in (2, 3) for T in range(3, 9)]
+    for case in cases:
+        hilbert.nonnormality_witness(*case)
+    return True, f"{len(cases)} witnesses verified (cone + lattice + integer infeasibility)"
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +194,25 @@ def row_matches(row: tuple[int, int, tuple[int, ...], bool], expected: tuple[int
     return (count, fv) == expected and normal
 
 
-def check_table(model: Model, T_values: Sequence[int] | None = None) -> CriterionResult:
-    name = f"table-{model.value}"
+def _check_table(model: Model) -> tuple[bool, str]:
+    """Every fixture row of the model's table, recomputed."""
+    table = fixtures.load_tables()[model.value]
+    lines = []
+    ok = True
+    for T in sorted(table):
+        row = table_row(model, T)
+        row_ok = row_matches(row, table[T])
+        ok &= row_ok
+        lines.append(f"T={T}:{'PASS' if row_ok else f'FAIL(hb={row[1]},f={row[2]})'}")
+    return ok, " ".join(lines)
 
-    def run() -> tuple[bool, str]:
-        table = fixtures.load_tables()[model.value]
-        lines = []
-        ok = True
-        for T in sorted(table) if T_values is None else T_values:
-            row = table_row(model, T)
-            row_ok = row_matches(row, table[T])
-            ok &= row_ok
-            lines.append(f"T={T}:{'PASS' if row_ok else f'FAIL(hb={row[1]},f={row[2]})'}")
-        return ok, " ".join(lines)
 
-    return _timed(name, run)
+def check_table_d(seed: int) -> tuple[bool, str]:
+    return _check_table(Model.D)
+
+
+def check_table_c(seed: int) -> tuple[bool, str]:
+    return _check_table(Model.C)
 
 
 # ---------------------------------------------------------------------------
@@ -257,152 +226,151 @@ def computed_nontrivial_facets(model: Model, T: int) -> tuple[tuple[tuple[int, .
     return tuple(sorted(set(hrep.inequalities) - nonneg)), hrep
 
 
-def check_hyperplanes() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        ok = True
-        parts = []
-        for model in (Model.D, Model.C):
-            table = fixtures.load_tables()[model.value]
-            for T in sorted(fixtures.load_hyperplane_blocks(model)):
-                nontrivial, hrep = computed_nontrivial_facets(model, T)
-                cmp = fixtures.compare_hyperplanes(model, T, nontrivial)
-                row_ok = cmp.ok and len(hrep.inequalities) == table[T][1][-1]
-                ok &= row_ok
-                parts.append(f"{model.value}/T={T}:{'PASS' if row_ok else 'FAIL'}")
-        return ok, " ".join(parts)
-
-    return _timed("hyperplanes", run)
+def check_hyperplanes(seed: int) -> tuple[bool, str]:
+    ok = True
+    parts = []
+    for model in (Model.D, Model.C):
+        table = fixtures.load_tables()[model.value]
+        for T in sorted(fixtures.load_hyperplane_blocks(model)):
+            nontrivial, hrep = computed_nontrivial_facets(model, T)
+            cmp = fixtures.compare_hyperplanes(model, T, nontrivial)
+            row_ok = cmp.ok and len(hrep.inequalities) == table[T][1][-1]
+            ok &= row_ok
+            parts.append(f"{model.value}/T={T}:{'PASS' if row_ok else 'FAIL'}")
+    return ok, " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # 8. Polytope structure
 
-def check_polytope_structure(seed: int = 0, samples: int = 200) -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        for T in range(4, 9):
-            if not polyhedra.integer_points_equal_columns(T):
-                return False, f"integer points differ from columns at T={T}"
-        bad = []
-        for T in range(4, 9):
-            for k in (1, 2, 3):
-                rep = polyhedra.verify_dilation_slice(T, k, samples, seed=seed)
-                if not rep.ok:
-                    bad.append((T, k, len(rep.counterexamples)))
-        if bad:
-            return False, f"dilation counterexamples: {bad}"
-        middle = []
-        for T in range(13, 26):
-            rep = polyhedra.classify_vertices(T)
+def check_polytope_structure(seed: int) -> tuple[bool, str]:
+    for T in range(4, 9):
+        if not polyhedra.integer_points_equal_columns(T):
+            return False, f"integer points differ from columns at T={T}"
+    bad = []
+    for T in range(4, 9):
+        for k in (1, 2, 3):
+            rep = polyhedra.verify_dilation_slice(T, k, _DILATION_SAMPLES, seed=seed)
             if not rep.ok:
-                middle.append((T, rep.middle_class_vertices))
-        if middle:
-            return False, f"middle-class vertices found: {middle}"
-        return True, f"integer points T=4..8, {samples} dilation samples x (T=4..8, k=1..3), vertex classes T=13..25"
-
-    return _timed("polytope-structure", run)
+                bad.append((T, k, len(rep.counterexamples)))
+    if bad:
+        return False, f"dilation counterexamples: {bad}"
+    middle = []
+    for T in range(13, 26):
+        rep = polyhedra.classify_vertices(T)
+        if not rep.ok:
+            middle.append((T, rep.middle_class_vertices))
+    if middle:
+        return False, f"middle-class vertices found: {middle}"
+    return True, f"integer points T=4..8, {_DILATION_SAMPLES} dilation samples x (T=4..8, k=1..3), vertex classes T=13..25"
 
 
 # ---------------------------------------------------------------------------
 # 9. Eulerian round trip
 
-def check_euler_roundtrip() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        count = 0
-        for T in range(4, 11):
-            for word, col in iter_columns(Model.D, 3, T):
-                graph = stategraph.graph_of_word(word, 3)
-                rebuilt = stategraph.eulerian_path(graph)
-                if column_of_word(Model.D, 3, rebuilt) != col:
-                    return False, f"round trip failed for word {word}"
-                count += 1
-        return True, f"{count} columns reconstructed"
-
-    return _timed("euler-roundtrip", run)
+def check_euler_roundtrip(seed: int) -> tuple[bool, str]:
+    count = 0
+    for T in range(4, 11):
+        for word, col in iter_columns(Model.D, 3, T):
+            graph = stategraph.graph_of_word(word, 3)
+            rebuilt = stategraph.eulerian_path(graph)
+            if column_of_word(Model.D, 3, rebuilt) != col:
+                return False, f"round trip failed for word {word}"
+            count += 1
+    return True, f"{count} columns reconstructed"
 
 
 # ---------------------------------------------------------------------------
 # 10. f-vector stabilization
 
-def check_stabilization() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        fv = {T: polyhedra.f_vector(distinct_columns(Model.D, 3, T)).counts for T in range(4, 16)}
-        ok = fv[12] == fv[14] and fv[11] == fv[15]
-        distinct_small = len({fv[T] for T in range(4, 8)}) == 4
-        return ok and distinct_small, f"f(12)==f(14): {fv[12] == fv[14]}, f(11)==f(15): {fv[11] == fv[15]}, T=4..7 distinct: {distinct_small}"
-
-    return _timed("fvector-stabilization", run)
+def check_stabilization(seed: int) -> tuple[bool, str]:
+    fv = {T: polyhedra.f_vector(distinct_columns(Model.D, 3, T)).counts for T in range(4, 16)}
+    ok = fv[12] == fv[14] and fv[11] == fv[15]
+    distinct_small = len({fv[T] for T in range(4, 8)}) == 4
+    return ok and distinct_small, f"f(12)==f(14): {fv[12] == fv[14]}, f(11)==f(15): {fv[11] == fv[15]}, T=4..7 distinct: {distinct_small}"
 
 
 # ---------------------------------------------------------------------------
 # 11. Hilbert oracle agreement
 
-def check_hilbert_oracle() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        cap = 3
-        checked = []
-        for model, Ts in ((Model.D, (4, 5, 6)), (Model.C, (4, 5))):
-            for T in Ts:
-                main = hilbert.hilbert_basis(model, 3, T)
-                main_capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * model.column_sum(T)))
-                oracle = hilbert.hilbert_basis_bruteforce_oracle(model, 3, T, cap)
-                if main_capped != oracle:
-                    return False, f"{model.value} T={T}: main {len(main_capped)} vs oracle {len(oracle)}"
-                checked.append(f"{model.value}/T={T}")
-        return True, f"exact agreement up to degree {cap}: " + ", ".join(checked)
-
-    return _timed("hilbert-oracle", run)
+def check_hilbert_oracle(seed: int) -> tuple[bool, str]:
+    cap = 3
+    checked = []
+    for model, Ts in ((Model.D, (4, 5, 6)), (Model.C, (4, 5))):
+        for T in Ts:
+            main = hilbert.hilbert_basis(model, 3, T)
+            main_capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * model.column_sum(T)))
+            oracle = hilbert.hilbert_basis_bruteforce_oracle(model, 3, T, cap)
+            if main_capped != oracle:
+                return False, f"{model.value} T={T}: main {len(main_capped)} vs oracle {len(oracle)}"
+            checked.append(f"{model.value}/T={T}")
+    return True, f"exact agreement up to degree {cap}: " + ", ".join(checked)
 
 
 # ---------------------------------------------------------------------------
 # 12. Markov-degree probes
 
-def check_markov_probe() -> CriterionResult:
-    def run() -> tuple[bool, str]:
-        lines = []
-        for T in range(4, 9):
-            rep = markov.minimal_connecting_degree(Model.D, 3, T, 3)
-            lines.append(f"d/S=3/T={T}: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
-            if rep.minimal_k > 6:
-                return False, f"T={T}: minimal_k={rep.minimal_k} exceeds the conjectured 6"
-        for S in (4, 5):
-            rep = markov.minimal_connecting_degree(Model.D, S, 3, 2)
-            lines.append(f"d/S={S}/T=3: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
-            if rep.minimal_k > S - 1:
-                return False, f"S={S}: minimal_k={rep.minimal_k} exceeds S-1"
-        # kernel + walk validity on a small instance, via explicit moves
-        moves = markov.moves_up_to_degree(Model.D, 3, 4, 2)
-        fiber = markov.enumerate_fiber(Model.D, 3, 4, markov.sufficient(Model.D, 3, [(1, 2, 1, 2), (2, 1, 2, 1)]))
-        connected, comps = markov.fiber_connected(fiber, moves)
-        if not connected:
-            return False, f"explicit degree-2 moves fail to connect a degree-2 fiber: {len(comps)} components"
-        return True, "; ".join(lines) + f"; {len(moves)} explicit moves validated"
-
-    return _timed("markov-probe", run)
+def check_markov_probe(seed: int) -> tuple[bool, str]:
+    lines = []
+    for T in range(4, 9):
+        rep = markov.minimal_connecting_degree(Model.D, 3, T, 3)
+        lines.append(f"d/S=3/T={T}: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
+        if rep.minimal_k > 6:
+            return False, f"T={T}: minimal_k={rep.minimal_k} exceeds the conjectured 6"
+    for S in (4, 5):
+        rep = markov.minimal_connecting_degree(Model.D, S, 3, 2)
+        lines.append(f"d/S={S}/T=3: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
+        if rep.minimal_k > S - 1:
+            return False, f"S={S}: minimal_k={rep.minimal_k} exceeds S-1"
+    # kernel + walk validity on a small instance, via explicit moves
+    moves = markov.moves_up_to_degree(Model.D, 3, 4, 2)
+    fiber = markov.enumerate_fiber(Model.D, 3, 4, markov.sufficient(Model.D, 3, [(1, 2, 1, 2), (2, 1, 2, 1)]))
+    connected, comps = markov.fiber_connected(fiber, moves)
+    if not connected:
+        return False, f"explicit degree-2 moves fail to connect a degree-2 fiber: {len(comps)} components"
+    return True, "; ".join(lines) + f"; {len(moves)} explicit moves validated"
 
 
 # ---------------------------------------------------------------------------
 # Runner
 
-# Every criterion takes the seed; the deterministic ones ignore it.
-ALL_CRITERIA: dict[str, Callable[[int], CriterionResult]] = {
-    "design-fixtures": lambda seed: check_design_fixtures(),
+ALL_CRITERIA: dict[str, Callable[[int], tuple[bool, str]]] = {
+    "design-fixtures": check_design_fixtures,
     "snf-theorems": check_snf_theorems,
     "lattice-lemmas": check_lattice_lemmas,
-    "nonnormality-witnesses": lambda seed: check_witnesses(),
-    "table-d": lambda seed: check_table(Model.D),
-    "table-c": lambda seed: check_table(Model.C),
-    "hyperplanes": lambda seed: check_hyperplanes(),
+    "nonnormality-witnesses": check_witnesses,
+    "table-d": check_table_d,
+    "table-c": check_table_c,
+    "hyperplanes": check_hyperplanes,
     "polytope-structure": check_polytope_structure,
-    "euler-roundtrip": lambda seed: check_euler_roundtrip(),
-    "fvector-stabilization": lambda seed: check_stabilization(),
-    "hilbert-oracle": lambda seed: check_hilbert_oracle(),
-    "markov-probe": lambda seed: check_markov_probe(),
+    "euler-roundtrip": check_euler_roundtrip,
+    "fvector-stabilization": check_stabilization,
+    "hilbert-oracle": check_hilbert_oracle,
+    "markov-probe": check_markov_probe,
 }
 
 
-def run_suite(only: Iterable[str] | None = None, seed: int = 0) -> list[CriterionResult]:
+class UnknownCriterion(KeyError):
+    __str__ = Exception.__str__  # the message itself, not KeyError's quoted repr of it
+
+
+def criterion_names(only: Iterable[str] | None) -> list[str]:
+    """The names to run, all by default; any unknown name refuses the lot, in one line."""
     names = list(ALL_CRITERIA) if only is None else list(only)
     unknown = [name for name in names if name not in ALL_CRITERIA]
     if unknown:
-        raise KeyError(f"unknown criterion {unknown[0]!r}; known: {', '.join(ALL_CRITERIA)}")
-    return [ALL_CRITERIA[name](seed) for name in names]
+        raise UnknownCriterion(f"unknown criteria: {', '.join(unknown)}; known: {', '.join(ALL_CRITERIA)}")
+    return names
+
+
+def run_suite(only: Iterable[str] | None = None, seed: int = 0) -> list[CriterionResult]:
+    """The named criteria (all by default) in order, each timed; a crash is a failure with the error as detail."""
+    results = []
+    for name in criterion_names(only):  # every name is checked before the first criterion runs
+        start = perf_counter()
+        try:
+            passed, details = ALL_CRITERIA[name](seed)
+        except Exception as exc:
+            passed, details = False, f"error: {exc!r}"
+        results.append(CriterionResult(name=name, passed=passed, details=details, seconds=perf_counter() - start))
+    return results

@@ -7,6 +7,7 @@ words fixes the column order of every design matrix downstream.
 
 from __future__ import annotations
 
+from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -36,23 +37,23 @@ def word_count(S: int, T: int, no_loops: bool) -> int:
 
 
 def iter_words(S: int, T: int, no_loops: bool) -> Iterator[Word]:
-    """Yield all words in strict lexicographic order (streaming)."""
+    """Yield all words in strict lexicographic order (streaming).
+
+    Without loops, a word is its first state followed by T-1 step ranks
+    in 1..S-1: rank r after state p is state r if r < p, else r + 1.
+    That map is increasing in r, so the ranks in lexicographic order give
+    the words in lexicographic order.
+    """
     _check_dims(S, T)
-    word = [0] * T
     states = range(1, S + 1)
+    if not no_loops:
+        return product(states, repeat=T)
+    return (tuple(accumulate(ranks, _step)) for ranks in product(states, *[range(1, S)] * (T - 1)))
 
-    def rec(pos: int) -> Iterator[Word]:
-        if pos == T:
-            yield tuple(word)
-            return
-        prev = word[pos - 1] if pos else None
-        for s in states:
-            if no_loops and s == prev:
-                continue
-            word[pos] = s
-            yield from rec(pos + 1)
 
-    return rec(0)
+def _step(prev: int, rank: int) -> int:
+    """The state of step rank ``rank`` after state ``prev`` in a loop-free word."""
+    return rank if rank < prev else rank + 1
 
 
 def enumerate_words(S: int, T: int, no_loops: bool) -> tuple[Word, ...]:

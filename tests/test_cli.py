@@ -152,7 +152,7 @@ def test_hyperplanes_check_fails_on_a_flipped_model_c_entry(capsys, monkeypatch)
     monkeypatch.setattr(thmc.fixtures, "_read_data", flipped)
     assert main(["hyperplanes", "--model", "c", "--T", "4", "--check-fixture"]) == 2
     assert "FAIL" in capsys.readouterr().out
-    result = verify.check_hyperplanes()
+    [result] = verify.run_suite(["hyperplanes"])
     assert not result.passed and "c/T=4:FAIL" in result.details and "d/T=4:PASS" in result.details
 
 
@@ -188,8 +188,14 @@ def test_verify_only_filter(capsys):
     assert "PASS" in out and "1/1" in out
 
 
-def test_verify_unknown_criterion(capsys):
-    assert main(["verify", "--only", "nope"]) == 1
+def test_verify_unknown_criterion(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.ALL_CRITERIA, "design-fixtures", lambda seed: ran.append(seed) or (True, ""))
+    for only in ("nope", "design-fixtures,nope"):
+        assert main(["verify", "--only", only]) == 1
+        out, err = capsys.readouterr()
+        assert not out and not ran  # refused before any criterion runs
+        assert len(err.splitlines()) == 1 and err.startswith("thmc: unknown criteria: nope; known: design-fixtures, ")
 
 
 def test_verify_seed_determinism(capsys):
@@ -234,6 +240,29 @@ def test_markov_degree_guard_runs_before_any_work(capsys, monkeypatch, tmp_path,
     out, err = capsys.readouterr()
     assert not out and not (tmp_path / "moves.txt").exists()
     assert len(err.splitlines()) == 1 and "degree 5 exceeds cap 4" in err
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--D", "0"], "fiber degree 0 is below 1"),
+        (["--D", "-1"], "fiber degree -1 is below 1"),
+        (["--D", "2", "--moves-k", "0", "--moves-out", "moves.txt"], "move degree 0 is below 1"),
+    ],
+)
+def test_markov_degrees_below_one_are_refused_before_any_work(capsys, monkeypatch, tmp_path, extra, message):
+    import thmc.markov
+
+    def no_work(*args):
+        raise AssertionError("columns or words enumerated past the degree guard")
+
+    monkeypatch.setattr(thmc.markov, "distinct_columns", no_work)
+    monkeypatch.setattr(thmc.markov, "iter_words", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main(["markov", "--model", "d", "--T", "4", *extra]) == 1
+    out, err = capsys.readouterr()
+    assert not out and not (tmp_path / "moves.txt").exists()
+    assert len(err.splitlines()) == 1 and message in err
 
 
 def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Fibers, moves, connectivity, and the degree probe."""
 
+import gc
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -205,6 +206,19 @@ def test_probe_reports():
     assert not report.disconnected_fibers
     payload = report.to_json()
     assert '"minimal_k"' in payload
+
+
+def test_probe_and_word_stream_leave_no_reference_cycle():
+    # a closure that names itself would keep every fiber group alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        minimal_connecting_degree(Model.D, 3, 4, 3)
+        for _ in iter_words(3, 6, True):
+            pass
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
 
 
 def test_probe_wide_models():

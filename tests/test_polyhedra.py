@@ -11,17 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thmc import polyhedra
 from thmc.design import Model, distinct_columns
-from thmc.intlinalg import IntLattice
+from thmc.intlinalg import IntLattice, PackedNormals, l1_reach
 from thmc.polyhedra import (
     DegenerateInput,
-    PackedNormals,
     classify_vertices,
     cone_facets,
     dual_description,
     f_vector,
     f_vector_from_incidence,
     integer_points_equal_columns,
-    l1_reach,
     linear_feasible,
     middle_class_decomposition,
     model_d_columns,

@@ -8,18 +8,16 @@ import pytest
 import thmc.polyhedra
 import thmc.stategraph
 from thmc.design import Model
-from thmc.verify import (
-    ALL_CRITERIA,
-    check_design_fixtures,
-    check_euler_roundtrip,
-    check_polytope_structure,
-    run_suite,
-    snf_diagonal_via_lattice,
-)
+from thmc.verify import ALL_CRITERIA, run_suite, snf_diagonal_via_lattice
+
+
+def _run(name):
+    [result] = run_suite([name])
+    return result
 
 
 def test_criterion_result_shape():
-    result = check_design_fixtures()
+    result = _run("design-fixtures")
     assert result.passed and result.name == "design-fixtures"
     assert result.seconds >= 0
 
@@ -27,7 +25,7 @@ def test_criterion_result_shape():
 def test_criterion_seconds_survive_a_backward_wall_clock(monkeypatch):
     clock = iter(range(1000, 0, -1))
     monkeypatch.setattr(time, "time", lambda: float(next(clock)))
-    assert check_design_fixtures().seconds >= 0
+    assert _run("design-fixtures").seconds >= 0
 
 
 def test_snf_lattice_route_values():
@@ -36,9 +34,22 @@ def test_snf_lattice_route_values():
     assert snf_diagonal_via_lattice(Model.D, 3, 12) == (1, 1, 1, 1, 1, 11)
 
 
-def test_run_suite_rejects_unknown():
-    with pytest.raises(KeyError):
-        run_suite(["bogus"])
+def test_run_suite_rejects_unknown(monkeypatch):
+    ran = []
+    monkeypatch.setitem(ALL_CRITERIA, "design-fixtures", lambda seed: ran.append(seed) or (True, ""))
+    with pytest.raises(KeyError) as info:
+        run_suite(["design-fixtures", "bogus"])
+    assert not ran  # refused before the first criterion runs
+    assert str(info.value).startswith("unknown criteria: bogus; known: design-fixtures, ") and "\n" not in str(info.value)
+
+
+def test_run_suite_turns_a_crash_into_a_failure(monkeypatch):
+    def crash(seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(ALL_CRITERIA, "design-fixtures", crash)
+    result = _run("design-fixtures")
+    assert not result.passed and result.details == "error: ZeroDivisionError('boom')"
 
 
 def test_all_criteria_registered():
@@ -60,7 +71,7 @@ def test_polytope_criterion_fails_without_a_facet(monkeypatch):
         return replace(hrep, inequalities=hrep.inequalities[1:])
 
     monkeypatch.setattr(thmc.polyhedra, "cone_facets", one_facet_short)
-    result = check_polytope_structure()
+    result = _run("polytope-structure")
     assert not result.passed and result.details.startswith("dilation counterexamples")
 
 
@@ -73,7 +84,7 @@ def test_polytope_criterion_fails_with_a_negated_dilation_lp(monkeypatch):
 
     monkeypatch.setattr(thmc.polyhedra, "linear_feasible", negated_dilation)
     assert thmc.polyhedra.verify_dilation_slice(4, 1, 30).agreements == 0
-    result = check_polytope_structure()
+    result = _run("polytope-structure")
     assert not result.passed and result.details.startswith("integer points differ")
 
 
@@ -90,5 +101,5 @@ def _euler_path_reversed(monkeypatch):
 @pytest.mark.parametrize("mutate", [_graph_drops_last_letter, _euler_path_reversed])
 def test_euler_criterion_fails_on_a_broken_round_trip(monkeypatch, mutate):
     mutate(monkeypatch)
-    result = check_euler_roundtrip()
+    result = _run("euler-roundtrip")
     assert not result.passed and result.details.startswith("round trip failed")
