@@ -148,7 +148,7 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = verify.criterion_names(args.only.split(",") if args.only else None)  # refused before any runs
+    names = verify.criterion_names(args.only.split(",") if args.only is not None else None)  # refused before any runs
     runs = _map_jobs(partial(verify.run_suite, seed=args.seed), [[name] for name in names], args.jobs)
     results = [result for [result] in runs]
     failed = [r for r in results if not r.passed]

@@ -7,10 +7,13 @@ the lattice points of every half-open fundamental parallelepiped, and
 reduce the candidate pool to irreducibles by increasing degree. The
 extreme rays are placed first: every later direction already lies in
 the cone and adds no simplex, and a ray's visibility costs one dot
-product per distinct boundary normal. Each simplex costs one Smith
-normal form U R V = D of its ray matrix R: the scaled inverse
-V diag(vol / d_i) U = vol R^-1 gives the facet normals, vol = prod d_i
-the volume, and V with the d_i the parallelepiped points.
+product per distinct boundary normal. Every simplex carries its scaled
+inverse N = vol R^-1 and volume vol = |det R|: row i of N is the inward
+normal of the facet opposite ray i, and the columns of N mod vol
+generate the parallelepiped's coefficient group. Only the first simplex
+takes a Smith normal form; each later one is a neighbour with one ray
+exchanged, and its (N, vol) is a rank-1 update of the neighbour's,
+checked in full against N R = vol I.
 A brute-force degree-capped search acts as an independent oracle, and
 the explicit non-normality witnesses of the with-loop models are
 verified by exact computation.
@@ -20,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
-from .intlinalg import IntLattice, IntVec, PackedNormals, SnfResult, independent_subset, l1_reach, primitive_vector, smith_normal_form
+from .intlinalg import IntLattice, IntVec, PackedNormals, independent_subset, l1_reach, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
 from .polyhedra import cone_facets, linear_feasible, vertices_by_facet_rank
 from .words import word_count
@@ -102,8 +104,8 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
         return tuple(sum(q * row[i] for q, row in zip(z, basis_rows)) for i in range(lattice.dim))
 
     candidates: set[IntVec] = set(back(z) for z in directions)
-    for simplex, snf in _placing_triangulation(directions, rank, len(hrep.inequalities)):
-        for z in _parallelepiped_points([directions[i] for i in simplex], snf):
+    for simplex, N, vol in _placing_triangulation(directions, rank, len(hrep.inequalities)):
+        for z in _parallelepiped_points([directions[i] for i in simplex], N, vol):
             candidates.add(back(z))
     candidates.discard(tuple([0] * lattice.dim))
 
@@ -135,51 +137,68 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     return HilbertBasisResult(model=model, S=S, T=T, elements=elements, normal=normal)
 
 
-def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> Iterator[tuple[tuple[int, ...], SnfResult]]:
-    """Triangulate cone(rays) into simplicial subcones, each with the Smith form of its rays.
+Simplex = tuple[tuple[int, ...], tuple[IntVec, ...], int]  # (ray indices, N = vol * R^-1, vol)
+
+
+def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> Iterator[Simplex]:
+    """Triangulate cone(rays) into simplicial subcones, each with its scaled inverse.
 
     Incremental placing: start from a linearly independent subset, then
     attach every later ray to the boundary facets it strictly sees; a
     ray inside the current cone adds nothing, so callers place the
-    extreme rays first. Boundary facets are grouped by primitive inward
-    normal and a ray sees a whole group or none of it, so visibility
-    costs one dot product per distinct normal: once the extreme rays
-    are in, one per facet of the cone. At the end the distinct normals
-    must number ``facets``, the count from the double description.
+    extreme rays first. Boundary facets are bitmasks over the ray
+    indices, grouped by primitive inward normal; a ray sees a whole group
+    or none of it, so visibility costs one dot product per distinct
+    normal: once the extreme rays are in, one per facet of the cone. At
+    the end the distinct normals must number ``facets``, the count from
+    the double description.
 
-    The one Smith form of a new simplex's ray matrix R gives vol * R^-1,
-    whose row i is the inward normal of the facet opposite ray i; the
-    same Smith form later yields the simplex's parallelepiped points.
-    Placing never removes a simplex, so each is yielded as soon as it is
-    added.
+    Each simplex comes with (N, vol), N = vol * R^-1 for its ray matrix R
+    (rays as columns, in index order) and vol = |det R|: row i of N is
+    the inward normal of the facet opposite ray i. Only the first simplex
+    takes a Smith form; every later one is the simplex that owns a
+    visible facet with one ray exchanged, and :func:`_exchange` updates
+    its (N, vol). Each new (N, vol) is checked in full, N R = vol I, by
+    one packed evaluation per ray. Placing never removes a simplex, so
+    each is yielded as soon as it is added.
     """
     n = len(rays)
     picked = independent_subset(rays, rank)
+    reach = l1_reach(rays)
 
     # primitive inward normal -> boundary facets on its hyperplane; a facet
     # met again from the other side (opposite normal) is interior
-    by_normal: dict[IntVec, set[frozenset[int]]] = {}
+    by_normal: dict[IntVec, set[int]] = {}
+    owner: dict[int, Simplex] = {}  # boundary facet -> the simplex it bounds
 
-    def add_simplex(simplex: tuple[int, ...]) -> tuple[tuple[int, ...], SnfResult]:
-        snf = smith_normal_form([[rays[j][i] for j in simplex] for i in range(rank)], check=False)
-        normals, vol = snf.scaled_inverse()
-        full = frozenset(simplex)
-        for drop, normal in zip(simplex, normals):
-            if sum(a * b for a, b in zip(normal, rays[drop])) != vol:
-                raise AssertionError("simplex normal does not isolate its opposite ray")
-            facet = full - {drop}
-            normal = primitive_vector(normal)
+    def add_simplex(simplex: tuple[int, ...], N: tuple[IntVec, ...], vol: int) -> Simplex:
+        pack = PackedNormals(N, reach)
+        guard, width = pack.guard, pack.width
+        # every field is exact below 2^(width - 2), so equal integers mean equal fields
+        if not 0 < vol < 1 << (width - 2) or any(
+            pack.value(rays[j]) != guard + (vol << (width * pos)) for pos, j in enumerate(simplex)
+        ):
+            raise AssertionError("simplex fails N R = vol I")
+        item = (simplex, N, vol)
+        full = sum(1 << j for j in simplex)
+        for drop, row in zip(simplex, N):
+            facet = full ^ (1 << drop)
+            normal = primitive_vector(row)
             outer = tuple(-x for x in normal)
             group = by_normal.get(outer)
             if group is not None and facet in group:
                 group.remove(facet)
+                del owner[facet]
                 if not group:
                     del by_normal[outer]
             else:
                 by_normal.setdefault(normal, set()).add(facet)
-        return simplex, snf
+                owner[facet] = item
+        return item
 
-    yield add_simplex(tuple(sorted(picked)))
+    first = tuple(sorted(picked))
+    N, vol = smith_normal_form([[rays[j][i] for j in first] for i in range(rank)], check=False).scaled_inverse()
+    yield add_simplex(first, tuple(map(tuple, N)), vol)
     for idx in range(n):
         if idx in picked:
             continue
@@ -187,37 +206,83 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> It
         visible = [
             facet
             for normal, group in by_normal.items()
-            if sum(a * b for a, b in zip(normal, v)) < 0
+            if sum(map(mul, normal, v)) < 0
             for facet in group
         ]
         for facet in visible:
-            yield add_simplex(tuple(sorted(facet | {idx})))
+            simplex, N, vol = owner[facet]
+            drop = next(pos for pos, j in enumerate(simplex) if not facet >> j & 1)
+            N, vol = _exchange(N, vol, drop, v)
+            exchanged = list(simplex)
+            exchanged[drop] = idx
+            # sorting the columns of R' permutes the rows of N' alike
+            order = sorted(range(rank), key=exchanged.__getitem__)
+            yield add_simplex(tuple(exchanged[pos] for pos in order), tuple(N[pos] for pos in order), vol)
     if len(by_normal) != facets:
         raise AssertionError(f"placing ends with {len(by_normal)} boundary normals, but the cone has {facets} facets")
 
 
-def _parallelepiped_points(rays: Sequence[IntVec], snf: SnfResult) -> list[IntVec]:
+def _exchange(N: Sequence[IntVec], vol: int, drop: int, v: IntVec) -> tuple[list[IntVec], int]:
+    """(N', vol') after column ``drop`` of R is replaced by v, from N = vol * R^-1.
+
+    With w = N v, R' = R E for E the identity with column ``drop``
+    replaced by w / vol, so vol' = |w_d| and N' = vol' E^-1 R^-1: row d
+    is sign(w_d) N_d and row i is sign(w_d) (w_d N_i - w_i N_d) / vol, a
+    division that must be exact. One rank-1 update, O(r^2).
+    """
+    w = [sum(map(mul, row, v)) for row in N]
+    wd = w[drop]
+    sign = 1 if wd > 0 else -1
+    nd = N[drop]
+    rows = []
+    for i, (row, wi) in enumerate(zip(N, w)):
+        if i == drop:
+            rows.append(tuple(sign * x for x in nd))
+            continue
+        new = []
+        for a, b in zip(row, nd):
+            q, rem = divmod(wd * a - wi * b, vol)
+            if rem:
+                raise AssertionError("exchanged scaled inverse is not integral")
+            new.append(sign * q)
+        rows.append(tuple(new))
+    return rows, abs(wd)
+
+
+def _parallelepiped_points(rays: Sequence[IntVec], N: Sequence[IntVec], vol: int) -> list[IntVec]:
     """Nonzero lattice points of the half-open parallelepiped of a simplex.
 
-    With U R V = D the Smith form of the ray matrix R (rays as columns)
-    and vol = prod d_i, the classes of Z^r / R Z^r are U^-1 y for y in
-    prod [0, d_i), and vol R^-1 U^-1 y = V diag(vol / d_i) y. Reducing
-    those coefficients mod vol shifts each class into sum(lambda_i rays_i)
-    with every lambda in [0, 1).
+    A lattice point x = sum(lambda_i rays_i) of the parallelepiped has
+    every lambda in [0, 1), and vol * lambda = N x with N = vol * R^-1.
+    So the coefficient vectors vol * lambda are N x mod vol for x in Z^r:
+    the subgroup of (Z/vol)^r generated by the columns of N mod vol,
+    which is isomorphic to Z^r / R Z^r and so has order vol. It is built
+    one generator at a time as a union of cosets, its order is asserted,
+    and each of its elements c gives the point R c / vol, which must be
+    integral.
     """
-    diag = snf.diagonal
-    vol = prod(diag)
     if vol == 1:
         return []
-    scale = [vol // d for d in diag]
+    r = len(rays)
+    zero = (0,) * r
+    group = [zero]
+    seen = {zero}
+    for j in range(r):
+        g = tuple(row[j] % vol for row in N)
+        base = list(group)
+        step = g
+        while step not in seen:  # the cosets base + k g, k = 1, 2, ..., until k g falls in base
+            coset = [tuple((a + b) % vol for a, b in zip(e, step)) for e in base]
+            group.extend(coset)
+            seen.update(coset)
+            step = tuple((a + b) % vol for a, b in zip(step, g))
+    if len(group) != vol:
+        raise AssertionError(f"parallelepiped group has order {len(group)}, not vol = {vol}")
     points = []
-    for ys in product(*(range(d) for d in diag)):
-        if not any(ys):
-            continue
-        lam = [sum(v * s * y for v, s, y in zip(row, scale, ys)) % vol for row in snf.V]
+    for c in group[1:]:
         point = []
-        for i in range(len(rays)):
-            num = sum(c * ray[i] for c, ray in zip(lam, rays))
+        for i in range(r):
+            num = sum(x * ray[i] for x, ray in zip(c, rays))
             if num % vol:
                 raise AssertionError("parallelepiped point is not integral")
             point.append(num // vol)

@@ -355,8 +355,10 @@ class UnknownCriterion(KeyError):
 
 
 def criterion_names(only: Iterable[str] | None) -> list[str]:
-    """The names to run, all by default; any unknown name refuses the lot, in one line."""
+    """The names to run, all by default; an empty or unknown name refuses the lot, in one line."""
     names = list(ALL_CRITERIA) if only is None else list(only)
+    if "" in names:
+        raise UnknownCriterion(f"empty criterion name; known: {', '.join(ALL_CRITERIA)}")
     unknown = [name for name in names if name not in ALL_CRITERIA]
     if unknown:
         raise UnknownCriterion(f"unknown criteria: {', '.join(unknown)}; known: {', '.join(ALL_CRITERIA)}")

@@ -198,6 +198,17 @@ def test_verify_unknown_criterion(capsys, monkeypatch):
         assert len(err.splitlines()) == 1 and err.startswith("thmc: unknown criteria: nope; known: design-fixtures, ")
 
 
+@pytest.mark.parametrize("only", ["", "design-fixtures,", ",design-fixtures"])
+def test_verify_empty_criterion_name(capsys, monkeypatch, only):
+    # an empty --only is a filter naming nothing, not "no filter"
+    ran = []
+    monkeypatch.setitem(verify.ALL_CRITERIA, "design-fixtures", lambda seed: ran.append(seed) or (True, ""))
+    assert main(["verify", "--only", only]) == 1
+    out, err = capsys.readouterr()
+    assert not out and not ran
+    assert len(err.splitlines()) == 1 and err.startswith("thmc: empty criterion name; known: design-fixtures, ")
+
+
 def test_verify_seed_determinism(capsys):
     assert main(["verify", "--only", "lattice-lemmas", "--seed", "7", "--format", "json"]) == 0
     first = json.loads(capsys.readouterr().out)

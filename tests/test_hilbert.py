@@ -3,7 +3,6 @@
 import random
 from dataclasses import replace
 from itertools import product
-from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -180,10 +179,9 @@ def test_hb_export_formats():
 def test_parallelepiped_points_match_brute_force(R):
     assume(det_bareiss(R) != 0)
     n = len(R)
-    snf = smith_normal_form(R)
-    N, vol = snf.scaled_inverse()
+    N, vol = smith_normal_form(R).scaled_inverse()
     rays = [tuple(R[i][j] for i in range(n)) for j in range(n)]
-    points = _parallelepiped_points(rays, snf)
+    points = _parallelepiped_points(rays, N, vol)
     box = [range(sum(min(x, 0) for x in row), sum(max(x, 0) for x in row) + 1) for row in R]
     expected = {
         x
@@ -194,8 +192,17 @@ def test_parallelepiped_points_match_brute_force(R):
     assert set(points) == expected
 
 
-def test_one_smith_form_per_simplex(monkeypatch):
-    # the traced benchmark counts simplices as the SNF calls made through hilbert's own binding
+def test_parallelepiped_order_check_catches_a_dropped_generator():
+    # R = diag(2, 3): N = diag(3, 2), vol 6, and the columns of N mod 6 generate orders 2 and 3
+    rays = [(2, 0), (0, 3)]
+    assert len(_parallelepiped_points(rays, [(3, 0), (0, 2)], 6)) == 5
+    for dropped in ([(0, 0), (0, 2)], [(3, 0), (0, 0)]):
+        with pytest.raises(AssertionError, match="order"):
+            _parallelepiped_points(rays, dropped, 6)
+
+
+def test_one_smith_form_per_hilbert_basis(monkeypatch):
+    # only the first simplex takes a Smith form; every later one is a column exchange
     real_snf = thmc.hilbert.smith_normal_form
     real_placing = thmc.hilbert._placing_triangulation
     calls = []
@@ -214,11 +221,11 @@ def test_one_smith_form_per_simplex(monkeypatch):
     monkeypatch.setattr(thmc.hilbert, "_placing_triangulation", placing)
     hilbert_basis("d", 3, 5)
     # 190 in lex order; the extreme rays placed first leave fewer, larger simplices
-    assert len(calls) == len(simplices) == 159
+    assert (len(calls), len(simplices)) == (1, 159)
     calls.clear()
     simplices.clear()
     hilbert_basis("c", 3, 4)
-    assert len(calls) == len(simplices) == 213
+    assert (len(calls), len(simplices)) == (1, 213)
 
 
 def test_placing_cross_check_catches_a_dropped_facet(monkeypatch):
@@ -244,7 +251,10 @@ def _lattice_directions(model, T):
     return sorted(set(direction_of.values())), extreme, lattice.rank, len(hrep.inequalities)
 
 
-@pytest.mark.parametrize("model,T", [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C, 4), (Model.C, 5)])
+TRIANGULATED = [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C, 4), (Model.C, 5)]
+
+
+@pytest.mark.parametrize("model,T", TRIANGULATED)
 def test_triangulation_volume_is_order_independent(model, T):
     lex, extreme, rank, facets = _lattice_directions(model, T)
     orders = [lex, sorted(lex, key=lambda z: (z not in extreme, z))]
@@ -252,7 +262,31 @@ def test_triangulation_volume_is_order_independent(model, T):
         shuffled = list(lex)
         random.Random(seed).shuffle(shuffled)
         orders.append(shuffled)
-    volumes = {
-        sum(prod(snf.diagonal) for _, snf in _placing_triangulation(rays, rank, facets)) for rays in orders
-    }
+    volumes = {sum(vol for _, _, vol in _placing_triangulation(rays, rank, facets)) for rays in orders}
     assert len(volumes) == 1
+
+
+@pytest.mark.parametrize("model,T", TRIANGULATED)
+def test_exchanged_scaled_inverse_matches_the_smith_form(model, T):
+    # the Smith form is the independent route to N = vol R^-1 and vol = |det R|
+    lex, extreme, rank, facets = _lattice_directions(model, T)
+    for rays in (lex, sorted(lex, key=lambda z: (z not in extreme, z))):
+        for simplex, N, vol in _placing_triangulation(rays, rank, facets):
+            R = [[rays[j][i] for j in simplex] for i in range(rank)]
+            N_snf, vol_snf = smith_normal_form(R).scaled_inverse()
+            assert (N, vol) == (tuple(map(tuple, N_snf)), vol_snf)
+
+
+def test_exchange_check_catches_a_corrupted_entry(monkeypatch):
+    # N R = vol I must refuse an exchanged N with one entry off by one
+    real = thmc.hilbert._exchange
+
+    def corrupted(N, vol, drop, v):
+        rows, vol = real(N, vol, drop, v)
+        rows[0] = (rows[0][0] + 1,) + rows[0][1:]
+        return rows, vol
+
+    monkeypatch.setattr(thmc.hilbert, "_exchange", corrupted)
+    lex, _, rank, facets = _lattice_directions(Model.D, 5)
+    with pytest.raises(AssertionError, match="N R = vol I"):
+        list(_placing_triangulation(lex, rank, facets))
