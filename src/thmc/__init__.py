@@ -13,7 +13,6 @@ from .intlinalg import (
     SnfResult,
     kernel_lattice_basis,
     lattice_membership,
-    pivot_paths,
     residue_test,
     smith_normal_form,
 )
@@ -24,6 +23,7 @@ from .stategraph import (
     enumerate_Gmn,
     eulerian_path,
     f_T,
+    pivot_paths,
 )
 from .words import enumerate_words, word_count
 

@@ -4,7 +4,8 @@ Subcommands build design matrices, reproduce the published tables and
 hyperplane blocks against the embedded fixtures, run the verification
 suite, and export Hilbert bases and Markov-degree reports. Exit codes:
 0 success, 1 usage error (bad input, unwritable output), 2 verification
-failure or a broken internal invariant.
+failure, a broken internal invariant or any other internal error. Each
+error is one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> list
 
 def cmd_design(args: argparse.Namespace) -> int:
     model = Model.parse(args.model)
-    matrix = build_design_matrix(model, args.S, args.T)
-    if args.check_fixture:
+    if args.check_fixture:  # the fixture comparison builds its own matrix, after the size is checked
         fixture = fixtures.load_design_fixture(model)
         if (fixture.S, fixture.T) != (args.S, args.T):
             print(f"no embedded fixture for model {model.value} at S={args.S}, T={args.T}", file=sys.stderr)
@@ -70,6 +70,7 @@ def cmd_design(args: argparse.Namespace) -> int:
                 f" ({perm_note})"
             )
         return 0 if cmp.ok else _VERIFY_ERROR
+    matrix = build_design_matrix(model, args.S, args.T)
     if args.format == "csv":
         payload = matrix.to_csv()
     elif args.format == "json":
@@ -243,11 +244,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # bad input or an unusable file
         print(f"thmc: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except AssertionError as exc:  # a broken internal invariant, not bad input
         print(f"thmc: internal check failed: {exc}", file=sys.stderr)
+        return _VERIFY_ERROR
+    except Exception as exc:  # any other error is a fault of the program, never bad input
+        print(f"thmc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _VERIFY_ERROR
 
 

@@ -124,10 +124,6 @@ class DesignMatrix:
     words: tuple[Word, ...]
     columns: tuple[tuple[int, ...], ...]
 
-    @property
-    def column_sum(self) -> int:
-        return self.model.column_sum(self.T)
-
     def as_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.columns))
 

@@ -197,7 +197,7 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> It
         return item
 
     first = tuple(sorted(picked))
-    N, vol = smith_normal_form([[rays[j][i] for j in first] for i in range(rank)], check=False).scaled_inverse()
+    N, vol = smith_normal_form([[rays[j][i] for j in first] for i in range(rank)]).scaled_inverse()
     yield add_simplex(first, tuple(map(tuple, N)), vol)
     for idx in range(n):
         if idx in picked:

@@ -3,10 +3,9 @@
 Smith normal form with verified transformation matrices and the scaled
 inverse read off it, incremental Hermite-style lattice bases (the one
 elimination behind every rank and independent-subset choice), lattice
-membership tests, integer kernels, the alternating pivot-path pairs
-used to diagonalize the loop-free transition design matrices, and the
-one packed-integer format (:class:`PackedNormals`) in which a single
-integer sum evaluates many dot products at once.
+membership tests, integer kernels, and the one packed-integer format
+(:class:`PackedNormals`) in which a single integer sum evaluates many
+dot products at once.
 
 Everything here is arbitrary-precision: inputs and outputs are plain
 Python ints, matrices are tuples of row tuples.
@@ -14,6 +13,7 @@ Python ints, matrices are tuples of row tuples.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
@@ -22,10 +22,6 @@ from typing import Iterable, Iterator, Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-# Deterministic primes for the modular determinant fallback on large V.
-_DET_PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
-_EXACT_DET_LIMIT = 150
 
 
 class DimensionMismatch(ValueError):
@@ -94,44 +90,15 @@ def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _det_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
-    n = len(mat)
-    m = [[x % p for x in row] for row in mat]
-    det = 1
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det % p
-        pivot = m[k][k]
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv % p
-            if factor:
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k, n):
-                    row_i[j] = (row_i[j] - factor * row_k[j]) % p
-    return det
-
-
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith decomposition U*A*V = D with unimodular U, V.
+    """Smith decomposition U*A*V = diag(d_1, d_2, ...) with unimodular U, V.
 
     ``diagonal`` carries the invariant factors d_1 | d_2 | ... (nonzero
-    entries only, nonnegative).
+    entries only, positive); every other entry of U*A*V is zero.
     """
 
     U: IntMat
-    D: IntMat
     V: IntMat
     diagonal: IntVec
 
@@ -156,16 +123,14 @@ class SnfResult:
         return mat_mul(self.V, scaled_u), vol
 
 
-def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) -> SnfResult:
-    """Smith normal form of an integer matrix.
+def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SnfResult:
+    """Smith normal form of an integer matrix, verified exactly on every call.
 
     Pivoting picks the entry of smallest absolute value in the working
     submatrix; the divisibility chain is enforced by folding offending
-    rows back into the pivot row. When ``check`` is set (the default) the
-    identity U*A*V = D is asserted exactly on every call, together with
-    unimodularity of U and V. Determinants are computed exactly up to
-    150 columns; above that the elementary-operation bookkeeping is
-    re-verified modulo three fixed 62/63-bit primes (U stays exact).
+    rows back into the pivot row. :func:`_verify_snf` then proves the
+    result at every size: U*A*V equals the diagonal entry by entry, and
+    the integer echelon shows U and V unimodular.
     """
     A = as_int_matrix(matrix)
     r, c = len(A), len(A[0])
@@ -254,33 +219,35 @@ def smith_normal_form(matrix: Iterable[Sequence[int]], *, check: bool = True) ->
         t += 1
 
     diagonal = tuple(M[i][i] for i in range(limit) if M[i][i])
-    result = SnfResult(U=tuple(map(tuple, U)), D=tuple(map(tuple, M)), V=tuple(map(tuple, V)), diagonal=diagonal)
-    if check:
-        _verify_snf(A, result)
+    result = SnfResult(U=tuple(map(tuple, U)), V=tuple(map(tuple, V)), diagonal=diagonal)
+    _verify_snf(A, result)
     return result
 
 
 def _verify_snf(A: IntMat, res: SnfResult) -> None:
+    """Assert U*A*V = diag(res.diagonal), the divisibility chain, and unimodular U and V."""
     r, c = len(A), len(A[0])
-    uav = mat_mul(mat_mul(res.U, A), res.V)
-    if as_int_matrix(uav) != res.D:
-        raise AssertionError("SNF verification failed: U*A*V != D")
-    for i, row in enumerate(res.D):
-        for j, x in enumerate(row):
-            if i != j and x:
-                raise AssertionError("SNF verification failed: D not diagonal")
-    for a, b in zip(res.diagonal, res.diagonal[1:]):
-        if a <= 0 or b % a:
-            raise AssertionError("SNF verification failed: divisibility chain broken")
-    if abs(det_bareiss(res.U)) != 1:
+    diagonal = res.diagonal
+    expected = [[diagonal[i] if i == j and i < len(diagonal) else 0 for j in range(c)] for i in range(r)]
+    if len(diagonal) > min(r, c) or mat_mul(mat_mul(res.U, A), res.V) != expected:
+        raise AssertionError("SNF verification failed: U*A*V is not the diagonal")
+    if any(d <= 0 for d in diagonal) or any(b % a for a, b in zip(diagonal, diagonal[1:])):
+        raise AssertionError("SNF verification failed: divisibility chain broken")
+    if not _unimodular(res.U):
         raise AssertionError("SNF verification failed: U not unimodular")
-    if c <= _EXACT_DET_LIMIT:
-        if abs(det_bareiss(res.V)) != 1:
-            raise AssertionError("SNF verification failed: V not unimodular")
-    else:
-        for p in _DET_PRIMES:
-            if _det_mod_p(res.V, p) not in (1 % p, (-1) % p):
-                raise AssertionError("SNF verification failed: V not unimodular (mod p)")
+    if not _unimodular(res.V):
+        raise AssertionError("SNF verification failed: V not unimodular")
+
+
+def _unimodular(M: IntMat) -> bool:
+    """Is the square M invertible over Z?
+
+    The echelon of its rows comes from M by unimodular row operations,
+    so the product of its pivots is |det M|: M is unimodular exactly
+    when there is one pivot per row and every pivot is 1.
+    """
+    lattice = IntLattice.from_vectors(len(M[0]), M)
+    return lattice.rank == len(M) == lattice.dim and all(row[p] == 1 for row, p in zip(lattice._rows, lattice._pivots))
 
 
 class IntLattice:
@@ -311,36 +278,38 @@ class IntLattice:
         return len(self._rows)
 
     def add(self, vector: Sequence[int]) -> bool:
-        """Insert a generator; returns True when the lattice grew."""
+        """Insert a generator; returns True when the lattice grew.
+
+        v's lead is found once; each reduction clears v up to the pivot
+        it eliminated, so the next lead is sought only to its right.
+        """
         if len(vector) != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(vector)}")
         v = [int(x) for x in vector]
+        rows, pivots = self._rows, self._pivots
+        lead = next((j for j, x in enumerate(v) if x), None)
         changed = False
-        for idx in range(len(self._rows) + 1):
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                break
-            if idx == len(self._rows) or self._pivots[idx] > lead:
+        idx = 0
+        while lead is not None:
+            idx = bisect_left(pivots, lead, idx)
+            if idx == len(pivots) or pivots[idx] != lead:
                 if v[lead] < 0:
                     v = [-x for x in v]
-                self._rows.insert(idx, v)
-                self._pivots.insert(idx, lead)
-                changed = True
-                break
-            p = self._pivots[idx]
-            if p < lead:
-                continue
-            row = self._rows[idx]
-            a, b = row[p], v[p]
+                rows.insert(idx, v)
+                pivots.insert(idx, lead)
+                return True
+            row = rows[idx]
+            a, b = row[lead], v[lead]
             if b % a == 0:
                 q = b // a
                 v = [x - q * y for x, y in zip(v, row)]
             else:
                 g, s, t = _xgcd(a, b)
-                new_row = [s * x + t * y for x, y in zip(row, v)]
+                rows[idx] = [s * x + t * y for x, y in zip(row, v)]
                 v = [(a // g) * y - (b // g) * x for x, y in zip(row, v)]
-                self._rows[idx] = new_row
                 changed = True
+            lead = next((j for j in range(lead + 1, self.dim) if v[j]), None)
+            idx += 1
         return changed
 
     def invariant_factors(self) -> IntVec:
@@ -444,89 +413,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-# ---------------------------------------------------------------------------
-# Pivot-path pairs
-
-@dataclass(frozen=True)
-class PivotPathPair:
-    """Pair of loop-free words whose design-column difference is e_plus - e_minus.
-
-    ``plus``/``minus`` name the transition coordinates carrying +1/-1;
-    the constructor validates the pattern exactly and refuses to emit a
-    wrong pair.
-    """
-
-    P: IntVec
-    Q: IntVec
-    kind: str
-    i: int
-    j: int
-    k: int
-    plus: tuple[int, int]
-    minus: tuple[int, int]
-
-
-def _transition_counts(word: Sequence[int]) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for a, b in zip(word, word[1:]):
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
-
-
-def pivot_paths(i: int, j: int, k: int, T: int, kind: str) -> PivotPathPair:
-    """The alternating word pairs that realize a single +1/-1 transition swap.
-
-    ``kind`` is ``"type1"`` (difference +1 at (j,i), -1 at (k,i)) or
-    ``"type2"`` (difference +1 at (k,i), -1 at (k,j)). Both words have
-    length T, no self-loops, and are checked against the contract before
-    being returned.
-    """
-    if len({i, j, k}) != 3 or min(i, j, k) < 1:
-        raise ValueError("i, j, k must be pairwise distinct states")
-    if T < 4:
-        raise ValueError("T must be at least 4")
-    if kind not in ("type1", "type2"):
-        raise ValueError(f"unknown kind {kind!r}")
-
-    if kind == "type1":
-        if T % 2 == 0:
-            m = (T - 2) // 2
-            P = (i, j) * m + (i, k)
-            Q = (i, k) + (i, j) * m
-        else:
-            m = (T - 3) // 2
-            P = (i, k) + (j, i) * m + (k,)
-            Q = (i, k, i, k) + (j, i) * ((T - 5) // 2) + (j,)
-        plus, minus = (j, i), (k, i)
-    else:
-        if T % 2 == 0:
-            m = (T - 2) // 2
-            P = (k,) + (i, j) * m + (i,)
-            Q = (k,) + (j, i) * m + (j,)
-        else:
-            P = (k, i, k) + (j, i) * ((T - 3) // 2)
-            Q = (k, j, i, k) + (j, i) * ((T - 5) // 2) + (j,)
-        plus, minus = (k, i), (k, j)
-
-    pair = PivotPathPair(P=P, Q=Q, kind=kind, i=i, j=j, k=k, plus=plus, minus=minus)
-    _validate_pivot_pair(pair, T)
-    return pair
-
-
-def _validate_pivot_pair(pair: PivotPathPair, T: int) -> None:
-    for word in (pair.P, pair.Q):
-        if len(word) != T:
-            raise AssertionError(f"pivot path has length {len(word)}, expected {T}")
-        if any(a == b for a, b in zip(word, word[1:])):
-            raise AssertionError("pivot path contains a self-loop")
-    diff = _transition_counts(pair.P)
-    for key, val in _transition_counts(pair.Q).items():
-        diff[key] = diff.get(key, 0) - val
-    diff = {key: val for key, val in diff.items() if val}
-    if diff != {pair.plus: 1, pair.minus: -1}:
-        raise AssertionError(f"pivot pair difference {diff} violates the +1/-1 contract")
 
 
 def primitive_vector(vector: Sequence[int]) -> IntVec:

@@ -91,10 +91,6 @@ class Move:
         if pos != neg:
             raise AssertionError("move is not in the design-matrix kernel")
 
-    @property
-    def degree(self) -> int:
-        return len(self.positive)
-
     def as_vector(self) -> tuple[int, ...]:
         """Signed counts over the lexicographic word order."""
         vec = [0] * word_count(self.S, self.T, self.model.no_loops)

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import stategraph
-from .design import Model, compositions, distinct_columns, transition_pairs
+from .design import Model, compositions, distinct_columns
 from .intlinalg import (
     DegenerateInput,
     IntLattice,
@@ -486,36 +486,6 @@ def classify_vertices(T: int) -> VertexClassReport:
         if 3 <= cls.m <= p - 3:
             middle.append(v)
     return VertexClassReport(T=T, p=p, classes=tuple(classified), middle_class_vertices=tuple(middle))
-
-
-def middle_class_decomposition(x: Sequence[int], T: int) -> tuple[IntVec, IntVec]:
-    """Write a G_{q,f(q)} graph vector as (y+z)/2 with y, z three apart in q.
-
-    Mirrors the finite-vertex proof: y swaps two three-cycles for three
-    two-cycles, z does the reverse. Raises when the swap is impossible.
-    """
-    graph = stategraph.graph_of_transition_vector(x, 3)
-    decomp = stategraph.cycle_decomposition(graph)
-    if decomp.n < 2:
-        raise ValueError("need at least two three-cycles to trade away")
-    pair = next((pq for pq, cnt in zip(stategraph._PAIRS3, decomp.two_cycles_by_pair) if cnt >= 3), None)
-    if pair is None:
-        raise ValueError("need at least three two-cycles of one type to trade away")
-    i, j = pair
-    triangle = stategraph._CW3 if decomp.three_cycles_cw else stategraph._CCW3
-    two_cycle = ((i, j), (j, i))
-    y = list(int(v) for v in x)
-    z = list(int(v) for v in x)
-    index = {pq: idx for idx, pq in enumerate(transition_pairs(3, True))}
-    for e in triangle:
-        y[index[e]] -= 2
-        z[index[e]] += 2
-    for e in two_cycle:
-        y[index[e]] += 3
-        z[index[e]] -= 3
-    if any(v < 0 for v in y) or any(v < 0 for v in z):
-        raise ValueError("trade produced negative multiplicities")
-    return tuple(y), tuple(z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""State graphs of words: Euler paths, cycle decompositions, G_{m,n}.
+"""State graphs of words: Euler paths, pivot paths, cycle decompositions, G_{m,n}.
 
 A state graph is a directed multigraph on the states 1..S whose edge
 multiplicities are the transition counts of a word (or of a sum of
 words: a transition vector). For three states the two-/three-cycle
 decomposition classifies which transition vectors can be polytope
 vertices. Which graphs come from a single word is decided by the Euler
-rule, :func:`start_states`.
+rule, :func:`start_states`. The alternating pivot-path word pairs that
+diagonalize the loop-free design matrices are checked here too, by the
+difference of their graphs.
 """
 
 from __future__ import annotations
@@ -67,26 +69,26 @@ def graph_of_transition_vector(x: Sequence[int], S: int = 3, *, no_loops: bool =
     return StateGraph(S=S, x=tuple(tuple(row) for row in mat))
 
 
-def start_states(x: Sequence[int], S: int, no_loops: bool) -> tuple[int, ...]:
-    """States from which one word realizes the transition counts x.
+def transition_vector(graph: StateGraph) -> tuple[int, ...]:
+    """The flat loop-free transition vector of a graph: the inverse of :func:`graph_of_transition_vector`."""
+    return tuple(graph.x[i - 1][j - 1] for i, j in transition_pairs(graph.S, True))
 
-    ``x`` is a flat transition vector in :func:`design.transition_pairs`
-    order. By Euler's theorem a word exists iff out- and in-degrees
-    balance at every state except for at most one +1/-1 pair, and the
-    edge support is connected: :func:`components` gives every edge the
-    same root. The word starts at the +1 state when there is one,
-    otherwise at any state with an outgoing edge. Empty when no word
-    realizes x (also when x has no edges).
+
+def start_states(graph: StateGraph) -> tuple[int, ...]:
+    """States from which one word realizes the edges of the graph.
+
+    By Euler's theorem a word exists iff out- and in-degrees balance at
+    every state except for at most one +1/-1 pair, and the edge support
+    is connected: :func:`components` gives every edge the same root.
+    The word starts at the +1 state when there is one, otherwise at any
+    state with an outgoing edge. Empty when no word realizes the graph
+    (also when it has no edges).
     """
-    pairs = transition_pairs(S, no_loops)
-    surplus = [0] * S  # out-degree minus in-degree, per state
-    for (i, j), v in zip(pairs, x):
-        if v:
-            surplus[i - 1] += v
-            surplus[j - 1] -= v
+    S, x = graph.S, graph.x
+    surplus = [sum(x[i]) - sum(row[i] for row in x) for i in range(S)]  # out-degree minus in-degree
     if min(surplus) < -1 or max(surplus) > 1 or surplus.count(1) > 1:
         return ()
-    edges = [(i - 1, j - 1) for (i, j), v in zip(pairs, x) if v]
+    edges = [(i, j) for i in range(S) for j in range(S) if x[i][j]]
     roots = components(S, edges)
     if len({roots[i] for i, _ in edges}) != 1:
         return ()
@@ -112,10 +114,6 @@ def components(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def _start_states(graph: StateGraph) -> tuple[int, ...]:
-    return start_states([v for row in graph.x for v in row], graph.S, no_loops=False)
-
-
 def eulerian_path(graph: StateGraph) -> Word:
     """A word consuming every edge exactly once, for any S, loops allowed.
 
@@ -125,7 +123,7 @@ def eulerian_path(graph: StateGraph) -> Word:
     edge. Hierholzer's walk then always takes the lowest-numbered next
     state, so the output word is deterministic.
     """
-    starts = _start_states(graph)
+    starts = start_states(graph)
     if not starts:
         raise NoEulerianPath("graph has no edges, is unbalanced beyond one +1/-1 pair, or is disconnected")
     remaining = [list(row) for row in graph.x]
@@ -141,6 +139,76 @@ def eulerian_path(graph: StateGraph) -> Word:
             row[nxt - 1] -= 1
             stack.append(nxt)
     return tuple(reversed(finished))
+
+
+# ---------------------------------------------------------------------------
+# Pivot-path pairs
+
+@dataclass(frozen=True)
+class PivotPathPair:
+    """Pair of loop-free words whose transition counts differ by e_plus - e_minus.
+
+    ``plus``/``minus`` name the transitions carrying +1/-1;
+    :func:`pivot_paths` validates the pattern exactly and refuses to
+    emit a wrong pair.
+    """
+
+    P: Word
+    Q: Word
+    plus: tuple[int, int]
+    minus: tuple[int, int]
+
+
+def pivot_paths(i: int, j: int, k: int, T: int, kind: str) -> PivotPathPair:
+    """The alternating word pairs that realize a single +1/-1 transition swap.
+
+    ``kind`` is ``"type1"`` (difference +1 at (j,i), -1 at (k,i)) or
+    ``"type2"`` (difference +1 at (k,i), -1 at (k,j)). Both words have
+    length T, no self-loops, and are checked against the contract before
+    being returned.
+    """
+    if len({i, j, k}) != 3 or min(i, j, k) < 1:
+        raise ValueError("i, j, k must be pairwise distinct states")
+    if T < 4:
+        raise ValueError("T must be at least 4")
+    if kind not in ("type1", "type2"):
+        raise ValueError(f"unknown kind {kind!r}")
+
+    if kind == "type1":
+        if T % 2 == 0:
+            m = (T - 2) // 2
+            P = (i, j) * m + (i, k)
+            Q = (i, k) + (i, j) * m
+        else:
+            m = (T - 3) // 2
+            P = (i, k) + (j, i) * m + (k,)
+            Q = (i, k, i, k) + (j, i) * ((T - 5) // 2) + (j,)
+        plus, minus = (j, i), (k, i)
+    else:
+        if T % 2 == 0:
+            m = (T - 2) // 2
+            P = (k,) + (i, j) * m + (i,)
+            Q = (k,) + (j, i) * m + (j,)
+        else:
+            P = (k, i, k) + (j, i) * ((T - 3) // 2)
+            Q = (k, j, i, k) + (j, i) * ((T - 5) // 2) + (j,)
+        plus, minus = (k, i), (k, j)
+
+    S = max(i, j, k)
+    graph_p, graph_q = graph_of_word(P, S), graph_of_word(Q, S)
+    if len(P) != T or len(Q) != T:
+        raise AssertionError(f"pivot paths have lengths {len(P)}, {len(Q)}, expected {T}")
+    if graph_p.has_self_loops() or graph_q.has_self_loops():
+        raise AssertionError("pivot path contains a self-loop")
+    diff = {
+        (a + 1, b + 1): p - q
+        for a, (row_p, row_q) in enumerate(zip(graph_p.x, graph_q.x))
+        for b, (p, q) in enumerate(zip(row_p, row_q))
+        if p != q
+    }
+    if diff != {plus: 1, minus: -1}:
+        raise AssertionError(f"pivot pair difference {diff} violates the +1/-1 contract")
+    return PivotPathPair(P=P, Q=Q, plus=plus, minus=minus)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +260,31 @@ def cycle_decomposition(graph: StateGraph) -> CycleDecomposition:
     )
     assert 2 * decomp.m + 3 * decomp.n + leftover.edge_count == graph.edge_count
     return decomp
+
+
+def middle_class_decomposition(x: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Write a G_{q,f(q)} graph vector as (y+z)/2 with y, z three apart in q.
+
+    Mirrors the finite-vertex proof: y swaps two three-cycles for three
+    two-cycles, z does the reverse. Raises when the swap is impossible.
+    """
+    graph = graph_of_transition_vector(x, 3)
+    decomp = cycle_decomposition(graph)
+    if decomp.n < 2:
+        raise ValueError("need at least two three-cycles to trade away")
+    pair = next((pq for pq, cnt in zip(_PAIRS3, decomp.two_cycles_by_pair) if cnt >= 3), None)
+    if pair is None:
+        raise ValueError("need at least three two-cycles of one type to trade away")
+    i, j = pair
+    trade = [[0] * 3 for _ in range(3)]
+    for a, b in _CW3 if decomp.three_cycles_cw else _CCW3:
+        trade[a - 1][b - 1] -= 2
+    trade[i - 1][j - 1] += 3
+    trade[j - 1][i - 1] += 3
+    y, z = ([[v + sign * t for v, t in zip(row, dt)] for row, dt in zip(graph.x, trade)] for sign in (1, -1))
+    if any(v < 0 for mat in (y, z) for row in mat for v in row):
+        raise ValueError("trade produced negative multiplicities")
+    return tuple(transition_vector(StateGraph(S=3, x=tuple(map(tuple, mat)))) for mat in (y, z))
 
 
 @dataclass(frozen=True)
@@ -260,7 +353,7 @@ def enumerate_Gmn(T: int, m: int) -> tuple[StateGraph, ...]:
                     x[i - 1][j - 1] += 1
                 graph = StateGraph(S=3, x=tuple(tuple(row) for row in x))
                 cls = classify_Gmn(graph)
-                if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and _start_states(graph):
+                if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and start_states(graph):
                     graphs.add(graph)
     result = tuple(sorted(graphs, key=lambda g: g.x))
     assert len(result) <= 18

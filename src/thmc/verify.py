@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from . import fixtures, hilbert, markov, polyhedra, stategraph
 from .design import Model, build_design_matrix, column_of_word, distinct_columns, iter_columns, transition_pairs
-from .intlinalg import IntLattice, lattice_membership, pivot_paths, residue_test, smith_normal_form
+from .intlinalg import IntLattice, lattice_membership, residue_test, smith_normal_form
 
 _SNF_SAMPLES = 50  # sampled columns double-checked against each generated lattice
 _LATTICE_VECTORS = 500  # random vectors per (model, T) in criterion 3
@@ -67,7 +67,7 @@ def _generating_words_model_d(T: int) -> list[tuple[int, ...]]:
     words = {tuple(1 if i % 2 == 0 else 2 for i in range(T))}
     for i, j, k in permutations((1, 2, 3)):
         for kind in ("type1", "type2"):
-            pair = pivot_paths(i, j, k, T, kind)
+            pair = stategraph.pivot_paths(i, j, k, T, kind)
             words.add(pair.P)
             words.add(pair.Q)
     return sorted(words)
@@ -350,8 +350,8 @@ ALL_CRITERIA: dict[str, Callable[[int], tuple[bool, str]]] = {
 }
 
 
-class UnknownCriterion(KeyError):
-    __str__ = Exception.__str__  # the message itself, not KeyError's quoted repr of it
+class UnknownCriterion(ValueError):
+    """A criterion name that is empty or not in :data:`ALL_CRITERIA`."""
 
 
 def criterion_names(only: Iterable[str] | None) -> list[str]:

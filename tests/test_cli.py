@@ -40,6 +40,20 @@ def test_design_fixture_wrong_size_exit_1(capsys):
     assert main(["design", "--model", "a", "--S", "2", "--T", "5", "--check-fixture"]) == 1
 
 
+def test_design_check_fixture_builds_nothing(capsys, monkeypatch):
+    import thmc.cli as cli_mod
+
+    def no_build(*args):
+        raise AssertionError("cmd_design built a design matrix")
+
+    monkeypatch.setattr(cli_mod, "build_design_matrix", no_build)
+    assert main(["design", "--model", "b", "--S", "3", "--T", "11", "--check-fixture"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.splitlines() == ["no embedded fixture for model b at S=3, T=11"]
+    assert main(["design", "--model", "a", "--S", "2", "--T", "4", "--check-fixture"]) == 0  # the fixture check builds its own
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["design", "--model", "a"]) == 1
 
@@ -361,6 +375,17 @@ def test_broken_invariant_exit_2(capsys, monkeypatch, breakage):
     assert main(breakage(monkeypatch)) == 2
     out, err = capsys.readouterr()
     assert not out and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), IndexError("list index out of range")], ids=["KeyError", "IndexError"])
+def test_internal_error_exit_2_in_one_line_naming_its_type(capsys, monkeypatch, error):
+    def broken(only):
+        raise error
+
+    monkeypatch.setattr(verify, "criterion_names", broken)
+    assert main(["verify"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.splitlines() == [f"thmc: internal error: {type(error).__name__}: {error}"]
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

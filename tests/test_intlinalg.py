@@ -14,11 +14,14 @@ from thmc.intlinalg import (
     lattice_membership,
     mat_mul,
     mat_vec,
-    pivot_paths,
     primitive_vector,
     residue_test,
+    SnfResult,
+    _unimodular,
+    _verify_snf,
     smith_normal_form,
 )
+from thmc.stategraph import pivot_paths
 
 
 def _design_rows(model, S, T):
@@ -59,6 +62,41 @@ def test_snf_random_matrices_verify(rows):
         assert b % a == 0
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _diag(entries):
+    return tuple(tuple(x if i == j else 0 for j in range(len(entries))) for i, x in enumerate(entries))
+
+
+# 1 + p1*p2*p3 for three 62/63-bit primes: +-1 modulo each of them, so no
+# determinant check modulo those primes tells this V from a unimodular one
+_MODULAR_IMPOSTOR = 1 + 2305843009213693951 * 4611686018427387847 * 9223372036854775783
+
+
+@pytest.mark.parametrize(
+    "A, U, V, diagonal, message",
+    [
+        (_identity(2), _identity(2), ((1, 1), (0, 1)), (1, 1), "not the diagonal"),
+        (_diag((2, 3)), _identity(2), _identity(2), (2, 3), "divisibility chain"),
+        (_diag((1, 2)), _diag((2, 1)), _identity(2), (2, 2), "U not unimodular"),
+        (_identity(2), _identity(2), _diag((1, 2)), (1, 2), "V not unimodular"),
+        (_identity(150), _identity(150), _diag((1,) * 149 + (-1,)), (1,) * 149 + (-1,), "divisibility chain"),
+        (_identity(151), _identity(151), _diag((1,) * 150 + (3,)), (1,) * 150 + (3,), "V not unimodular"),
+        (_identity(151), _identity(151), _diag((1,) * 150 + (_MODULAR_IMPOSTOR,)), (1,) * 150 + (_MODULAR_IMPOSTOR,), "V not unimodular"),
+    ],
+    ids=["off-diagonal", "chain", "U", "V-small", "negative-factor", "V-151", "V-151-modular-impostor"],
+)
+def test_verify_snf_refuses_a_wrong_certificate(A, U, V, diagonal, message):
+    with pytest.raises(AssertionError, match=message):
+        _verify_snf(A, SnfResult(U=U, V=V, diagonal=diagonal))
+
+
+def test_verify_snf_accepts_a_determinant_minus_one_at_151_columns():
+    swap = ((0, 1) + (0,) * 149, (1,) + (0,) * 150) + _identity(151)[2:]
+    _verify_snf(swap, SnfResult(U=_identity(151), V=swap, diagonal=(1,) * 151))
+
 
 @st.composite
 def _square_matrices(draw, max_n: int, bound: int):
@@ -84,6 +122,12 @@ def test_scaled_inverse_rejects_singular_matrices(M, k):
     M[-1] = [k * x for x in M[0]] if len(M) > 1 else [0]
     with pytest.raises(AssertionError, match="singular"):
         smith_normal_form(M).scaled_inverse()
+
+
+@given(_square_matrices(5, 2))
+@settings(max_examples=150, deadline=None)
+def test_unimodular_agrees_with_the_determinant(M):
+    assert _unimodular(M) == (abs(det_bareiss(M)) == 1)
 
 
 def test_scaled_inverse_needs_a_square_matrix():

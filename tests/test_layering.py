@@ -1,4 +1,4 @@
-"""The package's modules import each other without a cycle, and every top-level name and method has a caller."""
+"""The package's modules import each other without a cycle or a private name, and every top-level name and method has a caller."""
 
 import ast
 from collections import Counter
@@ -45,6 +45,32 @@ def test_intra_package_imports_have_no_cycle():
     except CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
     assert set(order) == modules.keys()
+
+
+def test_intlinalg_imports_no_package_module():
+    assert not _imported_modules(PACKAGE / "intlinalg.py")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()  # the names this file binds to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private = [alias.name for alias in node.names if _private(alias.name)]
+                found += [f"{path.stem}: from .{node.module} import {name}" for name in private]
+                if node.module is None:
+                    imported.update(alias.asname or alias.name for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
+                if _private(node.attr):
+                    found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert not found, f"private names read across modules: {', '.join(found)}"
 
 
 def _references(tree: ast.AST) -> Counter:

@@ -21,7 +21,6 @@ from thmc.polyhedra import (
     f_vector_from_incidence,
     integer_points_equal_columns,
     linear_feasible,
-    middle_class_decomposition,
     model_d_columns,
     nonnegativity_normals,
     normals_from_block_text,
@@ -390,12 +389,12 @@ def test_classify_vertices_T13():
 def test_middle_class_graph_is_not_vertex():
     # the worked 13-long word sits in class (3, 2) and splits as (y + z) / 2
     from thmc.design import column_of_word
-    from thmc.stategraph import classify_Gmn, graph_of_transition_vector
+    from thmc.stategraph import classify_Gmn, graph_of_transition_vector, middle_class_decomposition
 
     x = column_of_word(Model.D, 3, (1, 2, 1, 2, 1, 2, 1, 2, 3, 1, 2, 3, 1))
     cls = classify_Gmn(graph_of_transition_vector(x, 3))
     assert (cls.m, cls.n) == (3, 2)
-    y, z = middle_class_decomposition(x, 13)
+    y, z = middle_class_decomposition(x)
     assert tuple((a + b) // 2 for a, b in zip(y, z)) == x
     ycls = classify_Gmn(graph_of_transition_vector(y, 3))
     zcls = classify_Gmn(graph_of_transition_vector(z, 3))

@@ -73,13 +73,14 @@ def test_euler_rule_start_states_are_the_first_letters(S, no_loops):
         for w in iter_words(S, T, no_loops):
             firsts.setdefault(column_of_word(model, S, w), set()).add(w[0])
         for x in compositions(T - 1, len(transition_pairs(S, no_loops))):
-            assert set(start_states(x, S, no_loops)) == firsts.get(x, set())
+            graph = graph_of_transition_vector(x, S, no_loops=no_loops)
+            assert set(start_states(graph)) == firsts.get(x, set())
 
 
 def test_euler_rule_rejects_two_unbalanced_pairs():
     # 1->2, 2->3, 3->2, 3->4: connected, but states 1 and 3 both have out-surplus +1
     g = StateGraph(S=4, x=((0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 0)))
-    assert start_states([v for row in g.x for v in row], 4, False) == ()
+    assert start_states(g) == ()
     with pytest.raises(NoEulerianPath):
         eulerian_path(g)
 

@@ -37,7 +37,7 @@ def test_snf_lattice_route_values():
 def test_run_suite_rejects_unknown(monkeypatch):
     ran = []
     monkeypatch.setitem(ALL_CRITERIA, "design-fixtures", lambda seed: ran.append(seed) or (True, ""))
-    with pytest.raises(KeyError) as info:
+    with pytest.raises(ValueError) as info:
         run_suite(["design-fixtures", "bogus"])
     assert not ran  # refused before the first criterion runs
     assert str(info.value).startswith("unknown criteria: bogus; known: design-fixtures, ") and "\n" not in str(info.value)
