@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
 from .intlinalg import IntLattice, IntVec, PackedNormals, independent_subset, l1_reach, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
-from .polyhedra import cone_facets, linear_feasible, vertices_by_facet_rank
+from .polyhedra import PackedColumns, cone_facets, linear_feasible, vertices_by_facet_rank
 from .words import word_count
 
 _DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
@@ -305,13 +305,14 @@ def hilbert_basis_bruteforce_oracle(model: Model | str, S: int, T: int, degree_c
         return ()
     cols = distinct_columns(model, S, T)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)
+    packed = PackedColumns(cols)
     colsum = model.column_sum(T)
     members: list[IntVec] = []
     for k in range(1, degree_cap + 1):
         for y in _degree_k_candidates(model, S, T, k):
             if not lattice.contains(y):
                 continue
-            if not linear_feasible(cols, y):
+            if not linear_feasible(packed, y):
                 continue
             members.append(y)
     member_set = set(members)

@@ -10,9 +10,15 @@ the LP on one side (x in kP) and by the facets on the other (x in the
 cone). Every column-against-facet test (the double description's ray
 signs, the containment assertion, the vertex masks, the incidences and
 the Hilbert-basis cone tests) evaluates all normals at once in one
-packed integer sum (:class:`PackedNormals`). The LP tableau is integer:
-a rational right-hand side is scaled to integers once per call. No
-floating point anywhere.
+packed integer sum (:class:`PackedNormals`). The LP uses the same
+layout: a column set is packed once (:class:`PackedColumns`, one integer
+per row, one field per column), a rational right-hand side is scaled to
+integers once per call, and each pivot is an integer-preserving
+Gauss-Jordan step over one common denominator d, applied to every field
+of a row in one multiply-subtract-divide. The division by d is exact
+(Bareiss), the field width comes from Hadamard's bound on the minors the
+tableau can hold, and Bland's rule picks the same pivots as on any other
+positive scaling of the rows. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from . import stategraph
 from .design import Model, compositions, distinct_columns
 from .intlinalg import (
     DegenerateInput,
+    DimensionMismatch,
     IntLattice,
     IntVec,
     PackedNormals,
@@ -48,8 +55,51 @@ def _integer_multiple(values: Sequence[int | Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
+def _norm_ceiling(row: Sequence[int]) -> int:
+    """An integer >= the row's L2 norm, and >= 1."""
+    square = sum(x * x for x in row)
+    return isqrt(square - 1) + 1 if square > 1 else 1
+
+
+class PackedColumns:
+    """A column set packed once for :func:`linear_feasible`: one integer per row.
+
+    The layout is :class:`PackedNormals` with the columns as the normals:
+    column j takes field j of every row, the coordinate rows come first
+    and the row of ones (for ``coefficient_sum``) last. ``drops[i]``
+    holds the guard bits of the columns that a zero right-hand side in
+    row i forces to 0: the columns positive there, when none is negative
+    (else 0). Ragged columns raise :class:`DimensionMismatch`.
+
+    The field width comes from Hadamard's bound. Every tableau entry the
+    LP stores is, up to sign, a minor of [A; c], where A is the rows
+    (signs flipped as the right-hand side asks) and c = -sum of A's rows
+    the phase-1 cost row. A minor is at most the product of the L2 norms
+    of its rows, and |c| <= the sum of the row norms, so (sum of the
+    norms) * (product of the norms), with each norm rounded up to an
+    integer >= 1, bounds every entry of every column subset and sign
+    pattern the LP can meet.
+    """
+
+    def __init__(self, columns: Iterable[Sequence[int]]):
+        self.columns = tuple(map(tuple, columns))
+        lengths = {len(c) for c in self.columns}
+        if len(lengths) > 1:
+            raise DimensionMismatch(f"ragged columns: lengths {sorted(lengths)}")
+        self.dim = lengths.pop() if lengths else None
+        rows = [*zip(*self.columns), (1,) * len(self.columns)]
+        norms = [_norm_ceiling(row) for row in rows]
+        bound = sum(norms) * prod(norms)
+        top = max((abs(x) for row in rows for x in row), default=1)
+        self.pack = pack = PackedNormals([(*c, 1) for c in self.columns], -(-bound // top))
+        bits = [1 << (pack.width * j + pack.width - 1) for j in range(pack.count)]
+        self.drops = tuple(
+            0 if min(row) < 0 else sum(bit for bit, x in zip(bits, row) if x) for row in rows[:-1]
+        )
+
+
 def linear_feasible(
-    columns: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]] | PackedColumns,
     rhs: Sequence[int | Fraction],
     *,
     coefficient_sum: int | Fraction | None = None,
@@ -58,74 +108,98 @@ def linear_feasible(
 
     ``coefficient_sum`` adds the constraint sum(lambda) == value (so 1
     tests convex-hull membership, k tests the k-th dilation). The
-    columns are integer. Where rhs is 0 and no column is negative, every
-    column positive there has lambda = 0, so it is dropped first. The
+    columns are integer, plain or packed once by :class:`PackedColumns`
+    (callers that ask many LPs of one column set pack it themselves); a
+    rhs whose length is not the columns' dimension raises
+    :class:`DimensionMismatch`. Where rhs is 0 and no column is negative,
+    every column positive there has lambda = 0, so it never enters. The
     right-hand side (with ``coefficient_sum``) is multiplied once by the
     lcm L of its denominators (substitute L * lambda for lambda), so the
     tableau is integer from the start.
 
-    Exact phase-1 simplex on a fraction-free tableau: every row carries
-    an implicit positive scale, pivots cross-multiply, and rows are
-    gcd-normalized. The basis starts as the artificial identity, which
-    is never stored: an artificial that leaves is fixed at 0 and never
-    re-enters, which keeps every feasible point of the original problem.
-    Bland's rule (smallest entering index, smallest basic index on ratio
-    ties, artificial i counting as n + i) guarantees termination.
-    """
-    zero_rows = [i for i, x in enumerate(rhs) if x == 0 and all(c[i] >= 0 for c in columns)]
-    columns = [c for c in columns if not any(c[i] for i in zero_rows)]
-    if not columns:
-        return all(Fraction(x) == 0 for x in rhs) and (coefficient_sum in (None, 0))
-    n = len(columns)
-    values = _integer_multiple(list(rhs) if coefficient_sum is None else [*rhs, coefficient_sum])
-    m = len(values)
-    rows = [list(row) for row in zip(*columns)]
-    if coefficient_sum is not None:
-        rows.append([1] * n)
-    for row, value in zip(rows, values):
-        row.append(value)
-        if value < 0:
-            row[:] = [-x for x in row]
+    Exact phase-1 simplex on packed rows: each row of the tableau is one
+    integer with a field per column (the right-hand side and cost values
+    are plain ints beside them), and the whole tableau is the integer
+    matrix over one common denominator d. A pivot on p = row_r[e] is an
+    integer-preserving Gauss-Jordan step (Bareiss, Edmonds): every other
+    row becomes (row * p - row_r * row[e]) // d, then d = p. The
+    division is exact in every field at once, because the new entries
+    are minors of [A; cost] (Sylvester's identity); the fields never
+    carry, because :class:`PackedColumns` sizes them by Hadamard's bound
+    on those minors. The entering column is the lowest guard bit missing
+    from the cost row (the first negative reduced cost).
 
-    # Reduced-cost row for min(sum of artificials); value cell goes last.
-    cost = [-sum(column) for column in zip(*rows)]
+    The basis starts as the artificial identity, which is never stored:
+    an artificial that leaves is fixed at 0 and never re-enters, which
+    keeps every feasible point of the original problem. Bland's rule
+    (smallest entering index, smallest basic index on ratio ties,
+    artificial i counting as n + i) guarantees termination. Signs and
+    ratios do not depend on a row's positive scale, so these are the
+    same pivots as on any other scaling of the same tableau. A "yes" is
+    self-certifying: the final basic solution is checked against the
+    plain columns in integers, and a mismatch raises AssertionError.
+    """
+    packed = columns if isinstance(columns, PackedColumns) else PackedColumns(columns)
+    if packed.dim is not None and len(rhs) != packed.dim:
+        raise DimensionMismatch(f"rhs has {len(rhs)} entries, the columns {packed.dim}")
+    pack = packed.pack
+    dropped = 0
+    for x, drop in zip(rhs, packed.drops):
+        if drop and x == 0:
+            dropped |= drop
+    allowed = pack.guard & ~dropped
+    if not allowed:
+        return not any(rhs) and coefficient_sum in (None, 0)
+    values = _integer_multiple(list(rhs) if coefficient_sum is None else [*rhs, coefficient_sum])
+    rows = [-row if v < 0 else row for row, v in zip(pack.coords, values)]
+    b = [abs(v) for v in values]
+    cost, cost_value = -sum(rows), -sum(b)  # reduced costs for min(sum of artificials)
+    n, m = pack.count, len(values)
     basis = [n + i for i in range(m)]
+    guard, width = pack.guard, pack.width
+    field, half = (1 << width) - 1, 1 << (width - 1)
+    d = 1
 
     while True:
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
+        negative = ~(cost + guard) & allowed
+        if not negative:
             break
+        shift = (negative & -negative).bit_length() - width  # the lowest entering column's field
+        column = [((row + guard) >> shift & field) - half for row in rows]
         leave = None
-        for i in range(m):
-            a = rows[i][enter]
+        for i, a in enumerate(column):
             if a <= 0:
                 continue
             if leave is None:
                 leave = i
             else:
-                # compare rhs_i / a_i < rhs_leave / a_leave by cross-multiplying
-                lhs = rows[i][-1] * rows[leave][enter]
-                rhs_cmp = rows[leave][-1] * a
+                # compare b_i / a_i < b_leave / a_leave by cross-multiplying
+                lhs = b[i] * column[leave]
+                rhs_cmp = b[leave] * a
                 if lhs < rhs_cmp or (lhs == rhs_cmp and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-1 objective unbounded; this cannot happen")
-        pivot_row = rows[leave]
-        for i in range(m):
-            if i != leave and rows[i][enter]:
-                rows[i] = _eliminate(rows[i], pivot_row, enter)
-        if cost[enter]:
-            cost = _eliminate(cost, pivot_row, enter)
-        basis[leave] = enter
-    return cost[-1] == 0
-
-
-def _eliminate(row: list[int], pivot_row: list[int], enter: int) -> list[int]:
-    """Clear ``row[enter]`` by cross-multiplying with the pivot row, then divide out the gcd."""
-    p, f = pivot_row[enter], row[enter]
-    new_row = [x * p - y * f for x, y in zip(row, pivot_row)]
-    g = gcd(*new_row)
-    return [x // g for x in new_row] if g > 1 else new_row
+        p, pivot_row, pivot_b = column[leave], rows[leave], b[leave]
+        for i, f in enumerate(column):
+            if i != leave:
+                rows[i] = (rows[i] * p - pivot_row * f) // d
+                b[i] = (b[i] * p - pivot_b * f) // d
+        f = ((cost + guard) >> shift & field) - half
+        cost = (cost * p - pivot_row * f) // d
+        cost_value = (cost_value * p - pivot_b * f) // d
+        d = p
+        basis[leave] = shift // width
+    if cost_value:
+        return False
+    # lambda_j = b_i / d for the column j basic in row i, 0 elsewhere, must solve the scaled LP
+    used = [(packed.columns[j], x) for j, x in zip(basis, b) if j < n]
+    combination = [sum(x * c[k] for c, x in used) for k in range(packed.dim)]
+    if coefficient_sum is not None:
+        combination.append(sum(x for _, x in used))
+    if min(b) < 0 or combination != [d * v for v in values]:
+        raise AssertionError("phase 1 ended feasible, but its basic solution does not solve the LP")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +472,7 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
         raise ValueError("need T >= 4 and k >= 1")
     cols = model_d_columns(T)
     hrep = cone_facets(cols)
+    packed = PackedColumns(cols)
     rng = random.Random((seed, T, k).__hash__() & 0x7FFFFFFF)
     target_sum = k * (T - 1)
     agreements = 0
@@ -439,7 +514,7 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
                 Fraction(numer * sum(w * p[i] for w, p in zip(weights, picks)), q * total)
                 for i in range(6)
             )
-        in_dilation = linear_feasible(cols, x, coefficient_sum=k)
+        in_dilation = linear_feasible(packed, x, coefficient_sum=k)
         in_slice = sum(x) == target_sum and hrep.contains(_integer_multiple(x))
         if in_dilation == in_slice:
             agreements += 1
@@ -451,7 +526,8 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
 def integer_points_equal_columns(T: int) -> bool:
     """Exhaustively compare the polytope's integer points with the column set."""
     cols = model_d_columns(T)
-    inside = {x for x in compositions(T - 1, 6) if linear_feasible(cols, x, coefficient_sum=1)}
+    packed = PackedColumns(cols)
+    inside = {x for x in compositions(T - 1, 6) if linear_feasible(packed, x, coefficient_sum=1)}
     return inside == set(cols)
 
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thmc import polyhedra
-from thmc.design import Model, distinct_columns
-from thmc.intlinalg import IntLattice, PackedNormals, l1_reach
+from thmc.design import Model, compositions, distinct_columns
+from thmc.intlinalg import DimensionMismatch, IntLattice, PackedNormals, l1_reach
 from thmc.polyhedra import (
     DegenerateInput,
+    PackedColumns,
     classify_vertices,
     cone_facets,
     dual_description,
@@ -97,6 +98,82 @@ def test_lp_answer_unchanged_by_scaling_to_integers(T):
         assert in_dilation == linear_feasible(cols, scaled, coefficient_sum=int(k * scale))
         dilation_answers.append(in_dilation)
     assert any(dilation_answers) and not all(dilation_answers)
+
+
+def test_lp_refuses_a_rhs_of_the_wrong_length():
+    # the coefficient sum must not be read as a third coordinate
+    with pytest.raises(DimensionMismatch):
+        linear_feasible([(1, 0), (0, 1)], (1,), coefficient_sum=1)
+
+
+def test_lp_refuses_a_longer_rhs_as_bad_input():
+    with pytest.raises(DimensionMismatch) as info:
+        linear_feasible([(1, 0), (0, 1)], (1, 2, 3))
+    assert isinstance(info.value, ValueError)  # bad input, exit 1 on the command line
+
+
+def test_lp_refuses_ragged_columns_when_packed():
+    with pytest.raises(DimensionMismatch):
+        PackedColumns([(1, 0), (0, 1, 3)])
+    with pytest.raises(DimensionMismatch):
+        linear_feasible([(1, 0), (0, 1, 3)], (1, 1))
+
+
+def test_lp_yes_is_checked_against_the_plain_columns():
+    packed = PackedColumns([(1, 0), (0, 1)])
+    assert linear_feasible(packed, (2, 3), coefficient_sum=5)
+    coords = packed.pack.coords
+    packed.pack.coords = (coords[0] + 1, *coords[1:])  # column 0 now reads (2, 0) in the tableau
+    with pytest.raises(AssertionError, match="basic solution"):
+        linear_feasible(packed, (2, 3))
+
+
+def test_lp_field_width_follows_the_hadamard_bound():
+    # entries near 2^40: a fixed 64-bit field would carry between columns
+    cols = model_d_columns(4)
+    hrep = cone_facets(cols)
+    scale = (1 << 40) - 3
+    big = PackedColumns([tuple(scale * x for x in c) for c in cols])
+    assert big.pack.width > 6 * 40
+    rng = random.Random(40)
+    answers = []
+    for point in _rational_points(cols, rng, 60):
+        x = [int(v * lcm(*(w.denominator for w in point))) for v in point]
+        in_cone = hrep.contains(x)
+        assert linear_feasible(big, [scale * v for v in x]) == linear_feasible(cols, x) == in_cone, x
+        k = Fraction(sum(x), 3)
+        assert linear_feasible(big, [scale * v for v in x], coefficient_sum=k) == linear_feasible(cols, x, coefficient_sum=k)
+        answers.append(in_cone)
+    assert any(answers) and not all(answers)
+
+
+def test_lp_dropped_columns_in_the_middle_match_the_shorter_list():
+    # a zero entry of x drops the columns positive there; they sit between kept ones in the index order
+    cols = list(model_d_columns(5))
+    random.Random(5).shuffle(cols)
+    packed = PackedColumns(cols)
+    interleaved = 0
+    for x in compositions(4, 6):
+        zero = [i for i, v in enumerate(x) if v == 0]
+        kept = [j for j, c in enumerate(cols) if not any(c[i] for i in zero)]
+        interleaved += bool(kept) and kept != list(range(kept[0], kept[-1] + 1))
+        shorter = [cols[j] for j in kept]
+        for k in (None, 1, 2):
+            assert linear_feasible(packed, x, coefficient_sum=k) == linear_feasible(shorter, x, coefficient_sum=k), (x, k)
+    assert interleaved
+
+
+@pytest.mark.parametrize("T", [4, 5])
+def test_lp_prepacked_and_plain_agree_on_every_composition(T):
+    cols = model_d_columns(T)
+    packed = PackedColumns(cols)
+    answers = []
+    for x in compositions(T - 1, 6):
+        for k in (None, 1):
+            answer = linear_feasible(packed, x, coefficient_sum=k)
+            assert answer == linear_feasible(cols, x, coefficient_sum=k), (x, k)
+            answers.append(answer)
+    assert any(answers) and not all(answers)
 
 
 def test_polytope_vertices_single_point():
