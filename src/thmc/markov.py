@@ -2,9 +2,10 @@
 
 A fiber is the set of word multisets sharing a marginal (sufficient
 statistic); a move is an integer word-vector in the design-matrix
-kernel. Every fiber, of words or of columns, is a group of one multiset
-search by sum (:func:`_fibers`). The probe summarizes, per fiber up to
-a marginal-degree cap, whether its column classes share columns; this
+kernel. Word fibers and moves are groups of one multiset search by sum
+(:func:`_fibers`). The probe summarizes, per fiber up to a
+marginal-degree cap, whether its column classes share columns, from
+the distinct column sums of each degree (:func:`_column_fibers`); this
 bounds the true Markov-basis degree from below and is reported as
 evidence, never as a certificate.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby
+from itertools import combinations
 from math import comb
-from operator import itemgetter, le
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, sufficient
@@ -82,6 +83,8 @@ class Move:
     negative: Element
 
     def __post_init__(self) -> None:
+        if list(self.positive) != sorted(self.positive) or list(self.negative) != sorted(self.negative):
+            raise ValueError("move parts must list their words in sorted order")
         if not self.positive or len(self.positive) != len(self.negative):
             raise ValueError("move parts must be non-empty and balanced")
         if set(self.positive) & set(self.negative):
@@ -211,33 +214,38 @@ def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tu
     """Connectivity of the fiber graph with edges u -> u + z, z a move.
 
     A move applies to u exactly when its negative part is a sub-multiset
-    of u, so the moves are indexed by their sorted negative part and
-    each element looks up its distinct sorted sub-multisets (at most
-    2^degree - 1). The result u - negative + positive is non-negative by
-    construction, which is exactly the walk condition of the
-    Markov-basis definition.
+    of u. Each element lists its distinct sub-multisets (at most
+    2^degree - 1), sorted because the element is, and only the moves
+    whose (sorted) negative part is one of them are indexed. The result
+    u - negative + positive is non-negative by construction, which is
+    exactly the walk condition of the Markov-basis definition.
     """
-    elements = list(fiber.elements)
+    elements = fiber.elements
     index = {e: i for i, e in enumerate(elements)}
+    splits = []  # per element: each distinct sub-multiset -> the positions it takes
+    for e in elements:
+        picks: dict[Element, tuple[int, ...]] = {}
+        for size in range(1, len(e) + 1):
+            for picked in combinations(range(len(e)), size):
+                picks.setdefault(tuple(e[p] for p in picked), picked)
+        splits.append(picks)
+    wanted = set().union(*splits)
     positives_by_negative: dict[Element, list[Element]] = {}
     for mv in moves:
-        positives_by_negative.setdefault(tuple(sorted(mv.negative)), []).append(mv.positive)
+        if mv.negative in wanted:
+            positives_by_negative.setdefault(mv.negative, []).append(mv.positive)
 
     def edges() -> Iterator[tuple[int, int]]:
-        for i, e in enumerate(elements):
-            applied = set()
-            for size in range(1, len(e) + 1):
-                for picked in combinations(range(len(e)), size):
-                    negative = tuple(e[p] for p in picked)
-                    positives = positives_by_negative.get(negative)
-                    if not positives or negative in applied:
-                        continue
-                    applied.add(negative)
-                    rest = [w for p, w in enumerate(e) if p not in picked]
-                    for positive in positives:
-                        j = index.get(tuple(sorted(rest + list(positive))))
-                        if j is not None:
-                            yield i, j
+        for i, (e, picks) in enumerate(zip(elements, splits)):
+            for negative, picked in picks.items():
+                positives = positives_by_negative.get(negative)
+                if not positives:
+                    continue
+                rest = [w for p, w in enumerate(e) if p not in picked]
+                for positive in positives:
+                    j = index.get(tuple(sorted(rest + list(positive))))
+                    if j is not None:
+                        yield i, j
 
     by_root: dict[int, list[Element]] = {}
     for e, root in zip(elements, components(len(elements), edges())):
@@ -297,13 +305,15 @@ def minimal_connecting_degree(
     connect by degree-1 word swaps, and distinct classes in one fiber
     differ in at least two columns. Each multi-class fiber of degree d
     is connected at 2 when its classes form one component under "shares
-    a column" (:func:`_class_components`), and at d otherwise. That is
-    not the word-level walk definition: two classes sharing a column
-    still differ by a move of degree up to d-1. This is a lower-bound
-    probe of the Markov-basis degree, reported as evidence: only
-    marginals up to degree D are inspected, and D above
-    ``_DEFAULT_DEGREE_CAP``, or more column multisets than
-    ``_MULTISET_CAP``, is refused before any work.
+    a column", and at d otherwise. That is not the word-level walk
+    definition: two classes sharing a column still differ by a move of
+    degree up to d-1. This is a lower-bound probe of the Markov-basis
+    degree, reported as evidence: only marginals up to degree D are
+    inspected, and D above ``_DEFAULT_DEGREE_CAP``, or more column
+    multisets than ``_MULTISET_CAP``, is refused before any work. The
+    fibers are the distinct column sums of :func:`_column_fibers`, which
+    counts each fiber's classes and components without listing them,
+    in the order in which :func:`_fibers` would first meet them.
     """
     model = Model.parse(model)
     check_degree("fiber", D)
@@ -314,18 +324,17 @@ def minimal_connecting_degree(
     disconnected: list[FiberSummary] = []
     interesting: list[FiberSummary] = []
 
-    for degree in range(1, D + 1):
-        for b, classes in _fibers(columns, degree).items():
-            fibers_checked += 1
-            if len(classes) == 1:
-                continue
-            connected_at = 2 if _class_components(classes) == 1 else degree
-            summary = FiberSummary(b=b, degree=degree, classes=len(classes), connected_at=connected_at)
-            minimal_k = max(minimal_k, connected_at)
-            if connected_at > degree:
-                disconnected.append(summary)
-            elif len(interesting) < report_limit:
-                interesting.append(summary)
+    for degree, b, classes, parts in _column_fibers(columns, D):
+        fibers_checked += 1
+        if classes == 1:
+            continue
+        connected_at = 2 if parts == 1 else degree
+        summary = FiberSummary(b=b, degree=degree, classes=classes, connected_at=connected_at)
+        minimal_k = max(minimal_k, connected_at)
+        if connected_at > degree:
+            disconnected.append(summary)
+        elif len(interesting) < report_limit:
+            interesting.append(summary)
 
     return ConnectivityReport(
         model=model,
@@ -339,25 +348,71 @@ def minimal_connecting_degree(
     )
 
 
-def _class_components(classes: Sequence[tuple[int, ...]]) -> int:
-    """Number of components of the classes under "shares a column".
+def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+    """(degree, b, classes, components) for each sum b of 1..D of the non-negative ``columns``.
 
-    The classes come in combination order, so each run with the same
-    first column shares that column and is one set of columns; a block
-    merges with every earlier set it meets, and those sets are disjoint.
+    ``classes`` is the number of column multisets summing to b and
+    ``components`` the number of their components under "shares a
+    column"; each degree's sums come in the order in which
+    :func:`_fibers` first meets them. No multiset is listed. Sums are
+    packed as in :func:`_fibers` and kept per degree with two numbers:
+    the class count, by the multiset-counting recurrence taken column
+    by column (a multiset of degree d whose largest column is c is one
+    of degree d-1 over the columns up to c, plus c), and the column
+    mask, the union of the columns of its classes. A column c of b
+    lies in exactly the classes of b - c plus c, so its neighbours are
+    c and the mask of b - c, and the components are the floods of those
+    neighbourhoods. The lexicographically first multiset of b starts
+    with its lowest column c, followed by the first multiset of b - c,
+    which orders each degree by (lowest column, rank of b - c).
     """
-    merged: list[set[int]] = []
-    for _, block in groupby(classes, itemgetter(0)):
-        columns = set(chain.from_iterable(block))
-        apart = []
-        for other in merged:
-            if columns.isdisjoint(other):
-                apart.append(other)
-            else:
-                columns |= other
-        apart.append(columns)
-        merged = apart
-    return len(merged)
+    pack = PackedNormals(identity_matrix(len(columns[0])), D * max(map(max, columns)))
+    guard = pack.guard
+    packed = [pack.value(col) - guard for col in columns]
+    levels: list[dict[int, list[int]]] = [{0: [1, 0]}] + [{} for _ in range(D)]  # sum -> [classes, column mask]
+    for c, p in enumerate(packed):
+        bit = 1 << c
+        for below, level in zip(levels, levels[1:]):  # rising degree, so c may repeat
+            get = level.get
+            for s, (count, mask) in below.items():
+                entry = get(s + p)
+                if entry is None:
+                    level[s + p] = [count, mask | bit]
+                else:
+                    entry[0] += count
+                    entry[1] |= mask | bit
+    rank = {0: 0}
+    for degree in range(1, D + 1):
+        below, level = levels[degree - 1], levels[degree]
+
+        def first(b: int) -> tuple[int, int]:
+            lowest = (level[b][1] & -level[b][1]).bit_length() - 1
+            return lowest, rank[b - packed[lowest]]
+
+        order = sorted(level, key=first)
+        rank = {b: i for i, b in enumerate(order)}
+        for b in order:
+            classes, mask = level[b]
+            parts = 1 if classes == 1 else _shared_column_components(b, mask, below, packed)
+            yield degree, tuple(pack.decode(b + guard)), classes, parts
+
+
+def _shared_column_components(b: int, mask: int, below: dict[int, list[int]], packed: Sequence[int]) -> int:
+    """Components of the columns in ``mask``, each joined to the columns of the classes of b - column."""
+    count = 0
+    while mask:
+        count += 1
+        reach = todo = mask & -mask
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            near = below[b - packed[bit.bit_length() - 1]][1]
+            todo |= near & ~reach
+            reach |= near
+            if reach == mask:  # at once when one neighbourhood covers the rest
+                return count
+        mask &= ~reach
+    return count
 
 
 def moves_to_text(moves: Sequence[Move]) -> str:

@@ -296,7 +296,7 @@ def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("multisets enumerated past the size guard")
 
-    monkeypatch.setattr(thmc.markov, "_fibers", no_search)
+    monkeypatch.setattr(thmc.markov, "_column_fibers", no_search)
     assert main(["markov", "--model", "d", "--S", "3", "--T", "20", "--D", "4"]) == 1
     out, err = capsys.readouterr()
     assert not out

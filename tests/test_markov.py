@@ -13,7 +13,7 @@ from thmc.design import Model, SizeCapExceeded, distinct_columns, row_labels
 from thmc.markov import (
     DegreeCapExceeded,
     Move,
-    _class_components,
+    _column_fibers,
     _fibers,
     enumerate_fiber,
     fiber_connected,
@@ -87,7 +87,7 @@ def _no_search(*args):
 
 def test_probe_multiset_guard_runs_before_the_search(monkeypatch):
     # 1,032 distinct columns: 4.77e10 multisets of degree <= 4
-    monkeypatch.setattr(thmc.markov, "_fibers", _no_search)
+    monkeypatch.setattr(thmc.markov, "_column_fibers", _no_search)
     with pytest.raises(SizeCapExceeded, match="multisets"):
         minimal_connecting_degree(Model.D, 3, 20, 4)
 
@@ -157,6 +157,25 @@ def test_moves_deduplicated_up_to_sign():
 def test_move_constructor_rejects_non_kernel():
     with pytest.raises(AssertionError):
         Move(S=3, T=4, model=Model.D, positive=((1, 2, 1, 2),), negative=((1, 3, 1, 3),))
+
+
+def test_move_constructor_rejects_unsorted_parts():
+    mv = next(mv for mv in moves_up_to_degree(Model.D, 3, 4, 2) if len(set(mv.negative)) == 2)
+    with pytest.raises(ValueError, match="sorted order") as raised:
+        Move(S=3, T=4, model=Model.D, positive=mv.positive, negative=mv.negative[::-1])
+    assert len(str(raised.value).splitlines()) == 1
+
+
+def test_fiber_walk_ignores_the_order_of_the_moves():
+    b = sufficient(Model.D, 3, [(1, 2, 3, 1), (1, 2, 3, 1), (2, 1, 2, 3)])
+    fiber = enumerate_fiber(Model.D, 3, 4, b)
+    for k in (1, 2):
+        moves = list(moves_up_to_degree(Model.D, 3, 4, k))
+        expected = fiber_connected(fiber, moves)
+        for seed in range(3):
+            random.Random(seed).shuffle(moves)
+            assert fiber_connected(fiber, moves) == expected
+        assert fiber_connected(fiber, reversed(moves)) == expected
 
 
 def test_singleton_fiber_connected():
@@ -283,19 +302,49 @@ def test_fibers_of_wide_entries_and_bounds(vectors, size, bound):
     assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
 
 
-@pytest.mark.parametrize("T, D", [(4, 4), (5, 3)])
-def test_class_components_match_the_union_find(T, D):
-    columns = distinct_columns(Model.D, 3, T)
-    checked = 0
+def _column_fibers_by_search(columns, D):
+    """Reference: the groups of :func:`_fibers`, with the union-find of their classes under "shares a column"."""
     for degree in range(1, D + 1):
-        for classes in _fibers(columns, degree).values():
-            if len(classes) == 1:
-                continue
+        for b, classes in _fibers(columns, degree).items():
             first_with = {}  # column -> first class containing it
             edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
-            assert _class_components(classes) == len(set(components(len(classes), edges))), classes
-            checked += 1
-    assert checked
+            yield degree, b, len(classes), len(set(components(len(classes), edges)))
+
+
+@pytest.mark.parametrize(
+    "model, S, T, D",
+    [(Model.D, 3, 4, 4), (Model.D, 3, 5, 3)] + [(model, 2, T, 3) for model in Model for T in range(3, 7)],
+    ids=lambda v: v.value if isinstance(v, Model) else str(v),
+)
+def test_column_fibers_match_the_multiset_search(model, S, T, D):
+    columns = distinct_columns(model, S, T)
+    assert list(_column_fibers(columns, D)) == list(_column_fibers_by_search(columns, D))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=6), st.integers(1, 4))
+def test_column_fibers_of_any_small_vectors(vectors, D):
+    # duplicates, zero vectors and unequal coordinate sums, unlike design columns
+    expected = []
+    for degree in range(1, D + 1):
+        for b, classes in _fibers_by_combinations(vectors, degree, None):
+            columns = [set(cls) for cls in classes]
+            edges = [(i, j) for i in range(len(classes)) for j in range(i) if columns[i] & columns[j]]
+            expected.append((degree, b, len(classes), len(set(components(len(classes), edges)))))
+    assert list(_column_fibers(vectors, D)) == expected
+
+
+def test_probe_pins_the_degree_three_moves_of_four_states():
+    report = minimal_connecting_degree(Model.D, 4, 3, 3, report_limit=10**9)
+    assert (report.minimal_k, report.fibers_checked) == (3, 4121)
+    assert not report.disconnected_fibers
+    assert sum(f.degree == 3 and f.connected_at == 3 for f in report.interesting_fibers) == 96
+
+
+def test_probe_pins_the_multi_class_fibers_per_degree():
+    report = minimal_connecting_degree(Model.D, 3, 4, 4, report_limit=10**9)
+    assert report.fibers_checked == 2408
+    assert Counter(f.degree for f in report.interesting_fibers) == {2: 49, 3: 344, 4: 1269}
 
 
 @pytest.mark.parametrize("model", list(Model))
