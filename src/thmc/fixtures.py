@@ -67,8 +67,8 @@ class DesignComparison:
     column order. The with-loop matrices print consistently; the
     loop-free ones carry a column permutation between their printed
     header and their printed data (an erratum in the source tables), so
-    ``columns_match_as_multiset`` plus the recovered permutation is the
-    faithful check there.
+    ``columns_match_as_multiset`` is the faithful check there, and
+    ``strict_entrywise`` says whether that permutation is the identity.
     """
 
     model: Model
@@ -76,7 +76,6 @@ class DesignComparison:
     header_is_lex: bool
     labels_match: bool
     columns_match_as_multiset: bool
-    permutation: tuple[int, ...] | None
 
     @property
     def ok(self) -> bool:
@@ -91,24 +90,12 @@ def compare_design_fixture(model: Model | str) -> DesignComparison:
     built = build_design_matrix(model, fixture.S, fixture.T)
     header_is_lex = fixture.words == built.words
     labels_match = tuple(fixture.labels) == tuple(format_row_label(lab) for lab in built.rows)
-    strict = fixture.columns == built.columns
-    multiset = sorted(fixture.columns) == sorted(built.columns)
-    permutation: tuple[int, ...] | None = None
-    if multiset:
-        remaining: dict[IntVec, list[int]] = {}
-        for idx, col in enumerate(built.columns):
-            remaining.setdefault(col, []).append(idx)
-        perm = []
-        for col in fixture.columns:
-            perm.append(remaining[col].pop(0))
-        permutation = tuple(perm)
     return DesignComparison(
         model=model,
-        strict_entrywise=strict,
+        strict_entrywise=fixture.columns == built.columns,
         header_is_lex=header_is_lex,
         labels_match=labels_match,
-        columns_match_as_multiset=multiset,
-        permutation=permutation,
+        columns_match_as_multiset=sorted(fixture.columns) == sorted(built.columns),
     )
 
 

@@ -1,19 +1,19 @@
 """Hilbert bases of the column cones over the column lattices, and normality.
 
-The main algorithm mirrors the classical primal approach: move to
-coordinates of the lattice generated by the columns, triangulate the
-cone by placing the (lattice-primitive) generator directions, collect
-the lattice points of every half-open fundamental parallelepiped, and
-reduce the candidate pool to irreducibles by increasing degree. The
-extreme rays are placed first: every later direction already lies in
-the cone and adds no simplex, and a ray's visibility costs one dot
-product per distinct boundary normal. Every simplex carries its scaled
-inverse N = vol R^-1 and volume vol = |det R|: row i of N is the inward
-normal of the facet opposite ray i, and the columns of N mod vol
-generate the parallelepiped's coefficient group. Only the first simplex
-takes a Smith normal form; each later one is a neighbour with one ray
-exchanged, and its (N, vol) is a rank-1 update of the neighbour's,
-checked in full against N R = vol I.
+The main algorithm is the classical primal one, in the coordinates of
+the lattice generated by the columns: the facet normals and the degree
+are mapped in once, the cone is triangulated by placing the primitive
+generator directions (extreme rays first, so no later one adds a
+simplex), and the lattice points of every half-open fundamental
+parallelepiped are tested, graded and reduced to irreducibles by
+increasing degree; only the irreducibles are mapped back. Boundary
+facets are bitmasks of rays, and one met again is interior. Every
+simplex carries its scaled inverse N = vol R^-1 and vol = |det R|: row
+i of N is the inward normal of the facet opposite ray i, and the
+columns of N mod vol generate the parallelepiped's coefficient group.
+Only the first simplex takes a Smith normal form; each later one is a
+neighbour with one ray exchanged, its (N, vol) a rank-1 update checked
+in full against N R = vol I.
 A brute-force degree-capped search acts as an independent oracle, and
 the explicit non-normality witnesses of the with-loop models are
 verified by exact computation.
@@ -27,12 +27,14 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
-from .intlinalg import IntLattice, IntVec, PackedNormals, independent_subset, l1_reach, primitive_vector, smith_normal_form
+from .intlinalg import IntLattice, IntVec, PackedNormals, independent_subset, l1_reach, mat_vec, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
 from .polyhedra import PackedColumns, cone_facets, linear_feasible, vertices_by_facet_rank
 from .words import word_count
 
-_DEFAULT_T_CAP = {Model.A: 30, Model.B: 10, Model.C: 9, Model.D: 15}
+# the largest T of models a, b, c, d by S; at S=4 the next T takes 14-16 s (d) or over 40 s (a, b, c) on 2 vCPU
+_CAPS_BY_S = {2: (30, 10, 9, 15), 3: (30, 10, 9, 15), 4: (2, 3, 3, 3)}
+_DEFAULT_T_CAP = {(model, S): cap for S, caps in _CAPS_BY_S.items() for model, cap in zip(Model, caps)}
 
 
 class RangeExceeded(ValueError):
@@ -68,11 +70,13 @@ class HilbertBasisResult:
         }
 
 
-def check_T_cap(model: Model, T: int, max_T: int | None = None) -> None:
-    """Refuse T beyond ``max_T`` (default ``_DEFAULT_T_CAP[model]``)."""
-    cap = max_T if max_T is not None else _DEFAULT_T_CAP[model]
+def check_T_cap(model: Model, S: int, T: int, max_T: int | None = None) -> None:
+    """Refuse T beyond ``max_T`` (default ``_DEFAULT_T_CAP[model, S]``), and an unmeasured S without ``max_T``."""
+    cap = max_T if max_T is not None else _DEFAULT_T_CAP.get((model, S))
+    if cap is None:
+        raise RangeExceeded(f"no default T cap for model {model.value} at S={S}: give max_T (--max-T)")
     if T > cap:
-        raise RangeExceeded(f"T={T} beyond configured cap {cap} for model {model.value}")
+        raise RangeExceeded(f"T={T} beyond configured cap {cap} for model {model.value} at S={S}")
 
 
 def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = None) -> HilbertBasisResult:
@@ -80,59 +84,49 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
 
     Normal iff every element is itself a column (all columns are
     degree-one irreducibles, so containment is equality). T beyond
-    ``max_T`` (default ``_DEFAULT_T_CAP[model]``) is refused before any work.
+    ``max_T`` (default ``_DEFAULT_T_CAP[model, S]``) is refused before any work.
     """
     model = Model.parse(model)
-    check_T_cap(model, T, max_T)
+    check_T_cap(model, S, T, max_T)
     cols = distinct_columns(model, S, T)
     hrep = cone_facets(cols)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)
-    basis_rows = lattice.echelon_rows()
-    rank = lattice.rank
+    B = lattice.echelon_rows()
+    # candidates stay in lattice coordinates z, whose column point is z B: so h.(z B) = (B h).z
+    # for every facet normal h, and the degree of z is (B 1).z / colsum
+    normals = {primitive_vector(mat_vec(B, h)) for h in hrep.inequalities}
+    weight = [sum(row) for row in B]
+    colsum = model.column_sum(T)
 
-    direction_of: dict[IntVec, IntVec] = {}
-    for c in cols:
-        z = lattice.coordinates(c)
-        assert z is not None
-        direction_of[c] = primitive_vector(z)
-
+    direction_of = {c: primitive_vector(lattice.coordinates(c)) for c in cols}
     # extreme rays first: once they are placed, every later ray lies in the cone
     extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
     directions = sorted(set(direction_of.values()), key=lambda z: (z not in extreme, z))
 
-    def back(z: Sequence[int]) -> IntVec:
-        return tuple(sum(q * row[i] for q, row in zip(z, basis_rows)) for i in range(lattice.dim))
+    candidates = set(directions)
+    for simplex, N, vol in _placing_triangulation(directions, lattice.rank, normals):
+        candidates.update(_parallelepiped_points([directions[i] for i in simplex], N, vol))
 
-    candidates: set[IntVec] = set(back(z) for z in directions)
-    for simplex, N, vol in _placing_triangulation(directions, rank, len(hrep.inequalities)):
-        for z in _parallelepiped_points([directions[i] for i in simplex], N, vol):
-            candidates.add(back(z))
-    candidates.discard(tuple([0] * lattice.dim))
-
-    colsum = model.column_sum(T)
     # a difference of two candidates has at most twice their L1 norm, so one pack tests them all
-    pack = PackedNormals(hrep.inequalities, 2 * l1_reach(candidates))
-    packed: dict[IntVec, int] = {}
-    for v in candidates:
-        packed[v] = pack.value(v)
-        if not pack.inside(packed[v]):
-            raise AssertionError("parallelepiped candidate escaped the cone")
-        if sum(v) % colsum:
-            raise AssertionError("candidate degree is not integral")
-
-    ordered = sorted(candidates, key=lambda v: (sum(v), v))
+    pack = PackedNormals(sorted(normals), 2 * l1_reach(candidates))
     accepted: list[IntVec] = []
     by_degree: dict[int, list[int]] = {}  # packed values of the accepted elements
-    for v in ordered:
-        deg = sum(v) // colsum
-        # value(v) - value(h) + guard packs v - h, which is in the cone (so also in the orthant)
-        # iff every facet keeps its guard bit; strictly smaller degrees suffice
-        shifted = packed[v] + pack.guard
+    for z in sorted(candidates, key=lambda z: sum(map(mul, weight, z))):
+        value = pack.value(z)
+        if not pack.inside(value):
+            raise AssertionError("parallelepiped candidate escaped the cone")
+        deg, rest = divmod(sum(map(mul, weight, z)), colsum)
+        if rest:
+            raise AssertionError("candidate degree is not integral")
+        # value(z) - value(h) + guard packs z - h, in the cone iff every facet keeps its guard bit;
+        # strictly smaller degrees suffice
+        shifted = value + pack.guard
         if not any(pack.inside(shifted - h) for d in range(1, deg) for h in by_degree.get(d, ())):
-            accepted.append(v)
-            by_degree.setdefault(deg, []).append(packed[v])
+            accepted.append(z)
+            by_degree.setdefault(deg, []).append(value)
 
-    elements = tuple(sorted(accepted))
+    columns_of_B = list(zip(*B))
+    elements = tuple(sorted(tuple(mat_vec(columns_of_B, z)) for z in accepted))
     normal = set(elements) <= set(cols)
     return HilbertBasisResult(model=model, S=S, T=T, elements=elements, normal=normal)
 
@@ -140,18 +134,20 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
 Simplex = tuple[tuple[int, ...], tuple[IntVec, ...], int]  # (ray indices, N = vol * R^-1, vol)
 
 
-def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> Iterator[Simplex]:
+def _placing_triangulation(rays: Sequence[IntVec], rank: int, normals: set[IntVec]) -> Iterator[Simplex]:
     """Triangulate cone(rays) into simplicial subcones, each with its scaled inverse.
 
     Incremental placing: start from a linearly independent subset, then
     attach every later ray to the boundary facets it strictly sees; a
     ray inside the current cone adds nothing, so callers place the
-    extreme rays first. Boundary facets are bitmasks over the ray
-    indices, grouped by primitive inward normal; a ray sees a whole group
-    or none of it, so visibility costs one dot product per distinct
-    normal: once the extreme rays are in, one per facet of the cone. At
-    the end the distinct normals must number ``facets``, the count from
-    the double description.
+    extreme rays first. Facets are bitmasks over the ray indices. A
+    facet met a second time is interior: the new simplex must lie on
+    its other side, and the facet leaves the boundary. Boundary facets
+    are grouped by primitive inward normal; a ray sees a whole group or
+    none of it, so visibility costs one dot product per distinct normal:
+    once the extreme rays are in, one per facet of the cone. At the end
+    the distinct normals must be ``normals``, the primitive facet
+    normals of the double description.
 
     Each simplex comes with (N, vol), N = vol * R^-1 for its ray matrix R
     (rays as columns, in index order) and vol = |det R|: row i of N is
@@ -166,10 +162,9 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> It
     picked = independent_subset(rays, rank)
     reach = l1_reach(rays)
 
-    # primitive inward normal -> boundary facets on its hyperplane; a facet
-    # met again from the other side (opposite normal) is interior
-    by_normal: dict[IntVec, set[int]] = {}
-    owner: dict[int, Simplex] = {}  # boundary facet -> the simplex it bounds
+    # primitive inward normal -> (the key itself, which owner entries share; the boundary facets on its hyperplane)
+    by_normal: dict[IntVec, tuple[IntVec, set[int]]] = {}
+    owner: dict[int, tuple[Simplex, int, IntVec]] = {}  # boundary facet -> (its simplex, position of the ray off it, normal)
 
     def add_simplex(simplex: tuple[int, ...], N: tuple[IntVec, ...], vol: int) -> Simplex:
         pack = PackedNormals(N, reach)
@@ -181,19 +176,21 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> It
             raise AssertionError("simplex fails N R = vol I")
         item = (simplex, N, vol)
         full = sum(1 << j for j in simplex)
-        for drop, row in zip(simplex, N):
+        for pos, (drop, row) in enumerate(zip(simplex, N)):
             facet = full ^ (1 << drop)
-            normal = primitive_vector(row)
-            outer = tuple(-x for x in normal)
-            group = by_normal.get(outer)
-            if group is not None and facet in group:
+            if facet in owner:  # met again: interior, and the new simplex must lie on its other side
+                (other, _, _), off, normal = owner.pop(facet)
+                if sum(map(mul, row, rays[other[off]])) >= 0:
+                    raise AssertionError("a simplex overlaps its neighbour across a shared facet")
+                group = by_normal[normal][1]
                 group.remove(facet)
-                del owner[facet]
                 if not group:
-                    del by_normal[outer]
+                    del by_normal[normal]
             else:
-                by_normal.setdefault(normal, set()).add(facet)
-                owner[facet] = item
+                normal = primitive_vector(row)
+                normal, group = by_normal.setdefault(normal, (normal, set()))
+                group.add(facet)
+                owner[facet] = (item, pos, normal)
         return item
 
     first = tuple(sorted(picked))
@@ -205,21 +202,22 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int, facets: int) -> It
         v = rays[idx]
         visible = [
             facet
-            for normal, group in by_normal.items()
+            for normal, (_, group) in by_normal.items()
             if sum(map(mul, normal, v)) < 0
             for facet in group
         ]
         for facet in visible:
-            simplex, N, vol = owner[facet]
-            drop = next(pos for pos, j in enumerate(simplex) if not facet >> j & 1)
+            (simplex, N, vol), drop, _ = owner[facet]
             N, vol = _exchange(N, vol, drop, v)
             exchanged = list(simplex)
             exchanged[drop] = idx
             # sorting the columns of R' permutes the rows of N' alike
             order = sorted(range(rank), key=exchanged.__getitem__)
             yield add_simplex(tuple(exchanged[pos] for pos in order), tuple(N[pos] for pos in order), vol)
-    if len(by_normal) != facets:
-        raise AssertionError(f"placing ends with {len(by_normal)} boundary normals, but the cone has {facets} facets")
+    if by_normal.keys() != normals:
+        raise AssertionError(
+            f"placing's {len(by_normal)} boundary normals differ from the {len(normals)} facet normals of the double description"
+        )
 
 
 def _exchange(N: Sequence[IntVec], vol: int, drop: int, v: IntVec) -> tuple[list[IntVec], int]:

@@ -46,7 +46,7 @@ def check_design_fixtures(seed: int) -> tuple[bool, str]:
         if model in (Model.A, Model.B):
             notes.append(f"{model.value}: entrywise={'OK' if cmp.strict_entrywise else 'FAIL'}")
         else:
-            tag = "identity" if cmp.permutation == tuple(range(len(cmp.permutation or ()))) else "permuted"
+            tag = "identity" if cmp.strict_entrywise else "permuted"
             notes.append(
                 f"{model.value}: multiset={'OK' if cmp.columns_match_as_multiset else 'FAIL'}"
                 f" (printed data column order vs lex header: {tag})"

@@ -243,6 +243,25 @@ def test_hilbert_json(capsys):
     assert payload == {"model": "d", "S": 3, "T": 4, "count": 20, "normal": True}
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["hilbert", "--model", "d", "--S", "4", "--T", "4"], "T=4 beyond configured cap 3 for model d at S=4"),
+        (["hilbert", "--model", "a", "--S", "5", "--T", "2"], "no default T cap for model a at S=5"),
+        (["tables", "--model", "d", "--T", "16"], "T=16 beyond configured cap 15 for model d at S=3"),
+    ],
+)
+def test_hilbert_caps_refuse_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("columns were built before the cap was checked")
+
+    monkeypatch.setattr(thmc.hilbert, "distinct_columns", no_work)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_markov_report(capsys, tmp_path):
     moves_path = tmp_path / "moves.txt"
     assert main(["markov", "--model", "d", "--T", "4", "--D", "2", "--moves-out", str(moves_path), "--moves-k", "1"]) == 0

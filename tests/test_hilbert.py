@@ -1,5 +1,6 @@
 """Hilbert bases, the brute-force oracle, normality, witnesses."""
 
+import hashlib
 import random
 from dataclasses import replace
 from itertools import product
@@ -18,7 +19,7 @@ from thmc.hilbert import (
     hilbert_basis_bruteforce_oracle,
     nonnormality_witness,
 )
-from thmc.intlinalg import IntLattice, det_bareiss, primitive_vector, smith_normal_form
+from thmc.intlinalg import IntLattice, det_bareiss, mat_vec, primitive_vector, smith_normal_form
 from thmc.polyhedra import cone_facets, vertices_by_facet_rank
 
 
@@ -64,6 +65,39 @@ def test_range_cap():
     with pytest.raises(RangeExceeded):
         hilbert_basis(Model.B, 2, 12)
     assert not hilbert_basis(Model.B, 2, 12, max_T=12).normal
+    assert hilbert_basis(Model.D, 5, 2, max_T=2).count == 20  # max_T also admits an S without a default cap
+
+
+def test_range_cap_knows_S(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("columns were built before the cap was checked")
+
+    monkeypatch.setattr(thmc.hilbert, "distinct_columns", no_work)
+    with pytest.raises(RangeExceeded, match="T=4 beyond configured cap 3 for model d at S=4"):
+        hilbert_basis(Model.D, 4, 4)
+    for S in (1, 5):  # an unmeasured S has no default cap
+        with pytest.raises(RangeExceeded, match=f"no default T cap for model d at S={S}"):
+            hilbert_basis(Model.D, S, 3)
+
+
+# sha256 of to_csv() for the with-loop models at S=3
+A_AND_B_PINS = [
+    pytest.param(Model.B, 4, 87, False, "940cba6996eab29d508ccea8111672e4fe52c8816f59f9e78c91608b192fbbff"),
+    pytest.param(
+        Model.B, 5, 189, False, "dbbb630ad0c3c574d582b9bfb4412d387f59f939ea87a5d90f5ec4208b65d399", marks=pytest.mark.slow
+    ),
+    pytest.param(Model.A, 3, 27, True, "63633772fe0ca51447ca9734447d87edbc0aa886cc87c3e2e72cb6d14f3ad1bc"),
+    pytest.param(
+        Model.A, 4, 87, False, "f3a2101c508f62b523a0c16450d40f6be7e22a912d2bcabfbaa3d7a37947bab0", marks=pytest.mark.slow
+    ),
+]
+
+
+@pytest.mark.parametrize("model,T,count,normal,digest", A_AND_B_PINS)
+def test_hb_models_a_and_b_S3_pins(model, T, count, normal, digest):
+    result = hilbert_basis(model, 3, T)
+    assert (result.count, result.normal) == (count, normal)
+    assert hashlib.sha256(result.to_csv().encode()).hexdigest() == digest
 
 
 def test_normality_examples():
@@ -229,26 +263,45 @@ def test_one_smith_form_per_hilbert_basis(monkeypatch):
 
 
 def test_placing_cross_check_catches_a_dropped_facet(monkeypatch):
-    # the boundary normals of the triangulation must count the facets of the double description
+    # the boundary normals of the triangulation must be the facet normals of the double description
     real = thmc.hilbert.cone_facets
 
     def one_facet_short(columns):
         hrep = real(columns)
         return replace(hrep, inequalities=hrep.inequalities[1:])
 
-    monkeypatch.setattr(thmc.hilbert, "cone_facets", one_facet_short)
-    with pytest.raises(AssertionError, match="boundary normals"):
-        hilbert_basis("d", 3, 6)
+    def one_facet_wrong(columns):
+        # as many normals as facets, but the first is the sum of two facet normals: valid, yet no facet
+        hrep = real(columns)
+        first = tuple(map(sum, zip(*hrep.inequalities[:2])))
+        return replace(hrep, inequalities=(first,) + hrep.inequalities[1:])
+
+    for mutated in (one_facet_short, one_facet_wrong):
+        monkeypatch.setattr(thmc.hilbert, "cone_facets", mutated)
+        with pytest.raises(AssertionError, match="boundary normals"):
+            hilbert_basis("d", 3, 6)
+
+
+def test_placing_overlap_check_catches_a_same_side_neighbour(monkeypatch):
+    # outward normals make a ray see the facets it lies inside of, so its simplex stacks on its neighbour
+    def outward(row):
+        return tuple(-x for x in primitive_vector(row))
+
+    monkeypatch.setattr(thmc.hilbert, "primitive_vector", outward)
+    with pytest.raises(AssertionError, match="overlaps its neighbour"):
+        list(_placing_triangulation([(1, 0), (0, 1), (1, 1)], 2, {(1, 0), (0, 1)}))
 
 
 def _lattice_directions(model, T):
-    """Primitive column directions in lattice coordinates, as hilbert_basis places them."""
+    """Primitive column directions and facet normals in lattice coordinates, as hilbert_basis places them."""
     cols = distinct_columns(model, 3, T)
     hrep = cone_facets(cols)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)
+    B = lattice.echelon_rows()
     direction_of = {c: primitive_vector(lattice.coordinates(c)) for c in cols}
     extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
-    return sorted(set(direction_of.values())), extreme, lattice.rank, len(hrep.inequalities)
+    normals = {primitive_vector(mat_vec(B, h)) for h in hrep.inequalities}
+    return sorted(set(direction_of.values())), extreme, lattice.rank, normals
 
 
 TRIANGULATED = [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C, 4), (Model.C, 5)]
@@ -256,22 +309,22 @@ TRIANGULATED = [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C
 
 @pytest.mark.parametrize("model,T", TRIANGULATED)
 def test_triangulation_volume_is_order_independent(model, T):
-    lex, extreme, rank, facets = _lattice_directions(model, T)
+    lex, extreme, rank, normals = _lattice_directions(model, T)
     orders = [lex, sorted(lex, key=lambda z: (z not in extreme, z))]
     for seed in (1, 2):
         shuffled = list(lex)
         random.Random(seed).shuffle(shuffled)
         orders.append(shuffled)
-    volumes = {sum(vol for _, _, vol in _placing_triangulation(rays, rank, facets)) for rays in orders}
+    volumes = {sum(vol for _, _, vol in _placing_triangulation(rays, rank, normals)) for rays in orders}
     assert len(volumes) == 1
 
 
 @pytest.mark.parametrize("model,T", TRIANGULATED)
 def test_exchanged_scaled_inverse_matches_the_smith_form(model, T):
     # the Smith form is the independent route to N = vol R^-1 and vol = |det R|
-    lex, extreme, rank, facets = _lattice_directions(model, T)
+    lex, extreme, rank, normals = _lattice_directions(model, T)
     for rays in (lex, sorted(lex, key=lambda z: (z not in extreme, z))):
-        for simplex, N, vol in _placing_triangulation(rays, rank, facets):
+        for simplex, N, vol in _placing_triangulation(rays, rank, normals):
             R = [[rays[j][i] for j in simplex] for i in range(rank)]
             N_snf, vol_snf = smith_normal_form(R).scaled_inverse()
             assert (N, vol) == (tuple(map(tuple, N_snf)), vol_snf)
@@ -287,6 +340,6 @@ def test_exchange_check_catches_a_corrupted_entry(monkeypatch):
         return rows, vol
 
     monkeypatch.setattr(thmc.hilbert, "_exchange", corrupted)
-    lex, _, rank, facets = _lattice_directions(Model.D, 5)
+    lex, _, rank, normals = _lattice_directions(Model.D, 5)
     with pytest.raises(AssertionError, match="N R = vol I"):
-        list(_placing_triangulation(lex, rank, facets))
+        list(_placing_triangulation(lex, rank, normals))
