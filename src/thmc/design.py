@@ -4,9 +4,9 @@ Model (a) is the full chain (initial-state rows plus transition rows),
 (b) drops the initial rows, (c) forbids self-loops, and (d) does both.
 Columns are indexed by words in lexicographic order; a column records
 the initial state indicator (models a, c) and the transition counts of
-its word. The distinct columns come from a walk over the words that
-keeps only distinct running counts. Everything is exact integer
-arithmetic.
+its word, counted in one place, :func:`sufficient`. The distinct columns
+come from a walk over the words that keeps only distinct running
+counts. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .words import Word, format_word, is_valid_word, iter_words, word_count
 
@@ -44,7 +44,7 @@ class Model(enum.Enum):
     D = "d"
 
     def __init__(self, letter: str) -> None:
-        # plain attributes, set once per member: column_of_word reads them per word
+        # plain attributes, set once per member: sufficient reads them on every call
         self.has_initial = letter in ("a", "c")
         self.no_loops = letter in ("c", "d")
 
@@ -84,33 +84,38 @@ def format_row_label(label: RowLabel) -> str:
 
 
 @lru_cache(maxsize=None)
-def _pair_index(S: int, no_loops: bool) -> dict[tuple[int, int], int]:
-    """Row of each transition (i, j) among :func:`transition_pairs`."""
-    return {pair: k for k, pair in enumerate(transition_pairs(S, no_loops))}
+def _rows(model: Model, S: int) -> dict[tuple[int, int], int]:
+    """Row of each counted pair: (0, s) for initial state s (models a, c), (i, j) for a transition."""
+    return {(0, label[1]) if label[0] == "init" else label[1:]: r for r, label in enumerate(row_labels(model, S))}
 
 
 def column_of_word(model: Model, S: int, word: Sequence[int]) -> tuple[int, ...]:
     """Design column of one word, without materializing the matrix."""
-    w = tuple(map(int, word))
-    if not is_valid_word(w, S, False):
-        raise ValueError(f"invalid word {w!r} for S={S}")
-    index = _pair_index(S, model.no_loops)
-    counts = [0] * len(index)
-    try:
-        for pair in zip(w, w[1:]):
-            counts[index[pair]] += 1
-    except KeyError:  # the states are valid, so a missing pair is a self-loop
-        raise LoopViolation(f"word {w!r} has a self-loop under model {model.value}") from None
-    if model.has_initial:
-        return (0,) * (w[0] - 1) + (1,) + (0,) * (S - w[0]) + tuple(counts)
+    return sufficient(model, S, (word,))
+
+
+def sufficient(model: Model, S: int, words: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Summed design columns of the words: the marginal they share with their fiber.
+
+    One count per row of :func:`row_labels`: 1 per pair of consecutive
+    states, with a state 0 before each word of models a and c, so its
+    initial state s is the pair (0, s). No words give the zero vector,
+    the marginal of the one element ``()`` of the b = 0 fiber.
+    """
+    rows = _rows(model, S)
+    start = (0,) if model.has_initial else ()
+    counts = [0] * len(rows)
+    for word in words:
+        w = tuple(map(int, word))
+        if not is_valid_word(w, S, False):
+            raise ValueError(f"invalid word {w!r} for S={S}")
+        v = start + w
+        try:
+            for pair in zip(v, v[1:]):
+                counts[rows[pair]] += 1
+        except KeyError:  # the states are valid, so a missing pair is a self-loop
+            raise LoopViolation(f"word {w!r} has a self-loop under model {model.value}") from None
     return tuple(counts)
-
-
-def sufficient(model: Model, S: int, words: Sequence[Word]) -> tuple[int, ...]:
-    """Summed design columns of the words: the marginal they share with their fiber."""
-    columns = [column_of_word(model, S, w) for w in words]
-    assert columns, "no words to sum"
-    return tuple(map(sum, zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -182,23 +187,20 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def distinct_columns(model: Model | str, S: int, T: int) -> tuple[tuple[int, ...], ...]:
     """Sorted distinct column vectors of the design matrix.
 
-    Walks the words one letter at a time but keeps only the distinct
-    (first state, last state, transition counts) triples, so a column is
-    reached once per way its word can end rather than once per word.
-    Models b/d drop the first state, which their columns do not record.
-    :class:`SizeCapExceeded` is raised before any work when both the word
-    count and the compositions of T-1 exceed ``DEFAULT_COLUMN_CAP``.
+    Walks the words one letter at a time from the one-letter columns,
+    but keeps only the distinct (last state, running column) pairs, so a
+    column is reached once per way its word can end rather than once per
+    word. :class:`SizeCapExceeded` is raised before any work when both
+    the word count and the compositions of T-1 exceed ``DEFAULT_COLUMN_CAP``.
     """
     model = Model.parse(model)
     pairs = transition_pairs(S, model.no_loops)
     words = word_count(S, T, model.no_loops)
     if min(words, comb(T - 2 + len(pairs), len(pairs) - 1)) > DEFAULT_COLUMN_CAP:
         raise SizeCapExceeded(f"{words} words and the compositions of T-1 both exceed the cap of {DEFAULT_COLUMN_CAP}")
-    index = _pair_index(S, model.no_loops)
-    steps = {i: tuple((j, index[i, j]) for j in range(1, S + 1) if (i, j) in index) for i in range(1, S + 1)}
-    zero = (0,) * len(pairs)
-    # head: the initial-state indicator that starts the column (empty for b/d)
-    states = {(tuple(int(v == s) for v in range(1, S + 1)) if model.has_initial else (), s, zero) for s in range(1, S + 1)}
+    rows = _rows(model, S)
+    steps = {i: tuple((j, rows[i, j]) for j in range(1, S + 1) if (i, j) in rows) for i in range(1, S + 1)}
+    states = {(s, sufficient(model, S, [(s,)])) for s in range(1, S + 1)}
     for _ in range(T - 1):
-        states = {(head, j, x[:k] + (x[k] + 1,) + x[k + 1:]) for head, i, x in states for j, k in steps[i]}
-    return tuple(sorted({head + x for head, _, x in states}))
+        states = {(j, x[:k] + (x[k] + 1,) + x[k + 1:]) for i, x in states for j, k in steps[i]}
+    return tuple(sorted({x for _, x in states}))

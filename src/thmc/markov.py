@@ -19,8 +19,8 @@ from math import comb
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
-from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, sufficient
-from .intlinalg import PackedNormals, identity_matrix
+from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, row_labels, sufficient
+from .intlinalg import DimensionMismatch, PackedNormals, identity_matrix
 from .stategraph import components
 from .words import Word, iter_words, word_count, word_index
 
@@ -89,6 +89,8 @@ class Move:
             raise ValueError("move parts must be non-empty and balanced")
         if set(self.positive) & set(self.negative):
             raise ValueError("move parts must have disjoint supports")
+        if any(len(w) != self.T for w in self.positive + self.negative):
+            raise ValueError(f"move words must have length T={self.T}")
         pos = sufficient(self.model, self.S, self.positive)
         neg = sufficient(self.model, self.S, self.negative)
         if pos != neg:
@@ -117,10 +119,15 @@ def enumerate_fiber(
     Only words whose column is <= b in every coordinate can occur; the
     group of b in :func:`_fibers` over those columns, bounded by b, is the
     fiber. With no such word the fiber is empty, except at b = 0, whose
-    one element is the empty multiset.
+    one element is the empty multiset. A b whose length is not the
+    model's row count raises :class:`DimensionMismatch` before any word
+    is streamed.
     """
     model = Model.parse(model)
     b = tuple(int(x) for x in b)
+    rows = len(row_labels(model, S))
+    if len(b) != rows:
+        raise DimensionMismatch(f"marginal has {len(b)} entries, model {model.value} at S={S} has {rows} rows")
     degree, rest = divmod(sum(b), model.column_sum(T))
     if rest:
         raise ValueError("marginal total is not a multiple of the column sum")
@@ -133,7 +140,7 @@ def enumerate_fiber(
     if not fitting:
         return Fiber(elements=() if any(b) else ((),))
     words, cols = zip(*fitting)
-    group = _fibers(cols, degree, b).get(b, ())
+    group = _fibers(cols, degree, b)[degree - 1].get(b, ())
     return Fiber(elements=tuple(tuple(words[i] for i in combo) for combo in group))
 
 
@@ -153,7 +160,7 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     check_move_caps(model, S, T, k)
     words = list(iter_words(S, T, model.no_loops))
     columns = [column_of_word(model, S, w) for w in words]
-    groups = [members for degree in range(1, k + 1) for members in _fibers(columns, degree).values()]
+    groups = [members for level in _fibers(columns, k) for members in level.values()]
     candidates = sum(comb(len(members), 2) for members in groups)
     if candidates > _PAIR_CAP:
         raise SizeCapExceeded(f"{candidates} candidate move pairs exceed the cap {_PAIR_CAP}")
@@ -169,19 +176,19 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     )
 
 
-def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Each multiset of ``size`` >= 1 indices into ``vectors``, grouped by the sum of its vectors.
+def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> list[dict[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Each multiset of 1..``size`` indices into ``vectors``, grouped by the sum of its vectors; entry d - 1 holds size d.
 
-    A lexicographic depth-first search over non-decreasing index tuples,
-    so each group is in the order of ``combinations_with_replacement``
-    and the groups in order of first appearance. Each vector is packed
-    by :class:`PackedNormals` with one unit normal per coordinate, so a
-    step of the search is one integer add. Its reach is the largest sum
-    or bound entry, so ``room - grown`` keeps the guard bit of a field
-    set exactly when that coordinate of the sum is within ``bound``; a
-    prefix over the bound is not extended, which is exact because the
-    vectors (design columns) are non-negative. No bound is the bound
-    that no sum of ``size`` vectors exceeds.
+    One lexicographic depth-first search over non-decreasing index tuples
+    records every prefix, so each group is in the order of
+    ``combinations_with_replacement``, each size's groups in order of first
+    appearance. Each vector is packed by :class:`PackedNormals` with one
+    unit normal per coordinate, so a step of the search is one integer
+    add. Its reach is the largest sum or bound entry, so ``room - grown``
+    keeps the guard bit of a field set exactly when that coordinate of the
+    sum is within ``bound``; a prefix over the bound is not extended, which
+    is exact because the vectors (design columns) are non-negative. No
+    bound is the bound that no sum of ``size`` vectors exceeds.
     """
     dim = len(vectors[0])
     top = size * max(abs(x) for v in vectors for x in v)
@@ -192,22 +199,21 @@ def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] 
     packed = [pack.value(v) - guard for v in vectors]
     room = pack.value(bound)
     n = len(packed)
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    levels: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(size)]
 
-    def extend(combo: tuple[int, ...], total: int, start: int, left: int) -> None:
+    def extend(combo: tuple[int, ...], total: int, start: int) -> None:
         slack = room - total
-        if left > 1:
-            for i in range(start, n):
-                if (slack - packed[i]) & guard == guard:
-                    extend(combo + (i,), total + packed[i], i, left - 1)
-            return
+        groups = levels[len(combo)]
         for i in range(start, n):
             if (slack - packed[i]) & guard == guard:
-                groups.setdefault(total + packed[i], []).append(combo + (i,))
+                grown = combo + (i,)
+                groups.setdefault(total + packed[i], []).append(grown)
+                if len(grown) < size:
+                    extend(grown, total + packed[i], i)
 
-    extend((), 0, 0, size)
-    del extend  # it names itself: dropping that name frees the groups now, not at the next cyclic collection
-    return {tuple(pack.decode(key + guard)): members for key, members in groups.items()}
+    extend((), 0, 0)
+    del extend  # it names itself: dropping that name frees the levels now, not at the next cyclic collection
+    return [{tuple(pack.decode(key + guard)): members for key, members in groups.items()} for groups in levels]
 
 
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:

@@ -312,15 +312,16 @@ class FVector:
 def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     """Irredundant facet inequalities of cone(columns) via double description.
 
-    The columns are echelonized once; the span equations are the integer
-    kernel of that echelon. The double description runs on the echelon's
-    pivot coordinates, where the projection is injective on the span, so
-    it sees a full-dimensional cone with the same facets. Each normal is
-    lifted back with zeros in the dropped coordinates: those are the
-    pivots of the right echelon of the equations, so the lift is already
-    the canonical representative modulo the equations. Normals are
-    primitive and lexicographically sorted; every generator lies in the
-    cone they describe and satisfies the equations (asserted, one packed
+    The columns are echelonized once, until the rank is full; the span
+    equations are the integer kernel of that echelon. The double
+    description runs on the echelon's pivot coordinates, where the
+    projection is injective on the span, so it sees a full-dimensional
+    cone with the same facets. Each normal is lifted back with zeros in
+    the dropped coordinates: those are the pivots of the right echelon
+    of the equations, so the lift is already the canonical
+    representative modulo the equations. Normals are primitive and
+    lexicographically sorted; every generator lies in the cone they
+    describe and satisfies the equations (asserted, one packed
     evaluation per column). The columns with the most zero entries, the
     likely extreme rays, enter the double description first.
     """
@@ -329,7 +330,12 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     if not cols:
         raise DegenerateInput("all columns are zero")
     dim = len(cols[0])
-    echelon = IntLattice.from_vectors(dim, cols).echelon_rows()
+    span = IntLattice(dim)
+    for c in cols:
+        span.add(c)
+        if span.rank == dim:  # every later column is in the span: no equations, every coordinate a pivot
+            break
+    echelon = span.echelon_rows()
     kernel = [primitive_vector(e) for e in kernel_lattice_basis(echelon)]
     equations = tuple(sorted(e if next(filter(None, e)) > 0 else tuple(-x for x in e) for e in kernel))  # first nonzero entry positive
     pivots = [next(i for i, x in enumerate(row) if x) for row in echelon]

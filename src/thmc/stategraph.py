@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .design import transition_pairs
-from .words import Word, is_valid_word
+from .design import Model, column_of_word, transition_pairs
+from .words import Word
 
 _PAIRS3 = ((1, 2), (1, 3), (2, 3))
 _CW3 = ((1, 2), (2, 3), (3, 1))
@@ -49,13 +49,8 @@ class StateGraph:
 
 
 def graph_of_word(word: Sequence[int], S: int) -> StateGraph:
-    """Transition-count multigraph of one word."""
-    if not is_valid_word(word, S, False):
-        raise ValueError(f"invalid word {tuple(word)!r} for S={S}")
-    x = [[0] * S for _ in range(S)]
-    for a, b in zip(word, word[1:]):
-        x[a - 1][b - 1] += 1
-    return StateGraph(S=S, x=tuple(map(tuple, x)))
+    """Transition-count multigraph of one word: its model (b) column, which counts every transition, loops included."""
+    return graph_of_transition_vector(column_of_word(Model.B, S, word), S, no_loops=False)
 
 
 def graph_of_transition_vector(x: Sequence[int], S: int = 3, *, no_loops: bool = True) -> StateGraph:
@@ -258,7 +253,8 @@ def cycle_decomposition(graph: StateGraph) -> CycleDecomposition:
         three_cycles_cw=cw,
         three_cycles_ccw=ccw,
     )
-    assert 2 * decomp.m + 3 * decomp.n + leftover.edge_count == graph.edge_count
+    if 2 * decomp.m + 3 * decomp.n + leftover.edge_count != graph.edge_count:
+        raise AssertionError("cycle decomposition does not account for every edge")
     return decomp
 
 
@@ -356,5 +352,6 @@ def enumerate_Gmn(T: int, m: int) -> tuple[StateGraph, ...]:
                 if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and start_states(graph):
                     graphs.add(graph)
     result = tuple(sorted(graphs, key=lambda g: g.x))
-    assert len(result) <= 18
+    if len(result) > 18:
+        raise AssertionError(f"{len(result)} graphs in G_{{{m},{n}}}, more than the 18 constructions")
     return result

@@ -90,6 +90,12 @@ def test_sufficient_statistic_examples():
     assert sufficient(Model.D, 3, [(1, 2, 1, 2), (2, 1, 2, 1)]) == (3, 0, 3, 0, 0, 0)
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_sufficient_statistic_of_no_words_is_zero(model):
+    # the marginal of the one element () of the b = 0 fiber
+    assert sufficient(model, 3, ()) == (0,) * len(row_labels(model, 3))
+
+
 def test_sufficient_statistic_linearity():
     W1 = [(1, 2, 1, 2)]
     W2 = [(2, 3, 2, 3), (1, 2, 1, 2)]

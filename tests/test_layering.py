@@ -51,6 +51,17 @@ def test_intlinalg_imports_no_package_module():
     assert not _imported_modules(PACKAGE / "intlinalg.py")
 
 
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so an invariant check must raise AssertionError itself
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import thmc.markov
 from thmc.design import Model, SizeCapExceeded, distinct_columns, row_labels
+from thmc.intlinalg import DimensionMismatch
 from thmc.markov import (
     DegreeCapExceeded,
     Move,
@@ -159,6 +160,14 @@ def test_move_constructor_rejects_non_kernel():
         Move(S=3, T=4, model=Model.D, positive=((1, 2, 1, 2),), negative=((1, 3, 1, 3),))
 
 
+@pytest.mark.parametrize("T", [3, 5])
+def test_move_constructor_rejects_words_of_another_length(T):
+    # a T=4 move: its kernel check passes at any T, but as_vector would index a T=3 or T=5 word list
+    mv = moves_up_to_degree(Model.D, 3, 4, 2)[0]
+    with pytest.raises(ValueError, match=f"length T={T}"):
+        Move(S=3, T=T, model=Model.D, positive=mv.positive, negative=mv.negative)
+
+
 def test_move_constructor_rejects_unsorted_parts():
     mv = next(mv for mv in moves_up_to_degree(Model.D, 3, 4, 2) if len(set(mv.negative)) == 2)
     with pytest.raises(ValueError, match="sorted order") as raised:
@@ -277,6 +286,11 @@ def _fibers_by_combinations(vectors, size, bound):
     return list(groups.items())
 
 
+def _fibers_of_every_size(vectors, size, bound):
+    """The groups of one :func:`_fibers` search, size by size, as (sum, members) lists."""
+    return [list(groups.items()) for groups in _fibers(vectors, size, bound)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6),
@@ -286,7 +300,7 @@ def _fibers_by_combinations(vectors, size, bound):
 def test_multisets_by_sum_in_combination_order(vectors, size, bound):
     if bound is not None:  # the bound prunes exactly only non-negative vectors, as design columns are
         vectors = [[abs(x) for x in v] for v in vectors]
-    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
+    assert _fibers_of_every_size(vectors, size, bound) == [_fibers_by_combinations(vectors, d, bound) for d in range(1, size + 1)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -299,13 +313,13 @@ def test_fibers_of_wide_entries_and_bounds(vectors, size, bound):
     # sums reach 120 in absolute value, so each packed field needs 9 bits
     if bound is not None:
         vectors = [[abs(x) for x in v] for v in vectors]
-    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
+    assert _fibers_of_every_size(vectors, size, bound) == [_fibers_by_combinations(vectors, d, bound) for d in range(1, size + 1)]
 
 
 def _column_fibers_by_search(columns, D):
     """Reference: the groups of :func:`_fibers`, with the union-find of their classes under "shares a column"."""
-    for degree in range(1, D + 1):
-        for b, classes in _fibers(columns, degree).items():
+    for degree, groups in enumerate(_fibers(columns, D), 1):
+        for b, classes in groups.items():
             first_with = {}  # column -> first class containing it
             edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
             yield degree, b, len(classes), len(set(components(len(classes), edges)))
@@ -357,6 +371,13 @@ def test_fibers_of_zero_and_of_a_marginal_no_word_fits(model):
     if model.has_initial:
         lone[labels.index(("init", 1))] = 1
     assert enumerate_fiber(model, 3, 4, lone).elements == ()
+
+
+@pytest.mark.parametrize("b", [(3,), (1, 0, 1, 0, 1, 0, 0)])
+def test_fiber_refuses_a_marginal_of_the_wrong_length(monkeypatch, b):
+    monkeypatch.setattr(thmc.markov, "iter_columns", _no_search)
+    with pytest.raises(DimensionMismatch, match=f"marginal has {len(b)} entries, model d at S=3 has 6 rows"):
+        enumerate_fiber("d", 3, 4, b)
 
 
 def _components_by_direct_scan(fiber, moves):

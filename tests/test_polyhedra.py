@@ -505,6 +505,24 @@ def test_model_a_cone_has_span_equation():
         assert all(sum(a * b for a, b in zip(e, c)) == 0 for c in cols)
 
 
+@pytest.mark.parametrize("model, T, adds", [(Model.D, 25, 216), (Model.C, 9, 162)])
+def test_cone_facets_echelon_stops_at_full_rank(monkeypatch, model, T, adds):
+    # d/S=3/T=25 is full-dimensional: 216 of its 1,899 columns reach rank 6, and the rest are skipped;
+    # c/S=3/T=9 has one span equation, so every one of its 162 columns is read
+    added = []
+
+    class CountingLattice(IntLattice):
+        def add(self, vector):
+            added.append(vector)
+            return super().add(vector)
+
+    monkeypatch.setattr(polyhedra, "IntLattice", CountingLattice)
+    cols = distinct_columns(model, 3, T)
+    hrep = cone_facets(cols)
+    assert len(added) == adds and len(hrep.equations) == (model is Model.C)
+    assert (len(added) < len(cols)) == (model is Model.D)
+
+
 def test_normals_block_text_roundtrip():
     normals = [(2, 2, 2, -1, -1, -1), (-1, -1, -1, 2, 2, 2)]
     text = normals_to_block_text(normals)

@@ -1,5 +1,7 @@
 """State graphs, Euler paths, cycle decompositions, G_{m,n}."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +24,8 @@ from thmc.words import iter_words
 def test_graph_of_word_counts():
     g = graph_of_word((1, 2, 3, 1, 3, 1), 3)
     assert g.x == ((0, 1, 1), (0, 0, 1), (2, 0, 0))
-    with pytest.raises(ValueError):
+    assert graph_of_word((2, 2, 1, 1, 1), 2).x == ((2, 0), (1, 1))  # loops count as edges
+    with pytest.raises(ValueError, match=re.escape("invalid word (1, 4, 2) for S=3")):
         graph_of_word((1, 4, 2), 3)
 
 

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import pytest
 
+import thmc.fixtures
 import thmc.polyhedra
 import thmc.stategraph
+import thmc.verify
 from thmc.design import Model
 from thmc.verify import ALL_CRITERIA, run_suite, snf_diagonal_via_lattice
 
@@ -103,3 +105,44 @@ def test_euler_criterion_fails_on_a_broken_round_trip(monkeypatch, mutate):
     mutate(monkeypatch)
     result = _run("euler-roundtrip")
     assert not result.passed and result.details.startswith("round trip failed")
+
+
+def test_design_criterion_fails_on_a_changed_fixture_entry(monkeypatch):
+    real = thmc.fixtures.load_design_fixture
+
+    def one_entry_up(model):
+        fixture = real(model)
+        if fixture.model is not Model.A:
+            return fixture
+        first, *rest = fixture.rows
+        return replace(fixture, rows=((first[0] + 1, *first[1:]), *rest))
+
+    monkeypatch.setattr(thmc.fixtures, "load_design_fixture", one_entry_up)
+    result = _run("design-fixtures")
+    assert not result.passed and result.details.startswith("a: entrywise=FAIL")
+
+
+@pytest.mark.parametrize("name, details", [("snf-theorems", "generating subset reached factors"), ("lattice-lemmas", "disagreement")])
+def test_lattice_criteria_fail_without_a_generating_word(monkeypatch, name, details):
+    real = thmc.verify._generating_words_model_b
+    monkeypatch.setattr(thmc.verify, "_generating_words_model_b", lambda S, T: real(S, T)[:-1])
+    result = _run(name)
+    assert not result.passed and details in result.details
+
+
+@pytest.mark.parametrize("model", ["d", "c"])
+def test_table_criterion_fails_on_a_changed_hilbert_basis_size(monkeypatch, model):
+    real = thmc.fixtures.load_tables
+
+    def one_count_up():
+        tables = real()
+        T = min(tables[model])
+        hb, fv = tables[model][T]
+        tables[model][T] = (hb + 1, fv)
+        return tables
+
+    monkeypatch.setattr(thmc.fixtures, "load_tables", one_count_up)
+    T = min(real()[model])
+    result = _run(f"table-{model}")
+    assert not result.passed and f"T={T}:FAIL(hb=" in result.details
+    assert result.details.count("FAIL") == 1
