@@ -86,18 +86,23 @@ def _generated_lattice(model: Model, S: int, T: int) -> IntLattice:
     return IntLattice.from_vectors(len(transition_pairs(S, model.no_loops)), (column_of_word(model, S, w) for w in words))
 
 
+class IndexNotReached(AssertionError):
+    """The generating words span a lattice whose index is not T-1."""
+
+
 def snf_diagonal_via_lattice(model: Model, S: int, T: int, *, seed: int = 0) -> tuple[int, ...]:
     """Invariant factors of the design matrix without materializing it.
 
     A small generating word set pins the column lattice from below; the
     uniform column sum T-1 pins it from above inside the residue
-    sublattice of the same index, so reaching index T-1 proves equality.
+    sublattice of the same index, so reaching index T-1 proves equality,
+    and missing it raises :class:`IndexNotReached`.
     ``_SNF_SAMPLES`` sampled columns are double-checked for membership.
     """
     lat = _generated_lattice(model, S, T)
     factors = lat.invariant_factors()
     if len(factors) != lat.dim or prod(factors) != T - 1:
-        raise AssertionError(f"generating subset reached factors {factors}, not index {T - 1}")
+        raise IndexNotReached(f"generating subset reached factors {factors}, not index {T - 1}")
     rng = random.Random(seed)
     for _ in range(_SNF_SAMPLES):
         w = _random_word(rng, S, T, model.no_loops)
@@ -123,7 +128,10 @@ def _random_word(rng: random.Random, S: int, T: int, no_loops: bool) -> tuple[in
 def check_snf_theorems(seed: int) -> tuple[bool, str]:
     lattice_route = [(Model.B, S, T) for S in (2, 3, 4) for T in range(3, 11)] + [(Model.D, 3, T) for T in range(4, 13)]
     for model, S, T in lattice_route:
-        got = snf_diagonal_via_lattice(model, S, T, seed=seed)
+        try:
+            got = snf_diagonal_via_lattice(model, S, T, seed=seed)
+        except IndexNotReached as exc:
+            return False, f"model {model.value} S={S} T={T}: {exc}"
         if got != tuple([1] * (len(transition_pairs(S, model.no_loops)) - 1) + [T - 1]):
             return False, f"model {model.value} S={S} T={T}: diagonal {got}"
     # direct full-matrix route on the small cases (U*A*V = D asserted inside)

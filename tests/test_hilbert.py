@@ -4,6 +4,7 @@ import hashlib
 import random
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,7 @@ from thmc.hilbert import (
     RangeExceeded,
     WitnessVerificationFailed,
     _parallelepiped_points,
+    _placing_order,
     _placing_triangulation,
     hilbert_basis,
     hilbert_basis_bruteforce_oracle,
@@ -122,6 +124,13 @@ def test_model_a_S2_normal_default_range():
     # the sweep the two-state normality conjecture rests on (default cap 30)
     for T in range(3, 31):
         assert hilbert_basis(Model.A, 2, T).normal
+
+
+@pytest.mark.slow
+def test_hb_model_d_S4_T4():
+    # the S=4 case beyond the default cap that the placing order cuts most
+    result = hilbert_basis(Model.D, 4, 4, max_T=4)
+    assert (result.count, result.normal) == (98, False)
 
 
 def test_oracle_empty_cap():
@@ -235,6 +244,42 @@ def test_parallelepiped_order_check_catches_a_dropped_generator():
             _parallelepiped_points(rays, dropped, 6)
 
 
+def _unimodular(rng, r, bound):
+    """L U for unit lower and upper triangular L and U with off-diagonal entries up to +-bound."""
+    L = [[1 if i == j else rng.randint(-bound, bound) if i > j else 0 for j in range(r)] for i in range(r)]
+    U = [[1 if i == j else rng.randint(-bound, bound) if i < j else 0 for j in range(r)] for i in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*U)] for row in L]
+
+
+@pytest.mark.parametrize("diagonal", [(2, 3), (1, 1, 6), (1, 2, 4), (1, 1, 2, 3), (1, 2, 2, 2), (1, 1, 1, 7)])
+def test_packed_point_mapping_matches_the_plain_formula(diagonal):
+    # R = U D V with unimodular U, V of entries up to about 10^6: wide fields, small vol
+    rng = random.Random(sum(diagonal))
+    r = len(diagonal)
+    U, V = _unimodular(rng, r, 1000), _unimodular(rng, r, 1000)
+    R = [[U[i][j] * diagonal[j] for j in range(r)] for i in range(r)]
+    R = [[sum(a * b for a, b in zip(row, col)) for col in zip(*V)] for row in R]
+    N, vol = smith_normal_form(R).scaled_inverse()
+    rays = [tuple(R[i][j] for i in range(r)) for j in range(r)]
+    assert vol == prod(diagonal) and max(abs(x) for ray in rays for x in ray) > 10**9
+    # the parallelepiped points are R c / vol for the nonzero c in [0, vol)^r that make it integral
+    expected = []
+    for c in product(range(vol), repeat=r):
+        num = [sum(x * ray[i] for x, ray in zip(c, rays)) for i in range(r)]
+        if any(c) and all(x % vol == 0 for x in num):
+            expected.append(tuple(x // vol for x in num))
+    points = _parallelepiped_points(rays, N, vol)
+    assert len(points) == vol - 1 and sorted(points) == sorted(expected)
+    # one N entry off by 1 adds ray i mod vol to the image of a generator under R: not integral
+    shifted = [i for i, ray in enumerate(rays) if any(x % vol for x in ray)]
+    assert shifted
+    for i, j in product(shifted, range(r)):
+        mutated = [list(row) for row in N]
+        mutated[i][j] += 1
+        with pytest.raises(AssertionError):
+            _parallelepiped_points(rays, mutated, vol)
+
+
 def test_one_smith_form_per_hilbert_basis(monkeypatch):
     # only the first simplex takes a Smith form; every later one is a column exchange
     real_snf = thmc.hilbert.smith_normal_form
@@ -254,12 +299,13 @@ def test_one_smith_form_per_hilbert_basis(monkeypatch):
     monkeypatch.setattr(thmc.hilbert, "smith_normal_form", counted)
     monkeypatch.setattr(thmc.hilbert, "_placing_triangulation", placing)
     hilbert_basis("d", 3, 5)
-    # 190 in lex order; the extreme rays placed first leave fewer, larger simplices
-    assert (len(calls), len(simplices)) == (1, 159)
+    # d/S=3/T=5 takes 190 simplices in lex order, 159 with the extreme rays first (in lex order) and 128
+    # with them by falling count of tight facets; c/S=3/T=4, whose 24 rays are all extreme, 213, 213 and 183
+    assert (len(calls), len(simplices)) == (1, 128)
     calls.clear()
     simplices.clear()
     hilbert_basis("c", 3, 4)
-    assert (len(calls), len(simplices)) == (1, 213)
+    assert (len(calls), len(simplices)) == (1, 183)
 
 
 def test_placing_cross_check_catches_a_dropped_facet(monkeypatch):
@@ -293,7 +339,10 @@ def test_placing_overlap_check_catches_a_same_side_neighbour(monkeypatch):
 
 
 def _lattice_directions(model, T):
-    """Primitive column directions and facet normals in lattice coordinates, as hilbert_basis places them."""
+    """Primitive column directions in lex, extreme-first and shipped placing order, the rank and the facet normals.
+
+    All in lattice coordinates, as hilbert_basis places them.
+    """
     cols = distinct_columns(model, 3, T)
     hrep = cone_facets(cols)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)
@@ -301,7 +350,9 @@ def _lattice_directions(model, T):
     direction_of = {c: primitive_vector(lattice.coordinates(c)) for c in cols}
     extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
     normals = {primitive_vector(mat_vec(B, h)) for h in hrep.inequalities}
-    return sorted(set(direction_of.values())), extreme, lattice.rank, normals
+    lex = sorted(set(direction_of.values()))
+    orders = [lex, sorted(lex, key=lambda z: (z not in extreme, z)), _placing_order(lex, extreme, normals)]
+    return orders, lattice.rank, normals
 
 
 TRIANGULATED = [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C, 4), (Model.C, 5)]
@@ -309,10 +360,9 @@ TRIANGULATED = [(Model.D, 5), (Model.D, 6), (Model.D, 7), (Model.D, 8), (Model.C
 
 @pytest.mark.parametrize("model,T", TRIANGULATED)
 def test_triangulation_volume_is_order_independent(model, T):
-    lex, extreme, rank, normals = _lattice_directions(model, T)
-    orders = [lex, sorted(lex, key=lambda z: (z not in extreme, z))]
+    orders, rank, normals = _lattice_directions(model, T)
     for seed in (1, 2):
-        shuffled = list(lex)
+        shuffled = list(orders[0])
         random.Random(seed).shuffle(shuffled)
         orders.append(shuffled)
     volumes = {sum(vol for _, _, vol in _placing_triangulation(rays, rank, normals)) for rays in orders}
@@ -322,8 +372,8 @@ def test_triangulation_volume_is_order_independent(model, T):
 @pytest.mark.parametrize("model,T", TRIANGULATED)
 def test_exchanged_scaled_inverse_matches_the_smith_form(model, T):
     # the Smith form is the independent route to N = vol R^-1 and vol = |det R|
-    lex, extreme, rank, normals = _lattice_directions(model, T)
-    for rays in (lex, sorted(lex, key=lambda z: (z not in extreme, z))):
+    orders, rank, normals = _lattice_directions(model, T)
+    for rays in orders:
         for simplex, N, vol in _placing_triangulation(rays, rank, normals):
             R = [[rays[j][i] for j in simplex] for i in range(rank)]
             N_snf, vol_snf = smith_normal_form(R).scaled_inverse()
@@ -340,6 +390,6 @@ def test_exchange_check_catches_a_corrupted_entry(monkeypatch):
         return rows, vol
 
     monkeypatch.setattr(thmc.hilbert, "_exchange", corrupted)
-    lex, _, rank, normals = _lattice_directions(Model.D, 5)
+    orders, rank, normals = _lattice_directions(Model.D, 5)
     with pytest.raises(AssertionError, match="N R = vol I"):
-        list(_placing_triangulation(lex, rank, normals))
+        list(_placing_triangulation(orders[-1], rank, normals))

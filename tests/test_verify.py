@@ -128,6 +128,7 @@ def test_lattice_criteria_fail_without_a_generating_word(monkeypatch, name, deta
     monkeypatch.setattr(thmc.verify, "_generating_words_model_b", lambda S, T: real(S, T)[:-1])
     result = _run(name)
     assert not result.passed and details in result.details
+    assert not result.details.startswith("error:")  # a refuted check, not a crashed criterion
 
 
 @pytest.mark.parametrize("model", ["d", "c"])
