@@ -1,13 +1,13 @@
-"""Fibers, moves, and degree-capped Markov-basis connectivity probes.
+"""Fibers, a minimal Markov basis, and degree-capped connectivity probes.
 
 A fiber is the set of word multisets sharing a marginal (sufficient
 statistic); a move is an integer word-vector in the design-matrix
-kernel. Word fibers and moves are groups of one multiset search by sum
-(:func:`_fibers`). The probe summarizes, per fiber up to a
-marginal-degree cap, whether its column classes share columns, from
-the distinct column sums of each degree (:func:`_column_fibers`); this
-bounds the true Markov-basis degree from below and is reported as
-evidence, never as a certificate.
+kernel. One pass over the distinct column sums of each degree
+(:func:`_column_fibers`) finds each fiber's c components under "shares
+a column"; a minimal Markov basis of the distinct-column matrix has
+exactly c - 1 moves of that degree (Takemura-Aoki 2004). The probe
+reports the counts and :func:`moves_up_to_degree` reads the basis off
+the same pass. A word fiber is one group of a multiset search by sum.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ _DEFAULT_DEGREE_CAP = 4
 _DEFAULT_WORD_CAP = 20000
 _MOVES_WORD_CAP = 2000
 _MULTISET_CAP = 10**6
-_PAIR_CAP = 10**5  # sum of C(|fiber|, 2): d/S=3/T=6/k=2 has 61,470 (2 s), T=5/k=3 643,149 (27 s)
 
 
 class DegreeCapExceeded(ValueError):
@@ -140,80 +139,69 @@ def enumerate_fiber(
     if not fitting:
         return Fiber(elements=() if any(b) else ((),))
     words, cols = zip(*fitting)
-    group = _fibers(cols, degree, b)[degree - 1].get(b, ())
+    group = _fibers(cols, degree, b).get(b, ())
     return Fiber(elements=tuple(tuple(words[i] for i in combo) for combo in group))
 
 
 def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move, ...]:
-    """All kernel moves with positive part of size <= k, each once up to sign.
+    """A minimal Markov basis: the moves of degree <= k that connect every fiber of degree <= k.
 
-    A move of degree d is a pair of word multisets in one degree-d fiber
-    that share no word, ordered (smaller, larger). A pair that shares
-    words cancels to such a pair in a fiber of lower degree, which that
-    degree already yields (Diaconis-Sturmfels 1998), so nothing is
-    cancelled or deduplicated. The degree, word and multiset caps are
-    checked before any word is streamed; the pair cap, on the sum of
-    C(|fiber|, 2) over all fibers, once the fibers are grouped and
-    before any pair is built.
+    Degree 1 pairs each distinct column's first word with each of its
+    other words. A fiber of degree d >= 2 whose column classes form c
+    components under "shares a column" needs c - 1 moves of degree d
+    (Takemura-Aoki 2004). :func:`_column_fibers` gives one column
+    multiset per component; each is lifted to words by each column's
+    first word, and the first component is linked to each of the others.
+    Components share no column, so no move cancels. The degree, word and
+    multiset caps are checked before any word is streamed.
     """
     model = Model.parse(model)
     check_move_caps(model, S, T, k)
-    words = list(iter_words(S, T, model.no_loops))
-    columns = [column_of_word(model, S, w) for w in words]
-    groups = [members for level in _fibers(columns, k) for members in level.values()]
-    candidates = sum(comb(len(members), 2) for members in groups)
-    if candidates > _PAIR_CAP:
-        raise SizeCapExceeded(f"{candidates} candidate move pairs exceed the cap {_PAIR_CAP}")
-    pairs = []
-    for members in groups:
-        for a, u in enumerate(members):
-            in_u = set(u)
-            pairs.extend((u, v) for v in members[a + 1:] if in_u.isdisjoint(v))
-    # index order is word order, so sorting the index pairs sorts the moves
-    return tuple(
-        Move(S=S, T=T, model=model, positive=tuple(words[i] for i in u), negative=tuple(words[i] for i in v))
-        for u, v in sorted(pairs)
-    )
+    words_of: dict[tuple[int, ...], list[Word]] = {}
+    for w in iter_words(S, T, model.no_loops):
+        words_of.setdefault(column_of_word(model, S, w), []).append(w)
+    # columns in order of their first word, so a sorted column multiset lifts to sorted words
+    first = [words[0] for words in words_of.values()]
+    moves = [Move(S=S, T=T, model=model, positive=(w0,), negative=(w,)) for w0, *rest in words_of.values() for w in rest]
+    for *_, representatives in _column_fibers(list(words_of), k):
+        lifted = [tuple(first[c] for c in rep) for rep in representatives]
+        moves += [Move(S=S, T=T, model=model, positive=lifted[0], negative=other) for other in lifted[1:]]
+    return tuple(moves)
 
 
-def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int] | None = None) -> list[dict[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Each multiset of 1..``size`` indices into ``vectors``, grouped by the sum of its vectors; entry d - 1 holds size d.
+def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Each multiset of ``size`` indices into the non-negative ``vectors`` whose sum is within ``bound``, grouped by sum.
 
-    One lexicographic depth-first search over non-decreasing index tuples
-    records every prefix, so each group is in the order of
-    ``combinations_with_replacement``, each size's groups in order of first
-    appearance. Each vector is packed by :class:`PackedNormals` with one
-    unit normal per coordinate, so a step of the search is one integer
-    add. Its reach is the largest sum or bound entry, so ``room - grown``
-    keeps the guard bit of a field set exactly when that coordinate of the
-    sum is within ``bound``; a prefix over the bound is not extended, which
-    is exact because the vectors (design columns) are non-negative. No
-    bound is the bound that no sum of ``size`` vectors exceeds.
+    One lexicographic depth-first search over non-decreasing index tuples,
+    so each group is in the order of ``combinations_with_replacement`` and
+    the groups in order of first appearance. Each vector is packed by
+    :class:`PackedNormals` with one unit normal per coordinate, so a step
+    of the search is one integer add. Its reach is the largest sum or
+    bound entry, so ``room - grown`` keeps the guard bit of a field set
+    exactly when that coordinate of the sum is within ``bound``; a prefix
+    over the bound is not extended, which is exact because the vectors
+    are non-negative.
     """
-    dim = len(vectors[0])
-    top = size * max(abs(x) for v in vectors for x in v)
-    if bound is None:
-        bound = (top,) * dim
-    pack = PackedNormals(identity_matrix(dim), max(top, *map(abs, bound)))
+    top = size * max(x for v in vectors for x in v)
+    pack = PackedNormals(identity_matrix(len(vectors[0])), max(top, *bound))
     guard = pack.guard
     packed = [pack.value(v) - guard for v in vectors]
     room = pack.value(bound)
     n = len(packed)
-    levels: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(size)]
+    groups: dict[int, list[tuple[int, ...]]] = {}
 
     def extend(combo: tuple[int, ...], total: int, start: int) -> None:
         slack = room - total
-        groups = levels[len(combo)]
         for i in range(start, n):
             if (slack - packed[i]) & guard == guard:
-                grown = combo + (i,)
-                groups.setdefault(total + packed[i], []).append(grown)
-                if len(grown) < size:
-                    extend(grown, total + packed[i], i)
+                if len(combo) + 1 == size:
+                    groups.setdefault(total + packed[i], []).append(combo + (i,))
+                else:
+                    extend(combo + (i,), total + packed[i], i)
 
     extend((), 0, 0)
-    del extend  # it names itself: dropping that name frees the levels now, not at the next cyclic collection
-    return [{tuple(pack.decode(key + guard)): members for key, members in groups.items()} for groups in levels]
+    del extend  # it names itself: dropping that name frees the groups now, not at the next cyclic collection
+    return {tuple(pack.decode(key + guard)): members for key, members in groups.items()}
 
 
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:
@@ -268,7 +256,7 @@ class FiberSummary:
     b: tuple[int, ...]
     degree: int
     classes: int
-    connected_at: int
+    components: int  # under "shares a column": the fiber needs components - 1 moves of its degree
 
 
 @dataclass(frozen=True)
@@ -279,8 +267,12 @@ class ConnectivityReport:
     fiber_degree_cap: int
     fibers_checked: int
     minimal_k: int
-    disconnected_fibers: tuple[FiberSummary, ...]
     interesting_fibers: tuple[FiberSummary, ...]
+
+    @property
+    def disconnected_fibers(self) -> tuple[FiberSummary, ...]:
+        """Always empty: the moves of degree <= D connect every fiber of degree <= D."""
+        return ()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -291,7 +283,7 @@ class ConnectivityReport:
                 "D": self.fiber_degree_cap,
                 "minimal_k": self.minimal_k,
                 "fibers_checked": self.fibers_checked,
-                "disconnected": [f.__dict__ | {"b": list(f.b)} for f in self.disconnected_fibers],
+                "disconnected": list(self.disconnected_fibers),
                 "fibers": [f.__dict__ | {"b": list(f.b)} for f in self.interesting_fibers],
             }
         )
@@ -305,21 +297,21 @@ def minimal_connecting_degree(
     *,
     report_limit: int = 50,
 ) -> ConnectivityReport:
-    """Degree-capped probe of the move degree the fibers of marginal degree <= D need.
+    """The largest degree <= D at which a minimal Markov basis of the distinct columns has a move.
 
     Works on column-multiset classes: elements sharing a column multiset
     connect by degree-1 word swaps, and distinct classes in one fiber
-    differ in at least two columns. Each multi-class fiber of degree d
-    is connected at 2 when its classes form one component under "shares
-    a column", and at d otherwise. That is not the word-level walk
-    definition: two classes sharing a column still differ by a move of
-    degree up to d-1. This is a lower-bound probe of the Markov-basis
-    degree, reported as evidence: only marginals up to degree D are
-    inspected, and D above ``_DEFAULT_DEGREE_CAP``, or more column
-    multisets than ``_MULTISET_CAP``, is refused before any work. The
-    fibers are the distinct column sums of :func:`_column_fibers`, which
-    counts each fiber's classes and components without listing them,
-    in the order in which :func:`_fibers` would first meet them.
+    differ in at least two columns. A fiber of degree d whose classes
+    form c components under "shares a column" needs exactly c - 1 moves
+    of degree d (Takemura-Aoki 2004), so the components of the reported
+    fibers give the number of moves per degree up to D, and
+    ``minimal_k`` is the largest degree with a multi-component fiber, or
+    1 if there is none. Degrees above D are not inspected. D above
+    ``_DEFAULT_DEGREE_CAP``, or more column multisets than
+    ``_MULTISET_CAP``, is refused before any work. The fibers are the
+    distinct column sums of :func:`_column_fibers`, which counts each
+    fiber's classes and components without listing them; the first
+    ``report_limit`` multi-class fibers are reported.
     """
     model = Model.parse(model)
     check_degree("fiber", D)
@@ -327,20 +319,16 @@ def minimal_connecting_degree(
     _check_multisets(len(columns), D, "columns")
     minimal_k = 1
     fibers_checked = 0
-    disconnected: list[FiberSummary] = []
     interesting: list[FiberSummary] = []
 
-    for degree, b, classes, parts in _column_fibers(columns, D):
+    for degree, b, classes, parts, _ in _column_fibers(columns, D):
         fibers_checked += 1
         if classes == 1:
             continue
-        connected_at = 2 if parts == 1 else degree
-        summary = FiberSummary(b=b, degree=degree, classes=classes, connected_at=connected_at)
-        minimal_k = max(minimal_k, connected_at)
-        if connected_at > degree:
-            disconnected.append(summary)
-        elif len(interesting) < report_limit:
-            interesting.append(summary)
+        if parts > 1:
+            minimal_k = max(minimal_k, degree)
+        if len(interesting) < report_limit:
+            interesting.append(FiberSummary(b=b, degree=degree, classes=classes, components=parts))
 
     return ConnectivityReport(
         model=model,
@@ -349,18 +337,18 @@ def minimal_connecting_degree(
         fiber_degree_cap=D,
         fibers_checked=fibers_checked,
         minimal_k=minimal_k,
-        disconnected_fibers=tuple(disconnected),
         interesting_fibers=tuple(interesting),
     )
 
 
-def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
-    """(degree, b, classes, components) for each sum b of 1..D of the non-negative ``columns``.
+def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple[int, tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]]:
+    """(degree, b, classes, components, representatives) for each sum b of 1..D of the non-negative ``columns``.
 
     ``classes`` is the number of column multisets summing to b and
     ``components`` the number of their components under "shares a
-    column"; each degree's sums come in the order in which
-    :func:`_fibers` first meets them. No multiset is listed. Sums are
+    column"; each degree's sums come in the order in which a
+    lexicographic search first meets them. Only a fiber with two or
+    more components lists multisets: one per component. Sums are
     packed as in :func:`_fibers` and kept per degree with two numbers:
     the class count, by the multiset-counting recurrence taken column
     by column (a multiset of degree d whose largest column is c is one
@@ -370,7 +358,9 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple
     c and the mask of b - c, and the components are the floods of those
     neighbourhoods. The lexicographically first multiset of b starts
     with its lowest column c, followed by the first multiset of b - c,
-    which orders each degree by (lowest column, rank of b - c).
+    which orders each degree by (lowest column, rank of b - c). A
+    component's representative is its lowest column c plus the first
+    multiset of b - c, found by walking down the levels that way.
     """
     pack = PackedNormals(identity_matrix(len(columns[0])), D * max(map(max, columns)))
     guard = pack.guard
@@ -387,6 +377,15 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple
                 else:
                     entry[0] += count
                     entry[1] |= mask | bit
+
+    def representative(b: int, low: int, degree: int) -> tuple[int, ...]:
+        picked = []
+        for level in levels[degree - 1::-1]:  # the column of low, then the lowest column of each rest
+            picked.append(low.bit_length() - 1)
+            b -= packed[picked[-1]]
+            low = level[b][1] & -level[b][1]
+        return tuple(sorted(picked))
+
     rank = {0: 0}
     for degree in range(1, D + 1):
         below, level = levels[degree - 1], levels[degree]
@@ -399,16 +398,17 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple
         rank = {b: i for i, b in enumerate(order)}
         for b in order:
             classes, mask = level[b]
-            parts = 1 if classes == 1 else _shared_column_components(b, mask, below, packed)
-            yield degree, tuple(pack.decode(b + guard)), classes, parts
+            lows = (mask & -mask,) if classes == 1 else _shared_column_components(b, mask, below, packed)
+            representatives = tuple(representative(b, low, degree) for low in lows) if len(lows) > 1 else ()
+            yield degree, tuple(pack.decode(b + guard)), classes, len(lows), representatives
 
 
-def _shared_column_components(b: int, mask: int, below: dict[int, list[int]], packed: Sequence[int]) -> int:
-    """Components of the columns in ``mask``, each joined to the columns of the classes of b - column."""
-    count = 0
+def _shared_column_components(b: int, mask: int, below: dict[int, list[int]], packed: Sequence[int]) -> list[int]:
+    """The lowest column (as a bit) of each component of the columns in ``mask``, each joined to the columns of the classes of b - column."""
+    lows = []
     while mask:
-        count += 1
         reach = todo = mask & -mask
+        lows.append(reach)
         while todo:
             bit = todo & -todo
             todo ^= bit
@@ -416,9 +416,9 @@ def _shared_column_components(b: int, mask: int, below: dict[int, list[int]], pa
             todo |= near & ~reach
             reach |= near
             if reach == mask:  # at once when one neighbourhood covers the rest
-                return count
+                return lows
         mask &= ~reach
-    return count
+    return lows
 
 
 def moves_to_text(moves: Sequence[Move]) -> str:

@@ -11,8 +11,9 @@ reproducible; the deterministic ones ignore it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import prod
 from time import perf_counter
 from typing import Callable, Iterable
@@ -330,13 +331,18 @@ def check_markov_probe(seed: int) -> tuple[bool, str]:
         lines.append(f"d/S={S}/T=3: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
         if rep.minimal_k > S - 1:
             return False, f"S={S}: minimal_k={rep.minimal_k} exceeds S-1"
-    # kernel + walk validity on a small instance, via explicit moves
-    moves = markov.moves_up_to_degree(Model.D, 3, 4, 2)
-    fiber = markov.enumerate_fiber(Model.D, 3, 4, markov.sufficient(Model.D, 3, [(1, 2, 1, 2), (2, 1, 2, 1)]))
-    connected, comps = markov.fiber_connected(fiber, moves)
-    if not connected:
-        return False, f"explicit degree-2 moves fail to connect a degree-2 fiber: {len(comps)} components"
-    return True, "; ".join(lines) + f"; {len(moves)} explicit moves validated"
+    # the minimal basis of degree <= 3 must connect every word fiber of degree <= 3, each marginal a sum of columns
+    for model in (Model.D, Model.C):
+        moves = markov.moves_up_to_degree(model, 3, 4, 3)
+        columns = distinct_columns(model, 3, 4)
+        marginals = {tuple(map(sum, zip(*combo))) for d in (1, 2, 3) for combo in combinations_with_replacement(columns, d)}
+        for b in sorted(marginals):
+            connected, comps = markov.fiber_connected(markov.enumerate_fiber(model, 3, 4, b), moves)
+            if not connected:
+                return False, f"{model.value}/S=3/T=4: {len(moves)} moves of degree <= 3 leave the fiber of b={list(b)} in {len(comps)} components"
+        degrees = dict(sorted(Counter(len(mv.positive) for mv in moves).items()))
+        lines.append(f"{model.value}/S=3/T=4: moves by degree {degrees} connect all {len(marginals)} fibers of degree <= 3")
+    return True, "; ".join(lines)
 
 
 # ---------------------------------------------------------------------------

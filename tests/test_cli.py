@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import thmc
 from thmc import verify
 from thmc.cli import main
+from thmc.design import build_design_matrix
 
 
 def test_design_check_fixture_pass(capsys):
@@ -322,18 +324,16 @@ def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "multisets" in err and "exceed the cap" in err
 
 
-def test_markov_move_caps_run_before_any_output(capsys, monkeypatch, tmp_path):
-    import thmc.markov
-
-    def no_moves(*args, **kwargs):
-        raise AssertionError("a move was built past the pair guard")
-
-    monkeypatch.setattr(thmc.markov, "Move", no_moves)
+def test_markov_moves_out_writes_the_minimal_basis(capsys, tmp_path):
     moves_path = tmp_path / "moves.txt"
-    assert main(["markov", "--model", "d", "--T", "5", "--D", "2", "--moves-k", "3", "--moves-out", str(moves_path)]) == 1
-    out, err = capsys.readouterr()
-    assert not out and not moves_path.exists()
-    assert len(err.splitlines()) == 1 and "candidate move pairs exceed the cap" in err
+    assert main(["markov", "--model", "d", "--T", "5", "--D", "2", "--moves-k", "3", "--moves-out", str(moves_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["minimal_k"] == 2
+    rows = build_design_matrix("d", 3, 5).as_rows()
+    vectors = [[int(x) for x in line.split()] for line in moves_path.read_text().splitlines()]
+    assert len(vectors) == 228  # 18 moves of degree 1, 210 of degree 2
+    for vec in vectors:
+        assert len(vec) == 48 and any(vec)
+        assert all(sum(map(mul, row, vec)) == 0 for row in rows)
 
 
 def test_markov_move_multiset_cap_runs_before_the_probe(capsys, monkeypatch, tmp_path):

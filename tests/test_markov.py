@@ -13,6 +13,7 @@ from thmc.design import Model, SizeCapExceeded, distinct_columns, row_labels
 from thmc.intlinalg import DimensionMismatch
 from thmc.markov import (
     DegreeCapExceeded,
+    Fiber,
     Move,
     _column_fibers,
     _fibers,
@@ -95,19 +96,9 @@ def test_probe_multiset_guard_runs_before_the_search(monkeypatch):
 
 def test_move_multiset_guard_runs_before_the_search(monkeypatch):
     # 1,536 words, under the word cap, but about 2.3e11 multisets of degree <= 4
-    monkeypatch.setattr(thmc.markov, "_fibers", _no_search)
+    monkeypatch.setattr(thmc.markov, "_column_fibers", _no_search)
     with pytest.raises(SizeCapExceeded, match="multisets"):
         moves_up_to_degree(Model.D, 3, 10, 4)
-
-
-def test_move_pair_guard_runs_before_any_move(monkeypatch):
-    # 48 words pass the word and multiset caps, but the fibers of degree <= 3 hold 643,149 candidate pairs
-    def no_moves(*args, **kwargs):
-        raise AssertionError("a move was built past the pair guard")
-
-    monkeypatch.setattr(thmc.markov, "Move", no_moves)
-    with pytest.raises(SizeCapExceeded, match="pairs"):
-        moves_up_to_degree(Model.D, 3, 5, 3)
 
 
 def test_moves_are_kernel_vectors():
@@ -121,30 +112,50 @@ def test_moves_are_kernel_vectors():
         assert sum(x for x in vec if x > 0) == len(mv.positive)
 
 
-@pytest.mark.parametrize(
-    "model, S, T, k, count",
-    [(Model.D, 3, 4, 2, 249), (Model.D, 3, 4, 3, 5001), (Model.A, 2, 4, 3, 682)],
-    ids=["d-T4-k2", "d-T4-k3", "a-T4-k3"],
-)
-def test_move_count_matches_fiber_difference_oracle(model, S, T, k, count):
-    """Independent recount: differences of word multisets, grouped by marginal."""
-    words = list(iter_words(S, T, model.no_loops))
+def _word_fibers(model, S, T, k):
+    """Reference: every word fiber of degree <= k, by grouping ``combinations_with_replacement`` by marginal."""
     groups = {}
     for n in range(1, k + 1):
-        for combo in combinations_with_replacement(words, n):
+        for combo in combinations_with_replacement(iter_words(S, T, model.no_loops), n):
             groups.setdefault(sufficient(model, S, combo), []).append(combo)
-    expected = set()
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                cu, cv = Counter(members[i]), Counter(members[j])
-                pos = tuple(sorted((cu - cv).elements()))
-                neg = tuple(sorted((cv - cu).elements()))
-                if pos:
-                    expected.add((pos, neg) if pos <= neg else (neg, pos))
+    return {b: Fiber(elements=tuple(members)) for b, members in groups.items()}
+
+
+@pytest.mark.parametrize(
+    "model, S, T, k, per_degree",
+    [
+        (Model.D, 3, 4, 3, {1: 4, 2: 72}),
+        (Model.B, 2, 4, 3, {1: 4, 2: 24, 3: 4}),
+        (Model.C, 3, 3, 3, {2: 3, 3: 1}),
+        (Model.A, 2, 4, 3, {1: 2, 2: 29}),
+    ],
+    ids=["d-S3-T4-k3", "b-S2-T4-k3", "c-S3-T3-k3", "a-S2-T4-k3"],
+)
+def test_minimal_basis_connects_every_fiber_and_needs_every_move(model, S, T, k, per_degree):
     moves = moves_up_to_degree(model, S, T, k)
-    assert [(mv.positive, mv.negative) for mv in moves] == sorted(expected)
-    assert len(moves) == count  # frozen from the oracle above
+    assert Counter(len(mv.positive) for mv in moves) == per_degree
+    fibers = _word_fibers(model, S, T, k)
+    for b, fiber in fibers.items():
+        assert fiber_connected(fiber, moves)[0], b
+    for i, mv in enumerate(moves):
+        fiber = fibers[sufficient(model, S, mv.positive)]
+        assert not fiber_connected(fiber, moves[:i] + moves[i + 1:])[0], mv
+
+
+@pytest.mark.parametrize(
+    "model, S, T, k, per_degree",
+    [(Model.D, 4, 3, 4, {1: 6, 2: 42, 3: 96, 4: 6}), (Model.D, 3, 6, 3, {1: 48, 2: 675})],
+    ids=["d-S4-T3-k4", "d-S3-T6-k3"],
+)
+def test_minimal_basis_counts_match_the_probe_components(model, S, T, k, per_degree):
+    # the moves of each degree d >= 2 are the sum of components - 1 over the probe's fibers of degree d
+    moves = moves_up_to_degree(model, S, T, k)
+    assert Counter(len(mv.positive) for mv in moves) == per_degree
+    report = minimal_connecting_degree(model, S, T, k, report_limit=10**9)
+    needed = Counter()
+    for f in report.interesting_fibers:
+        needed[f.degree] += f.components - 1
+    assert +needed == {d: n for d, n in per_degree.items() if d > 1}
 
 
 def test_moves_deduplicated_up_to_sign():
@@ -228,6 +239,19 @@ def test_probe_matches_word_level_small():
             assert connected, b
 
 
+@pytest.mark.parametrize(
+    "model, S, T, D, minimal_k",
+    [(Model.D, 3, 4, 1, 1), (Model.D, 3, 4, 4, 2), (Model.C, 3, 3, 3, 3), (Model.D, 4, 3, 4, 4), (Model.B, 2, 4, 3, 3)],
+    ids=lambda v: v.value if isinstance(v, Model) else str(v),
+)
+def test_minimal_k_is_the_largest_degree_with_a_multi_component_fiber(model, S, T, D, minimal_k):
+    report = minimal_connecting_degree(model, S, T, D, report_limit=10**9)
+    assert report.minimal_k == minimal_k
+    assert minimal_k == max((f.degree for f in report.interesting_fibers if f.components > 1), default=1)
+    # the value the probe gave when a one-component multi-class fiber counted as connected at 2
+    assert minimal_k == max((2 if f.components == 1 else f.degree for f in report.interesting_fibers), default=1)
+
+
 def test_probe_reports():
     report = minimal_connecting_degree(Model.D, 3, 5, 3)
     assert report.minimal_k <= 3
@@ -286,43 +310,50 @@ def _fibers_by_combinations(vectors, size, bound):
     return list(groups.items())
 
 
-def _fibers_of_every_size(vectors, size, bound):
-    """The groups of one :func:`_fibers` search, size by size, as (sum, members) lists."""
-    return [list(groups.items()) for groups in _fibers(vectors, size, bound)]
-
-
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6),
+    st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=6),
     st.integers(1, 4),
-    st.none() | st.lists(st.integers(0, 9), min_size=3, max_size=3),
+    st.lists(st.integers(0, 9), min_size=3, max_size=3),
 )
 def test_multisets_by_sum_in_combination_order(vectors, size, bound):
-    if bound is not None:  # the bound prunes exactly only non-negative vectors, as design columns are
-        vectors = [[abs(x) for x in v] for v in vectors]
-    assert _fibers_of_every_size(vectors, size, bound) == [_fibers_by_combinations(vectors, d, bound) for d in range(1, size + 1)]
+    # the bound prunes exactly only non-negative vectors, as design columns are
+    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.lists(st.integers(-40, 40), min_size=4, max_size=4), min_size=1, max_size=5),
+    st.lists(st.lists(st.integers(0, 40), min_size=4, max_size=4), min_size=1, max_size=5),
     st.integers(1, 3),
-    st.none() | st.lists(st.integers(0, 90), min_size=4, max_size=4),
+    st.lists(st.integers(0, 90), min_size=4, max_size=4),
 )
 def test_fibers_of_wide_entries_and_bounds(vectors, size, bound):
-    # sums reach 120 in absolute value, so each packed field needs 9 bits
-    if bound is not None:
-        vectors = [[abs(x) for x in v] for v in vectors]
-    assert _fibers_of_every_size(vectors, size, bound) == [_fibers_by_combinations(vectors, d, bound) for d in range(1, size + 1)]
+    # sums reach 120, so each packed field needs 9 bits
+    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
 
 
 def _column_fibers_by_search(columns, D):
     """Reference: the groups of :func:`_fibers`, with the union-find of their classes under "shares a column"."""
-    for degree, groups in enumerate(_fibers(columns, D), 1):
-        for b, classes in groups.items():
+    for degree in range(1, D + 1):
+        for b, classes in _fibers(columns, degree, [degree * max(map(max, columns))] * len(columns[0])).items():
             first_with = {}  # column -> first class containing it
             edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
             yield degree, b, len(classes), len(set(components(len(classes), edges)))
+
+
+def _check_representatives(vectors, fibers):
+    """Each fiber with two or more components lists one multiset per component; they sum to b and share no column."""
+    for degree, b, _, parts, representatives in fibers:
+        if parts == 1:
+            assert representatives == ()
+            continue
+        assert len(representatives) == parts
+        columns = set()
+        for rep in representatives:
+            assert len(rep) == degree and list(rep) == sorted(rep)
+            assert tuple(map(sum, zip(*(vectors[c] for c in rep)))) == b
+            assert columns.isdisjoint(rep)
+            columns.update(rep)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +363,9 @@ def _column_fibers_by_search(columns, D):
 )
 def test_column_fibers_match_the_multiset_search(model, S, T, D):
     columns = distinct_columns(model, S, T)
-    assert list(_column_fibers(columns, D)) == list(_column_fibers_by_search(columns, D))
+    fibers = list(_column_fibers(columns, D))
+    assert [f[:4] for f in fibers] == list(_column_fibers_by_search(columns, D))
+    _check_representatives(columns, fibers)
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,14 +378,18 @@ def test_column_fibers_of_any_small_vectors(vectors, D):
             columns = [set(cls) for cls in classes]
             edges = [(i, j) for i in range(len(classes)) for j in range(i) if columns[i] & columns[j]]
             expected.append((degree, b, len(classes), len(set(components(len(classes), edges)))))
-    assert list(_column_fibers(vectors, D)) == expected
+    fibers = list(_column_fibers(vectors, D))
+    assert [f[:4] for f in fibers] == expected
+    _check_representatives(vectors, fibers)
 
 
 def test_probe_pins_the_degree_three_moves_of_four_states():
     report = minimal_connecting_degree(Model.D, 4, 3, 3, report_limit=10**9)
     assert (report.minimal_k, report.fibers_checked) == (3, 4121)
     assert not report.disconnected_fibers
-    assert sum(f.degree == 3 and f.connected_at == 3 for f in report.interesting_fibers) == 96
+    degree_three = [f for f in report.interesting_fibers if f.degree == 3]
+    assert sum(f.components > 1 for f in degree_three) == 96
+    assert sum(f.components - 1 for f in degree_three) == 96
 
 
 def test_probe_pins_the_multi_class_fibers_per_degree():

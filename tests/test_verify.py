@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import thmc.fixtures
+import thmc.markov
 import thmc.polyhedra
 import thmc.stategraph
 import thmc.verify
@@ -147,3 +148,17 @@ def test_table_criterion_fails_on_a_changed_hilbert_basis_size(monkeypatch, mode
     result = _run(f"table-{model}")
     assert not result.passed and f"T={T}:FAIL(hb=" in result.details
     assert result.details.count("FAIL") == 1
+
+
+def test_markov_criterion_fails_without_a_degree_two_move(monkeypatch):
+    real = thmc.markov.moves_up_to_degree
+
+    def one_move_short(model, S, T, k):
+        moves = real(model, S, T, k)
+        drop = next(i for i, mv in enumerate(moves) if len(mv.positive) == 2)
+        return moves[:drop] + moves[drop + 1:]
+
+    monkeypatch.setattr(thmc.markov, "moves_up_to_degree", one_move_short)
+    result = _run("markov-probe")
+    assert not result.passed and result.details.startswith("d/S=3/T=4: 75 moves of degree <= 3 leave the fiber of b=")
+    assert result.details.endswith("in 2 components") and len(result.details.splitlines()) == 1
