@@ -170,14 +170,11 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_markov(args: argparse.Namespace) -> int:
-    if args.moves_out:  # the caps that need no fiber refuse before the probe runs
-        markov.check_move_caps(args.model, args.S, args.T, args.moves_k)
-    report = markov.minimal_connecting_degree(args.model, args.S, args.T, args.D)
-    if args.moves_out:  # every cap has passed before anything is written
-        moves = markov.moves_up_to_degree(args.model, args.S, args.T, args.moves_k)
+    if args.moves_out:  # the basis checks the probe's caps at the same D before its own work
+        moves = markov.moves_up_to_degree(args.model, args.S, args.T, args.D)
         with open(args.moves_out, "w") as fh:
             fh.write(markov.moves_to_text(moves))
-    print(report.to_json())
+    print(markov.minimal_connecting_degree(args.model, args.S, args.T, args.D).to_json())
     return 0
 
 
@@ -227,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=int, default=3)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--D", type=int, default=3)
-    p.add_argument("--moves-k", type=int, default=2)
     p.add_argument("--moves-out")
     p.set_defaults(fn=cmd_markov)
 

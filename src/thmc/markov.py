@@ -7,7 +7,8 @@ kernel. One pass over the distinct column sums of each degree
 a column"; a minimal Markov basis of the distinct-column matrix has
 exactly c - 1 moves of that degree (Takemura-Aoki 2004). The probe
 reports the counts and :func:`moves_up_to_degree` reads the basis off
-the same pass. A word fiber is one group of a multiset search by sum.
+the same pass. A word fiber is the word multisets one search finds
+summing to its marginal.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from math import comb
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
-from .design import Model, SizeCapExceeded, column_of_word, distinct_columns, iter_columns, row_labels, sufficient
+from .design import Model, SizeCapExceeded, distinct_columns, iter_columns, row_labels, sufficient
 from .intlinalg import DimensionMismatch, PackedNormals, identity_matrix
 from .stategraph import components
-from .words import Word, iter_words, word_count, word_index
+from .words import Word, word_count, word_index
 
 _DEFAULT_DEGREE_CAP = 4
 _DEFAULT_WORD_CAP = 20000
@@ -42,21 +43,14 @@ def check_degree(kind: str, degree: int) -> None:
         raise DegreeCapExceeded(f"{kind} degree {degree} exceeds cap {_DEFAULT_DEGREE_CAP}")
 
 
-def _check_multisets(n: int, degree: int, kind: str) -> None:
-    """Raise :class:`SizeCapExceeded` when the multisets of 1..degree of n items outnumber ``_MULTISET_CAP``."""
-    count = sum(comb(n + d - 1, d) for d in range(1, degree + 1))
+def _checked_columns(model: Model, S: int, T: int, D: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct columns, once the degree D and the multisets of 1..D of them are within their caps."""
+    check_degree("fiber", D)
+    columns = distinct_columns(model, S, T)
+    count = sum(comb(len(columns) + d - 1, d) for d in range(1, D + 1))
     if count > _MULTISET_CAP:
-        raise SizeCapExceeded(f"{count} multisets of up to {degree} of {n} {kind} exceed the cap {_MULTISET_CAP}")
-
-
-def check_move_caps(model: Model | str, S: int, T: int, k: int) -> None:
-    """The degree, word and multiset caps of :func:`moves_up_to_degree`, which need no fiber."""
-    model = Model.parse(model)
-    check_degree("move", k)
-    m = word_count(S, T, model.no_loops)
-    if m > _MOVES_WORD_CAP:
-        raise SizeCapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
-    _check_multisets(m, k, "words")
+        raise SizeCapExceeded(f"{count} multisets of up to {D} of {len(columns)} columns exceed the cap {_MULTISET_CAP}")
+    return columns
 
 
 Element = tuple[Word, ...]  # sorted words, with multiplicity
@@ -116,8 +110,8 @@ def enumerate_fiber(
     """All word multisets with marginal b, in lexicographic order.
 
     Only words whose column is <= b in every coordinate can occur; the
-    group of b in :func:`_fibers` over those columns, bounded by b, is the
-    fiber. With no such word the fiber is empty, except at b = 0, whose
+    multisets of those columns that :func:`_fibers` finds summing to b
+    are the fiber. With no such word the fiber is empty, except at b = 0, whose
     one element is the empty multiset. A b whose length is not the
     model's row count raises :class:`DimensionMismatch` before any word
     is streamed.
@@ -139,8 +133,7 @@ def enumerate_fiber(
     if not fitting:
         return Fiber(elements=() if any(b) else ((),))
     words, cols = zip(*fitting)
-    group = _fibers(cols, degree, b).get(b, ())
-    return Fiber(elements=tuple(tuple(words[i] for i in combo) for combo in group))
+    return Fiber(elements=tuple(tuple(words[i] for i in combo) for combo in _fibers(cols, degree, b)))
 
 
 def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move, ...]:
@@ -149,38 +142,44 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     Degree 1 pairs each distinct column's first word with each of its
     other words. A fiber of degree d >= 2 whose column classes form c
     components under "shares a column" needs c - 1 moves of degree d
-    (Takemura-Aoki 2004). :func:`_column_fibers` gives one column
-    multiset per component; each is lifted to words by each column's
-    first word, and the first component is linked to each of the others.
-    Components share no column, so no move cancels. The degree, word and
-    multiset caps are checked before any word is streamed.
+    (Takemura-Aoki 2004). :func:`_column_fibers`, over the sorted
+    distinct columns the probe walks, gives one column multiset per
+    component; each is lifted to words by each column's first word, and
+    the first component is linked to each of the others. Components share
+    no column, so no move cancels. The word cap and the probe's caps are
+    checked before any word is streamed; the words' columns must be the
+    distinct columns.
     """
     model = Model.parse(model)
-    check_move_caps(model, S, T, k)
-    words_of: dict[tuple[int, ...], list[Word]] = {}
-    for w in iter_words(S, T, model.no_loops):
-        words_of.setdefault(column_of_word(model, S, w), []).append(w)
-    # columns in order of their first word, so a sorted column multiset lifts to sorted words
+    m = word_count(S, T, model.no_loops)
+    if m > _MOVES_WORD_CAP:
+        raise SizeCapExceeded(f"{m} words exceed the word cap {_MOVES_WORD_CAP}")
+    columns = _checked_columns(model, S, T, k)
+    words_of: dict[tuple[int, ...], list[Word]] = {col: [] for col in columns}
+    for w, col in iter_columns(model, S, T):
+        words_of.setdefault(col, []).append(w)
+    if len(words_of) > len(columns) or not all(words_of.values()):
+        raise AssertionError("the columns of the words are not the distinct columns of the state walk")
     first = [words[0] for words in words_of.values()]
     moves = [Move(S=S, T=T, model=model, positive=(w0,), negative=(w,)) for w0, *rest in words_of.values() for w in rest]
-    for *_, representatives in _column_fibers(list(words_of), k):
-        lifted = [tuple(first[c] for c in rep) for rep in representatives]
+    for *_, representatives in _column_fibers(columns, k):
+        lifted = [tuple(sorted(first[c] for c in rep)) for rep in representatives]
         moves += [Move(S=S, T=T, model=model, positive=lifted[0], negative=other) for other in lifted[1:]]
     return tuple(moves)
 
 
-def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Each multiset of ``size`` indices into the non-negative ``vectors`` whose sum is within ``bound``, grouped by sum.
+def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int]) -> list[tuple[int, ...]]:
+    """Each multiset of ``size`` indices into the non-negative ``vectors`` whose sum is ``bound``.
 
     One lexicographic depth-first search over non-decreasing index tuples,
-    so each group is in the order of ``combinations_with_replacement`` and
-    the groups in order of first appearance. Each vector is packed by
-    :class:`PackedNormals` with one unit normal per coordinate, so a step
-    of the search is one integer add. Its reach is the largest sum or
-    bound entry, so ``room - grown`` keeps the guard bit of a field set
-    exactly when that coordinate of the sum is within ``bound``; a prefix
-    over the bound is not extended, which is exact because the vectors
-    are non-negative.
+    so the multisets come in the order of ``combinations_with_replacement``.
+    Each vector is packed by :class:`PackedNormals` with one unit normal
+    per coordinate, so a step of the search is one integer add. Its reach
+    is the largest sum or bound entry, so ``room - grown`` keeps the guard
+    bit of a field set exactly when that coordinate of the sum is within
+    ``bound``; a prefix over the bound is not extended, which is exact
+    because the vectors are non-negative, and a full multiset is kept when
+    its packed sum is the bound's.
     """
     top = size * max(x for v in vectors for x in v)
     pack = PackedNormals(identity_matrix(len(vectors[0])), max(top, *bound))
@@ -188,20 +187,20 @@ def _fibers(vectors: Sequence[tuple[int, ...]], size: int, bound: Sequence[int])
     packed = [pack.value(v) - guard for v in vectors]
     room = pack.value(bound)
     n = len(packed)
-    groups: dict[int, list[tuple[int, ...]]] = {}
+    found: list[tuple[int, ...]] = []
 
     def extend(combo: tuple[int, ...], total: int, start: int) -> None:
         slack = room - total
         for i in range(start, n):
             if (slack - packed[i]) & guard == guard:
-                if len(combo) + 1 == size:
-                    groups.setdefault(total + packed[i], []).append(combo + (i,))
-                else:
+                if len(combo) + 1 < size:
                     extend(combo + (i,), total + packed[i], i)
+                elif total + packed[i] + guard == room:
+                    found.append(combo + (i,))
 
     extend((), 0, 0)
-    del extend  # it names itself: dropping that name frees the groups now, not at the next cyclic collection
-    return {tuple(pack.decode(key + guard)): members for key, members in groups.items()}
+    del extend  # it names itself: dropping that name frees the search now, not at the next cyclic collection
+    return found
 
 
 def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tuple[Element, ...], ...]]:
@@ -266,8 +265,13 @@ class ConnectivityReport:
     T: int
     fiber_degree_cap: int
     fibers_checked: int
-    minimal_k: int
+    moves_by_degree: dict[int, int]  # degree -> moves a minimal Markov basis needs, for each degree that needs one
     interesting_fibers: tuple[FiberSummary, ...]
+
+    @property
+    def minimal_k(self) -> int:
+        """The largest degree <= D with a move, or 1 if there is none."""
+        return max(self.moves_by_degree, default=1)
 
     @property
     def disconnected_fibers(self) -> tuple[FiberSummary, ...]:
@@ -282,6 +286,7 @@ class ConnectivityReport:
                 "T": self.T,
                 "D": self.fiber_degree_cap,
                 "minimal_k": self.minimal_k,
+                "moves_by_degree": self.moves_by_degree,
                 "fibers_checked": self.fibers_checked,
                 "disconnected": list(self.disconnected_fibers),
                 "fibers": [f.__dict__ | {"b": list(f.b)} for f in self.interesting_fibers],
@@ -297,15 +302,14 @@ def minimal_connecting_degree(
     *,
     report_limit: int = 50,
 ) -> ConnectivityReport:
-    """The largest degree <= D at which a minimal Markov basis of the distinct columns has a move.
+    """The moves per degree <= D of a minimal Markov basis of the distinct columns, and the largest such degree.
 
     Works on column-multiset classes: elements sharing a column multiset
     connect by degree-1 word swaps, and distinct classes in one fiber
     differ in at least two columns. A fiber of degree d whose classes
     form c components under "shares a column" needs exactly c - 1 moves
-    of degree d (Takemura-Aoki 2004), so the components of the reported
-    fibers give the number of moves per degree up to D, and
-    ``minimal_k`` is the largest degree with a multi-component fiber, or
+    of degree d (Takemura-Aoki 2004); ``moves_by_degree`` sums them over
+    every fiber, and ``minimal_k`` is the largest degree with a move, or
     1 if there is none. Degrees above D are not inspected. D above
     ``_DEFAULT_DEGREE_CAP``, or more column multisets than
     ``_MULTISET_CAP``, is refused before any work. The fibers are the
@@ -314,10 +318,8 @@ def minimal_connecting_degree(
     ``report_limit`` multi-class fibers are reported.
     """
     model = Model.parse(model)
-    check_degree("fiber", D)
-    columns = distinct_columns(model, S, T)
-    _check_multisets(len(columns), D, "columns")
-    minimal_k = 1
+    columns = _checked_columns(model, S, T, D)
+    moves_by_degree: dict[int, int] = {}
     fibers_checked = 0
     interesting: list[FiberSummary] = []
 
@@ -326,7 +328,7 @@ def minimal_connecting_degree(
         if classes == 1:
             continue
         if parts > 1:
-            minimal_k = max(minimal_k, degree)
+            moves_by_degree[degree] = moves_by_degree.get(degree, 0) + parts - 1
         if len(interesting) < report_limit:
             interesting.append(FiberSummary(b=b, degree=degree, classes=classes, components=parts))
 
@@ -336,7 +338,7 @@ def minimal_connecting_degree(
         T=T,
         fiber_degree_cap=D,
         fibers_checked=fibers_checked,
-        minimal_k=minimal_k,
+        moves_by_degree=moves_by_degree,
         interesting_fibers=tuple(interesting),
     )
 
@@ -346,21 +348,19 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple
 
     ``classes`` is the number of column multisets summing to b and
     ``components`` the number of their components under "shares a
-    column"; each degree's sums come in the order in which a
-    lexicographic search first meets them. Only a fiber with two or
-    more components lists multisets: one per component. Sums are
-    packed as in :func:`_fibers` and kept per degree with two numbers:
-    the class count, by the multiset-counting recurrence taken column
-    by column (a multiset of degree d whose largest column is c is one
-    of degree d-1 over the columns up to c, plus c), and the column
-    mask, the union of the columns of its classes. A column c of b
-    lies in exactly the classes of b - c plus c, so its neighbours are
-    c and the mask of b - c, and the components are the floods of those
-    neighbourhoods. The lexicographically first multiset of b starts
-    with its lowest column c, followed by the first multiset of b - c,
-    which orders each degree by (lowest column, rank of b - c). A
-    component's representative is its lowest column c plus the first
-    multiset of b - c, found by walking down the levels that way.
+    column"; each degree's sums come in colex order of b (last
+    coordinate first). Only a fiber with two or more components lists
+    multisets: one per component. Sums are packed as in :func:`_fibers`
+    (coordinate r in field r, so integer order is colex order) and kept
+    per degree with two numbers: the class count, by the multiset-counting
+    recurrence taken column by column (a multiset of degree d whose
+    largest column is c is one of degree d-1 over the columns up to c,
+    plus c), and the column mask, the union of the columns of its
+    classes. A column c of b lies in exactly the classes of b - c plus
+    c, so its neighbours are c and the mask of b - c, and the components
+    are the floods of those neighbourhoods. A component's representative
+    is its lowest column c, then the lowest column of each rest, walked
+    down the levels.
     """
     pack = PackedNormals(identity_matrix(len(columns[0])), D * max(map(max, columns)))
     guard = pack.guard
@@ -386,17 +386,9 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple
             low = level[b][1] & -level[b][1]
         return tuple(sorted(picked))
 
-    rank = {0: 0}
     for degree in range(1, D + 1):
         below, level = levels[degree - 1], levels[degree]
-
-        def first(b: int) -> tuple[int, int]:
-            lowest = (level[b][1] & -level[b][1]).bit_length() - 1
-            return lowest, rank[b - packed[lowest]]
-
-        order = sorted(level, key=first)
-        rank = {b: i for i, b in enumerate(order)}
-        for b in order:
+        for b in sorted(level):
             classes, mask = level[b]
             lows = (mask & -mask,) if classes == 1 else _shared_column_components(b, mask, below, packed)
             representatives = tuple(representative(b, low, degree) for low in lows) if len(lows) > 1 else ()

@@ -19,8 +19,9 @@ from time import perf_counter
 from typing import Callable, Iterable
 
 from . import fixtures, hilbert, markov, polyhedra, stategraph
-from .design import Model, build_design_matrix, column_of_word, distinct_columns, iter_columns, transition_pairs
+from .design import Model, build_design_matrix, column_of_word, distinct_columns, iter_columns, sufficient, transition_pairs
 from .intlinalg import IntLattice, lattice_membership, residue_test, smith_normal_form
+from .words import iter_words
 
 _SNF_SAMPLES = 50  # sampled columns double-checked against each generated lattice
 _LATTICE_VECTORS = 500  # random vectors per (model, T) in criterion 3
@@ -319,29 +320,37 @@ def check_hilbert_oracle(seed: int) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # 12. Markov-degree probes
 
+# moves a minimal Markov basis of model d needs per degree >= 2, by (S, T, D), from the probe's one pass
+_MARKOV_MOVES = {(3, 4, 3): {2: 72}, (3, 5, 3): {2: 210}, (3, 6, 3): {2: 675}, (3, 7, 3): {2: 1495},
+                 (3, 8, 3): {2: 3444}, (4, 3, 4): {2: 42, 3: 96, 4: 6}, (5, 3, 2): {2: 210}}
+
+
 def check_markov_probe(seed: int) -> tuple[bool, str]:
     lines = []
-    for T in range(4, 9):
-        rep = markov.minimal_connecting_degree(Model.D, 3, T, 3)
-        lines.append(f"d/S=3/T={T}: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
-        if rep.minimal_k > 6:
-            return False, f"T={T}: minimal_k={rep.minimal_k} exceeds the conjectured 6"
-    for S in (4, 5):
-        rep = markov.minimal_connecting_degree(Model.D, S, 3, 2)
-        lines.append(f"d/S={S}/T=3: minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
-        if rep.minimal_k > S - 1:
-            return False, f"S={S}: minimal_k={rep.minimal_k} exceeds S-1"
-    # the minimal basis of degree <= 3 must connect every word fiber of degree <= 3, each marginal a sum of columns
+    for (S, T, D), expected in _MARKOV_MOVES.items():
+        rep = markov.minimal_connecting_degree(Model.D, S, T, D)
+        where = f"d/S={S}/T={T}/D={D}"
+        if rep.moves_by_degree != expected:
+            return False, f"{where}: moves by degree {rep.moves_by_degree}, expected {expected}"
+        lines.append(f"{where}: moves by degree {rep.moves_by_degree}, minimal_k={rep.minimal_k} over {rep.fibers_checked} fibers")
+    # the minimal basis of degree <= 3 must connect every word fiber of degree <= 3, grouped by marginal
     for model in (Model.D, Model.C):
         moves = markov.moves_up_to_degree(model, 3, 4, 3)
-        columns = distinct_columns(model, 3, 4)
+        words = list(iter_words(3, 4, model.no_loops))
+        fibers: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+        for d in (1, 2, 3):
+            for combo in combinations_with_replacement(words, d):
+                fibers.setdefault(sufficient(model, 3, combo), []).append(combo)
+        columns = distinct_columns(model, 3, 4)  # their sums are an independent route to the same marginals
         marginals = {tuple(map(sum, zip(*combo))) for d in (1, 2, 3) for combo in combinations_with_replacement(columns, d)}
-        for b in sorted(marginals):
-            connected, comps = markov.fiber_connected(markov.enumerate_fiber(model, 3, 4, b), moves)
+        if set(fibers) != marginals:
+            return False, f"{model.value}/S=3/T=4: {len(fibers)} word marginals, {len(marginals)} sums of distinct columns"
+        for b in sorted(fibers):
+            connected, comps = markov.fiber_connected(markov.Fiber(elements=tuple(fibers[b])), moves)
             if not connected:
                 return False, f"{model.value}/S=3/T=4: {len(moves)} moves of degree <= 3 leave the fiber of b={list(b)} in {len(comps)} components"
         degrees = dict(sorted(Counter(len(mv.positive) for mv in moves).items()))
-        lines.append(f"{model.value}/S=3/T=4: moves by degree {degrees} connect all {len(marginals)} fibers of degree <= 3")
+        lines.append(f"{model.value}/S=3/T=4: moves by degree {degrees} connect all {len(fibers)} fibers of degree <= 3")
     return True, "; ".join(lines)
 
 

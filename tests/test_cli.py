@@ -266,13 +266,13 @@ def test_hilbert_caps_refuse_before_any_work(capsys, monkeypatch, argv, message)
 
 def test_markov_report(capsys, tmp_path):
     moves_path = tmp_path / "moves.txt"
-    assert main(["markov", "--model", "d", "--T", "4", "--D", "2", "--moves-out", str(moves_path), "--moves-k", "1"]) == 0
+    assert main(["markov", "--model", "d", "--T", "4", "--D", "2", "--moves-out", str(moves_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["minimal_k"] == 2
-    assert moves_path.exists()
+    assert payload["minimal_k"] == 2 and payload["moves_by_degree"] == {"2": 72}
+    assert len(moves_path.read_text().splitlines()) == 4 + 72
 
 
-@pytest.mark.parametrize("extra", [["--D", "5"], ["--D", "2", "--moves-k", "5", "--moves-out", "moves.txt"]])
+@pytest.mark.parametrize("extra", [["--D", "5"], ["--D", "5", "--moves-out", "moves.txt"]])
 def test_markov_degree_guard_runs_before_any_work(capsys, monkeypatch, tmp_path, extra):
     import thmc.markov
 
@@ -293,7 +293,7 @@ def test_markov_degree_guard_runs_before_any_work(capsys, monkeypatch, tmp_path,
     [
         (["--D", "0"], "fiber degree 0 is below 1"),
         (["--D", "-1"], "fiber degree -1 is below 1"),
-        (["--D", "2", "--moves-k", "0", "--moves-out", "moves.txt"], "move degree 0 is below 1"),
+        (["--D", "0", "--moves-out", "moves.txt"], "fiber degree 0 is below 1"),
     ],
 )
 def test_markov_degrees_below_one_are_refused_before_any_work(capsys, monkeypatch, tmp_path, extra, message):
@@ -303,7 +303,7 @@ def test_markov_degrees_below_one_are_refused_before_any_work(capsys, monkeypatc
         raise AssertionError("columns or words enumerated past the degree guard")
 
     monkeypatch.setattr(thmc.markov, "distinct_columns", no_work)
-    monkeypatch.setattr(thmc.markov, "iter_words", no_work)
+    monkeypatch.setattr(thmc.markov, "iter_columns", no_work)
     monkeypatch.chdir(tmp_path)
     assert main(["markov", "--model", "d", "--T", "4", *extra]) == 1
     out, err = capsys.readouterr()
@@ -326,7 +326,7 @@ def test_markov_multiset_guard_runs_before_any_work(capsys, monkeypatch):
 
 def test_markov_moves_out_writes_the_minimal_basis(capsys, tmp_path):
     moves_path = tmp_path / "moves.txt"
-    assert main(["markov", "--model", "d", "--T", "5", "--D", "2", "--moves-k", "3", "--moves-out", str(moves_path)]) == 0
+    assert main(["markov", "--model", "d", "--T", "5", "--D", "3", "--moves-out", str(moves_path)]) == 0
     assert json.loads(capsys.readouterr().out)["minimal_k"] == 2
     rows = build_design_matrix("d", 3, 5).as_rows()
     vectors = [[int(x) for x in line.split()] for line in moves_path.read_text().splitlines()]
@@ -344,10 +344,10 @@ def test_markov_move_multiset_cap_runs_before_the_probe(capsys, monkeypatch, tmp
 
     monkeypatch.setattr(thmc.markov, "minimal_connecting_degree", no_probe)
     moves_path = tmp_path / "moves.txt"
-    assert main(["markov", "--model", "d", "--T", "10", "--D", "2", "--moves-k", "4", "--moves-out", str(moves_path)]) == 1
+    assert main(["markov", "--model", "d", "--T", "10", "--D", "4", "--moves-out", str(moves_path)]) == 1
     out, err = capsys.readouterr()
     assert not out and not moves_path.exists()
-    assert len(err.splitlines()) == 1 and "multisets of up to 4 of 1536 words exceed the cap" in err
+    assert len(err.splitlines()) == 1 and "multisets of up to 4 of 166 columns exceed the cap" in err
 
 
 def test_unwritable_output_exit_1(capsys, tmp_path):

@@ -78,7 +78,7 @@ def test_move_degree_guard_runs_before_the_word_stream(monkeypatch):
     def no_words(*args):
         raise AssertionError("words streamed past the degree guard")
 
-    monkeypatch.setattr(thmc.markov, "iter_words", no_words)
+    monkeypatch.setattr(thmc.markov, "iter_columns", no_words)
     with pytest.raises(DegreeCapExceeded):
         moves_up_to_degree(Model.D, 3, 6, 5)
 
@@ -95,9 +95,10 @@ def test_probe_multiset_guard_runs_before_the_search(monkeypatch):
 
 
 def test_move_multiset_guard_runs_before_the_search(monkeypatch):
-    # 1,536 words, under the word cap, but about 2.3e11 multisets of degree <= 4
+    # 1,536 words, under the word cap; 166 distinct columns, about 3.3e7 multisets of degree <= 4
     monkeypatch.setattr(thmc.markov, "_column_fibers", _no_search)
-    with pytest.raises(SizeCapExceeded, match="multisets"):
+    monkeypatch.setattr(thmc.markov, "iter_columns", _no_search)
+    with pytest.raises(SizeCapExceeded, match="multisets of up to 4 of 166 columns"):
         moves_up_to_degree(Model.D, 3, 10, 4)
 
 
@@ -144,8 +145,13 @@ def test_minimal_basis_connects_every_fiber_and_needs_every_move(model, S, T, k,
 
 @pytest.mark.parametrize(
     "model, S, T, k, per_degree",
-    [(Model.D, 4, 3, 4, {1: 6, 2: 42, 3: 96, 4: 6}), (Model.D, 3, 6, 3, {1: 48, 2: 675})],
-    ids=["d-S4-T3-k4", "d-S3-T6-k3"],
+    [
+        (Model.D, 4, 3, 4, {1: 6, 2: 42, 3: 96, 4: 6}),
+        (Model.D, 3, 6, 3, {1: 48, 2: 675}),
+        (Model.D, 3, 8, 3, {1: 288, 2: 3444}),
+        (Model.D, 3, 10, 3, {1: 1370, 2: 11556}),
+    ],
+    ids=["d-S4-T3-k4", "d-S3-T6-k3", "d-S3-T8-k3", "d-S3-T10-k3"],
 )
 def test_minimal_basis_counts_match_the_probe_components(model, S, T, k, per_degree):
     # the moves of each degree d >= 2 are the sum of components - 1 over the probe's fibers of degree d
@@ -155,7 +161,8 @@ def test_minimal_basis_counts_match_the_probe_components(model, S, T, k, per_deg
     needed = Counter()
     for f in report.interesting_fibers:
         needed[f.degree] += f.components - 1
-    assert +needed == {d: n for d, n in per_degree.items() if d > 1}
+    assert +needed == report.moves_by_degree == {d: n for d, n in per_degree.items() if d > 1}
+    assert report.minimal_k == max(report.moves_by_degree)
 
 
 def test_moves_deduplicated_up_to_sign():
@@ -266,6 +273,7 @@ def test_probe_and_word_stream_leave_no_reference_cycle():
     gc.disable()
     try:
         minimal_connecting_degree(Model.D, 3, 4, 3)
+        enumerate_fiber(Model.D, 3, 4, sufficient(Model.D, 3, [(1, 2, 3, 1), (2, 1, 2, 3), (3, 1, 3, 2)]))
         for _ in iter_words(3, 6, True):
             pass
         assert gc.collect() < 100
@@ -276,7 +284,7 @@ def test_probe_and_word_stream_leave_no_reference_cycle():
 def test_probe_wide_models():
     for S in (4, 5):
         report = minimal_connecting_degree(Model.D, S, 3, 2)
-        assert report.minimal_k <= S - 1
+        assert report.minimal_k == max(report.moves_by_degree, default=1)
         assert not report.disconnected_fibers
 
 
@@ -300,42 +308,54 @@ def test_connectivity_monotone_in_move_set():
     assert conn2 or not conn1
 
 
-def _fibers_by_combinations(vectors, size, bound):
-    """Reference: the bounded multisets of ``combinations_with_replacement``, grouped by sum in order of first appearance."""
+def _fibers_by_combinations(vectors, size):
+    """Reference: the index multisets of ``combinations_with_replacement``, grouped by sum, each group in that order."""
     groups = {}
     for combo in combinations_with_replacement(range(len(vectors)), size):
-        total = tuple(sum(vectors[i][r] for i in combo) for r in range(len(vectors[0])))
-        if bound is None or all(t <= u for t, u in zip(total, bound)):
-            groups.setdefault(total, []).append(combo)
-    return list(groups.items())
+        groups.setdefault(tuple(sum(vectors[i][r] for i in combo) for r in range(len(vectors[0]))), []).append(combo)
+    return groups
+
+
+def _sum_of(vectors, picks, width):
+    return [sum(vectors[i % len(vectors)][r] for i in picks) for r in range(width)]
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=6),
     st.integers(1, 4),
+    st.lists(st.integers(0, 9), min_size=4, max_size=4),
     st.lists(st.integers(0, 9), min_size=3, max_size=3),
+    st.booleans(),
 )
-def test_multisets_by_sum_in_combination_order(vectors, size, bound):
-    # the bound prunes exactly only non-negative vectors, as design columns are
-    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
+def test_multisets_by_sum_in_combination_order(vectors, size, picks, other, exact):
+    # the bound prunes exactly only non-negative vectors, as design columns are; their sums need not be equal
+    bound = _sum_of(vectors, picks[:size], 3) if exact else other
+    assert _fibers(vectors, size, bound) == _fibers_by_combinations(vectors, size).get(tuple(bound), [])
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 40), min_size=4, max_size=4), min_size=1, max_size=5),
     st.integers(1, 3),
+    st.lists(st.integers(0, 9), min_size=3, max_size=3),
     st.lists(st.integers(0, 90), min_size=4, max_size=4),
+    st.booleans(),
 )
-def test_fibers_of_wide_entries_and_bounds(vectors, size, bound):
+def test_fibers_of_wide_entries_and_bounds(vectors, size, picks, other, exact):
     # sums reach 120, so each packed field needs 9 bits
-    assert list(_fibers(vectors, size, bound).items()) == _fibers_by_combinations(vectors, size, bound)
+    bound = _sum_of(vectors, picks[:size], 4) if exact else other
+    assert _fibers(vectors, size, bound) == _fibers_by_combinations(vectors, size).get(tuple(bound), [])
+
+
+def _colex(groups):
+    return sorted(groups.items(), key=lambda item: item[0][::-1])
 
 
 def _column_fibers_by_search(columns, D):
-    """Reference: the groups of :func:`_fibers`, with the union-find of their classes under "shares a column"."""
+    """Reference: the multisets of each sum, in colex order, with the union-find of their classes under "shares a column"."""
     for degree in range(1, D + 1):
-        for b, classes in _fibers(columns, degree, [degree * max(map(max, columns))] * len(columns[0])).items():
+        for b, classes in _colex(_fibers_by_combinations(columns, degree)):
             first_with = {}  # column -> first class containing it
             edges = [(first_with.setdefault(col, idx), idx) for idx, cls in enumerate(classes) for col in set(cls)]
             yield degree, b, len(classes), len(set(components(len(classes), edges)))
@@ -374,13 +394,23 @@ def test_column_fibers_of_any_small_vectors(vectors, D):
     # duplicates, zero vectors and unequal coordinate sums, unlike design columns
     expected = []
     for degree in range(1, D + 1):
-        for b, classes in _fibers_by_combinations(vectors, degree, None):
+        for b, classes in _colex(_fibers_by_combinations(vectors, degree)):
             columns = [set(cls) for cls in classes]
             edges = [(i, j) for i in range(len(classes)) for j in range(i) if columns[i] & columns[j]]
             expected.append((degree, b, len(classes), len(set(components(len(classes), edges)))))
     fibers = list(_column_fibers(vectors, D))
     assert [f[:4] for f in fibers] == expected
     _check_representatives(vectors, fibers)
+
+
+def test_column_fibers_come_in_colex_order_within_a_degree():
+    fibers = [(degree, b) for degree, b, *_ in _column_fibers([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)]
+    assert fibers == [
+        (1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)),
+        (2, (2, 0, 0)), (2, (1, 1, 0)), (2, (0, 2, 0)), (2, (1, 0, 1)), (2, (0, 1, 1)), (2, (0, 0, 2)),
+    ]
+    sums = [(degree, b[::-1]) for degree, b, *_ in _column_fibers(distinct_columns(Model.D, 3, 5), 3)]
+    assert sums == sorted(sums)
 
 
 def test_probe_pins_the_degree_three_moves_of_four_states():
@@ -462,3 +492,12 @@ def test_fiber_walk_matches_a_direct_scan(degree):
             assert connected == (len(comps) == 1)
             split += not connected
     assert split  # the lower move degrees leave some fiber in pieces
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_basis_refuses_word_columns_that_differ_from_the_state_walk(monkeypatch, change):
+    real = distinct_columns(Model.D, 3, 4)
+    changed = real[1:] if change == "drop" else tuple(sorted(real + ((9,) * 6,)))
+    monkeypatch.setattr(thmc.markov, "distinct_columns", lambda *args: changed)
+    with pytest.raises(AssertionError, match="not the distinct columns of the state walk"):
+        moves_up_to_degree(Model.D, 3, 4, 2)

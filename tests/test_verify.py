@@ -162,3 +162,18 @@ def test_markov_criterion_fails_without_a_degree_two_move(monkeypatch):
     result = _run("markov-probe")
     assert not result.passed and result.details.startswith("d/S=3/T=4: 75 moves of degree <= 3 leave the fiber of b=")
     assert result.details.endswith("in 2 components") and len(result.details.splitlines()) == 1
+
+
+def test_markov_criterion_fails_on_a_changed_move_count(monkeypatch):
+    real = thmc.markov.minimal_connecting_degree
+
+    def one_count_off(model, S, T, D, **kwargs):
+        report = real(model, S, T, D, **kwargs)
+        if (S, T) != (4, 3):
+            return report
+        return replace(report, moves_by_degree=report.moves_by_degree | {3: 95})
+
+    monkeypatch.setattr(thmc.markov, "minimal_connecting_degree", one_count_off)
+    result = _run("markov-probe")
+    assert not result.passed and len(result.details.splitlines()) == 1
+    assert result.details == "d/S=4/T=3/D=4: moves by degree {2: 42, 3: 95, 4: 6}, expected {2: 42, 3: 96, 4: 6}"
