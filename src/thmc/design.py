@@ -6,7 +6,8 @@ Columns are indexed by words in lexicographic order; a column records
 the initial state indicator (models a, c) and the transition counts of
 its word, counted in one place, :func:`sufficient`. The distinct columns
 come from a walk over the words that keeps only distinct running
-counts. Everything is exact integer arithmetic.
+counts, each column packed into one integer with a field per row.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -188,10 +189,14 @@ def distinct_columns(model: Model | str, S: int, T: int) -> tuple[tuple[int, ...
     """Sorted distinct column vectors of the design matrix.
 
     Walks the words one letter at a time from the one-letter columns,
-    but keeps only the distinct (last state, running column) pairs, so a
+    but keeps, per last state, only the distinct running columns, so a
     column is reached once per way its word can end rather than once per
-    word. :class:`SizeCapExceeded` is raised before any work when both
-    the word count and the compositions of T-1 exceed ``DEFAULT_COLUMN_CAP``.
+    word. A running column is one integer with a field of
+    T.bit_length() bits per row, row 0 highest: no count exceeds T, so
+    no field carries, a step is one integer add, and the integers sort
+    as the columns do. They are decoded once, at the end.
+    :class:`SizeCapExceeded` is raised before any work when both the
+    word count and the compositions of T-1 exceed ``DEFAULT_COLUMN_CAP``.
     """
     model = Model.parse(model)
     pairs = transition_pairs(S, model.no_loops)
@@ -199,8 +204,15 @@ def distinct_columns(model: Model | str, S: int, T: int) -> tuple[tuple[int, ...
     if min(words, comb(T - 2 + len(pairs), len(pairs) - 1)) > DEFAULT_COLUMN_CAP:
         raise SizeCapExceeded(f"{words} words and the compositions of T-1 both exceed the cap of {DEFAULT_COLUMN_CAP}")
     rows = _rows(model, S)
-    steps = {i: tuple((j, rows[i, j]) for j in range(1, S + 1) if (i, j) in rows) for i in range(1, S + 1)}
-    states = {(s, sufficient(model, S, [(s,)])) for s in range(1, S + 1)}
+    width = T.bit_length()
+    shifts = [width * (len(rows) - 1 - r) for r in range(len(rows))]
+    steps = {i: [(j, 1 << shifts[rows[i, j]]) for j in range(1, S + 1) if (i, j) in rows] for i in range(1, S + 1)}
+    states = {s: {sum(map(int.__lshift__, sufficient(model, S, [(s,)]), shifts))} for s in range(1, S + 1)}  # last state -> columns
     for _ in range(T - 1):
-        states = {(j, x[:k] + (x[k] + 1,) + x[k + 1:]) for i, x in states for j, k in steps[i]}
-    return tuple(sorted({x for _, x in states}))
+        grown: dict[int, set[int]] = {j: set() for j in states}
+        for i, columns in states.items():
+            for j, add in steps[i]:
+                grown[j].update(map(add.__add__, columns))
+        states = grown
+    field = (1 << width) - 1
+    return tuple(tuple(x >> shift & field for shift in shifts) for x in sorted(set().union(*states.values())))

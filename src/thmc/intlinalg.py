@@ -417,11 +417,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def primitive_vector(vector: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in vector:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(int(x) for x in vector)
+    g = gcd(*vector)
+    if g < 2:  # zero, or nothing to divide
+        return tuple(map(int, vector))
     return tuple(int(x) // g for x in vector)
 
 
@@ -438,22 +436,58 @@ class PackedNormals:
 
     Normal f takes the field of ``width`` bits at offset width * f of one
     integer per coordinate, so guard + sum(p_i * coord_i) holds guard + h_f.p
-    in field f. ``width`` = bit_length(max |entry| * reach) + 2, and
-    ``reach`` must make max |entry| * reach >= every |h_f.p| evaluated
+    in field f. ``width`` = bit_length(max |entry| * reach) + 2 + ``spare``,
+    and ``reach`` must make max |entry| * reach >= every |h_f.p| evaluated
     (an L1 bound on the points, :func:`l1_reach`, is one way to meet it),
     so each h_f.p lies strictly inside +-2^(width-2): every field stays in
     [0, 2^width) and nothing carries between fields, for signed normals
     and points alike. A field's top (guard) bit is set exactly when
     h_f.p >= 0.
+
+    The fields can change in place: :meth:`drop` empties one (it then
+    reads h.p = 0, tight, at every point) and :meth:`put` fills an empty
+    one or appends a field, by adding the shifted entries to the
+    coordinate integers. ``spare`` extra bits per field leave room for
+    normals with larger entries than the first ones.
     """
 
-    def __init__(self, normals: Sequence[Sequence[int]], reach: int):
+    def __init__(self, normals: Sequence[Sequence[int]], reach: int, spare: int = 0):
         self.count = len(normals)
+        self.reach = reach
         top = max(map(abs, chain.from_iterable(normals)), default=0) * reach
-        self.width = width = top.bit_length() + 2
+        self.width = width = top.bit_length() + 2 + spare
         self.guard = sum(1 << (width * f + width - 1) for f in range(self.count))
         self.low = self.guard - (self.guard >> (width - 1))  # the bits below the guard of each field
-        self.coords = tuple(sum(x << (width * f) for f, x in enumerate(column)) for column in zip(*normals))
+        self.coords = [sum(x << (width * f) for f, x in enumerate(column)) for column in zip(*normals)]
+
+    def bit(self, f: int) -> int:
+        """The guard bit of field f."""
+        return 1 << (self.width * f + self.width - 1)
+
+    def put(self, f: int, normal: Sequence[int]) -> bool:
+        """Add the normal into the empty field f (f == count appends a field).
+
+        Returns False, and changes nothing, when max |entry| * reach
+        outgrows the field width; the caller then packs afresh.
+        """
+        if (max(map(abs, normal)) * self.reach).bit_length() + 2 > self.width:
+            return False
+        if f == self.count:
+            self.count += 1
+            self.guard |= self.bit(f)
+            self.low = self.guard - (self.guard >> (self.width - 1))
+        self._shift_in(f, normal, 1)
+        return True
+
+    def drop(self, f: int, normal: Sequence[int]) -> None:
+        """Empty field f, which holds the normal: it then reads h.p = 0 at every point."""
+        self._shift_in(f, normal, -1)
+
+    def _shift_in(self, f: int, normal: Sequence[int], sign: int) -> None:
+        shift, coords = self.width * f, self.coords
+        for i, x in enumerate(normal):
+            if x:
+                coords[i] += sign * x << shift
 
     def value(self, point: Sequence[int]) -> int:
         """guard + the packed dot products h_f.point."""

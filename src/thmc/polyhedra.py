@@ -10,9 +10,12 @@ the LP on one side (x in kP) and by the facets on the other (x in the
 cone). Every column-against-facet test (the double description's ray
 signs, the containment assertion, the vertex masks, the incidences and
 the Hilbert-basis cone tests) evaluates all normals at once in one
-packed integer sum (:class:`PackedNormals`). The LP uses the same
-layout: a column set is packed once (:class:`PackedColumns`, one integer
-per row, one field per column), a rational right-hand side is scaled to
+packed integer sum (:class:`PackedNormals`); the double description
+keeps its rays in one such table, emptying and filling fields in place
+as rays leave and enter. The LP uses the same layout: a column set is
+packed once (:class:`PackedColumns`, one integer per row, one field per
+column; the vertex test keeps each tested column out by its guard bit),
+a rational right-hand side is scaled to
 integers once per call, and each pivot is an integer-preserving
 Gauss-Jordan step over one common denominator d, applied to every field
 of a row in one multiply-subtract-divide. The division by d is exact
@@ -92,7 +95,7 @@ class PackedColumns:
         bound = sum(norms) * prod(norms)
         top = max((abs(x) for row in rows for x in row), default=1)
         self.pack = pack = PackedNormals([(*c, 1) for c in self.columns], -(-bound // top))
-        bits = [1 << (pack.width * j + pack.width - 1) for j in range(pack.count)]
+        bits = [pack.bit(j) for j in range(pack.count)]
         self.drops = tuple(
             0 if min(row) < 0 else sum(bit for bit, x in zip(bits, row) if x) for row in rows[:-1]
         )
@@ -103,6 +106,7 @@ def linear_feasible(
     rhs: Sequence[int | Fraction],
     *,
     coefficient_sum: int | Fraction | None = None,
+    without: int | None = None,
 ) -> bool:
     """Does rhs = sum(lambda_j * columns[j]) admit a solution with lambda >= 0?
 
@@ -112,7 +116,9 @@ def linear_feasible(
     (callers that ask many LPs of one column set pack it themselves); a
     rhs whose length is not the columns' dimension raises
     :class:`DimensionMismatch`. Where rhs is 0 and no column is negative,
-    every column positive there has lambda = 0, so it never enters. The
+    every column positive there has lambda = 0, so it never enters; nor
+    does column ``without``, so the LP is the one over the other columns
+    (Bland's rule keeps their relative order). The
     right-hand side (with ``coefficient_sum``) is multiplied once by the
     lcm L of its denominators (substitute L * lambda for lambda), so the
     tableau is integer from the start.
@@ -143,7 +149,9 @@ def linear_feasible(
     if packed.dim is not None and len(rhs) != packed.dim:
         raise DimensionMismatch(f"rhs has {len(rhs)} entries, the columns {packed.dim}")
     pack = packed.pack
-    dropped = 0
+    if without is not None and not 0 <= without < pack.count:
+        raise IndexError(f"column {without} of {pack.count}")
+    dropped = 0 if without is None else pack.bit(without)
     for x, drop in zip(rhs, packed.drops):
         if drop and x == 0:
             dropped |= drop
@@ -216,6 +224,9 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # Double description: facets of a full-dimensional pointed cone
 
+_SPARE_BITS = 8  # field bits beyond the first rays' need, so new rays rarely force a fresh pack
+
+
 def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     """Extreme rays of {h : h.g >= 0 for all generators} = facet normals.
 
@@ -223,16 +234,30 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     double description: start from the simplicial dual cone of a
     linearly independent generator subset, insert the remaining
     constraints one by one, and combine adjacent positive/negative ray
-    pairs. Adjacency uses the combinatorial zero-set test, which is
-    exact here because all tracked rays satisfy the processed
-    constraints with >= 0.
+    pairs. Generators are inserted in the caller's order (duplicates
+    dropped), and the result is sorted, so the order decides only the
+    cost. Callers pass the likely extreme generators first.
 
-    Generators are inserted in the caller's order (duplicates dropped),
-    and the result is sorted, so the order decides only the cost: a
-    generator inside the current cone costs one packed evaluation of the
-    rays, and only its tight rays gain a zero bit. The pack is rebuilt
-    when the ray set changes; its width comes from the generators' L1
-    bound, computed once. Callers pass the likely extreme generators first.
+    The rays live in one :class:`PackedNormals` table, a field per ray,
+    and a generator costs one packed evaluation, whose guard bits give
+    the negative, tight and positive rays at once. A generator with no
+    negative ray is inside the cone: a redundant row that changes
+    nothing. A ray that leaves empties its field, which then reads 0
+    (never negative, always tight, so ``live`` filters the tight fields),
+    and a new ray fills an empty field or appends one. The table is
+    packed afresh only when a new ray's entries outgrow the field width,
+    which is sized from the generators' L1 bound with ``_SPARE_BITS`` to
+    spare.
+
+    Adjacency is the combinatorial test (Fukuda-Prodon 1996), which holds
+    for any inequality description of a pointed cone, so zero sets
+    cover only the first ``dim`` generators and the ones that cut:
+    ``masks[f]`` has bit c when ray f is tight at constraint c, and
+    ``tight_at[c]`` is the set of live fields (bits 1 << f) tight at it.
+    A positive ray p and a negative ray n are adjacent iff the AND of
+    ``tight_at`` over the bits of masks[p] & masks[n] is exactly {p, n}:
+    no other ray is tight wherever both are (bit patterns,
+    Terzer-Stelling 2008).
     """
     gens = list(dict.fromkeys(primitive_vector(g) for g in generators if any(g)))
     if not gens:
@@ -242,39 +267,68 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     chosen = set(first)
     order = [gens[i] for i in first] + [g for i, g in enumerate(gens) if i not in chosen]
     inverse, _ = smith_normal_form(order[:dim]).scaled_inverse()
-    rays = [primitive_vector([row[i] for row in inverse]) for i in range(dim)]
-    masks = [0] * dim  # zero set of each ray over the processed generators, as bits
+    table: list[IntVec | None] = [primitive_vector([row[i] for row in inverse]) for i in range(dim)]  # ray per field
     reach = l1_reach(gens)
-    pack = PackedNormals(rays, reach)
-    for k, g in enumerate(order):
+    pack = PackedNormals(table, reach, _SPARE_BITS)
+    live, empty, masks, tight_at = (1 << dim) - 1, [], [0] * dim, []
+    for g in order[:dim]:
         value = pack.value(g)
-        if pack.inside(value):
-            for f in pack.fields(pack.tight(value)):
-                masks[f] |= 1 << k
-            continue
-        if k < dim:
+        if not pack.inside(value):
             raise AssertionError("initial dual simplex inconsistent")
+        tight_at.append(_tight_fields(pack, value, live, masks, 1 << len(tight_at)))
+    for g in order[dim:]:
+        value = pack.value(g)
+        neg = pack.guard & ~value
+        if not neg:
+            continue
         d = pack.decode(value)
-        kept = [f for f, x in enumerate(d) if x >= 0]
-        neg = [f for f, x in enumerate(d) if x < 0]
-        new_rays = [rays[f] for f in kept]
-        new_masks = [masks[f] | (0 if d[f] else 1 << k) for f in kept]
-        for ip in kept:
-            if not d[ip]:
-                continue
-            for jn in neg:
-                zmask = masks[ip] & masks[jn]
-                if zmask.bit_count() < dim - 2:
-                    continue
-                if any(zmask & ~other == 0 for idx, other in enumerate(masks) if idx != ip and idx != jn):
-                    continue
-                # d[ip] > 0 > d[jn]: d[ip]*r_jn - d[jn]*r_ip is a conic combination vanishing on g
-                new_rays.append(primitive_vector([d[ip] * b - d[jn] * a for a, b in zip(rays[ip], rays[jn])]))
-                new_masks.append(zmask | 1 << k)
-        rays, masks = new_rays, new_masks
-        pack = PackedNormals(rays, reach)
+        posf = list(pack.fields(value & pack.guard & ~pack.tight(value)))
+        negf = list(pack.fields(neg))
+        bit = 1 << len(tight_at)
+        new = []
+        for n in negf:
+            mn = masks[n]
+            for p in [p for p in posf if (masks[p] & mn).bit_count() >= dim - 2]:
+                pair, common, found = 1 << p | 1 << n, masks[p] & mn, live
+                while common and found != pair:
+                    low = common & -common
+                    found &= tight_at[low.bit_length() - 1]
+                    common ^= low
+                if found == pair:
+                    # d[p] > 0 > d[n]: d[p]*r_n - d[n]*r_p is a conic combination vanishing on g
+                    ray = primitive_vector([d[p] * b - d[n] * a for a, b in zip(table[p], table[n])])
+                    new.append((ray, masks[p] & mn | bit))
+        for n in negf:
+            pack.drop(n, table[n])
+            table[n] = None
+            live ^= 1 << n
+        empty += negf
+        tight_at = [t & live for t in tight_at]
+        tight_at.append(_tight_fields(pack, value, live, masks, bit))
+        for ray, mask in new:
+            f = empty.pop() if empty else len(table)
+            if f == len(table):
+                table.append(None)
+                masks.append(0)
+            table[f], masks[f] = ray, mask
+            live |= 1 << f
+            if not pack.put(f, ray):
+                pack = PackedNormals([r or (0,) * dim for r in table], reach, _SPARE_BITS)
+            while mask:
+                low = mask & -mask
+                tight_at[low.bit_length() - 1] |= 1 << f
+                mask ^= low
+    return tuple(sorted(r for r in table if r is not None))
 
-    return tuple(sorted(rays))
+
+def _tight_fields(pack: PackedNormals, value: int, live: int, masks: list[int], bit: int) -> int:
+    """The live fields tight at a packed value, as bits 1 << f; each one's mask gains ``bit``."""
+    fields = 0
+    for f in pack.fields(pack.tight(value)):
+        if live >> f & 1:
+            masks[f] |= bit
+            fields |= 1 << f
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +412,16 @@ def polytope_vertices(columns: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
     """Columns that are vertices of the convex hull, by exact LP.
 
     A deduplicated column is a vertex iff it is not a convex combination
-    of the remaining columns.
+    of the remaining columns. The columns are packed once; each LP keeps
+    the tested column out by its guard bit.
     """
     cols = sorted(set(tuple(int(x) for x in c) for c in columns))
     if not cols:
         raise DegenerateInput("no columns")
     if len(cols) == 1:
         return tuple(cols)
-    verts = []
-    for i, c in enumerate(cols):
-        others = cols[:i] + cols[i + 1 :]
-        if not linear_feasible(others, c, coefficient_sum=1):
-            verts.append(c)
-    return tuple(verts)
+    packed = PackedColumns(cols)
+    return tuple(c for i, c in enumerate(cols) if not linear_feasible(packed, c, coefficient_sum=1, without=i))
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

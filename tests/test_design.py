@@ -18,7 +18,7 @@ from thmc.design import (
     sufficient,
     transition_pairs,
 )
-from thmc.words import iter_words
+from thmc.words import InvalidDimension, iter_words
 
 
 def test_column_examples():
@@ -161,6 +161,35 @@ def test_distinct_columns_size_guard_runs_before_the_walk(monkeypatch):
     monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 100)
     with pytest.raises(SizeCapExceeded):
         distinct_columns(Model.D, 3, 8)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("S, top", [(2, 9), (3, 6), (4, 5)])
+def test_distinct_columns_are_the_distinct_word_columns(model, S, top):
+    for T in range(1, top + 1):
+        if T == 1:  # one-letter words are refused by both routes
+            with pytest.raises(InvalidDimension):
+                distinct_columns(model, S, T)
+            with pytest.raises(InvalidDimension):
+                next(iter_words(S, T, model.no_loops))
+            continue
+        expected = sorted({column_of_word(model, S, w) for w in iter_words(S, T, model.no_loops)})
+        assert list(distinct_columns(model, S, T)) == expected, T
+
+
+def test_distinct_columns_cap_is_refused_before_any_work(monkeypatch):
+    def work(*args):
+        raise AssertionError("the walk started before the cap check")
+
+    monkeypatch.setattr(thmc.design, "_rows", work)
+    monkeypatch.setattr(thmc.design, "sufficient", work)
+    with pytest.raises(SizeCapExceeded):
+        distinct_columns(Model.A, 5, 14)
+    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 100)
+    with pytest.raises(SizeCapExceeded):
+        distinct_columns(Model.D, 3, 8)
+    with pytest.raises(AssertionError, match="before the cap check"):  # under the cap, the walk starts
+        distinct_columns(Model.D, 3, 4)
 
 
 def test_csv_export_layout():

@@ -253,3 +253,7 @@ def test_pivot_path_rejects_bad_indices():
 def test_primitive_vector():
     assert primitive_vector((2, -4, 6)) == (1, -2, 3)
     assert primitive_vector((0, 0)) == (0, 0)
+    assert primitive_vector((-6, 4, 0)) == (-3, 2, 0)  # a negative entry keeps its sign
+    assert primitive_vector((-7,)) == (-1,)
+    assert primitive_vector(()) == ()
+    assert primitive_vector((3, 5, -4)) == (3, 5, -4)  # gcd 1

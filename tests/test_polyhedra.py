@@ -1,9 +1,10 @@
 """Cone facets, polytope vertices, f-vectors and dilation checks."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -163,6 +164,24 @@ def test_lp_dropped_columns_in_the_middle_match_the_shorter_list():
     assert interleaved
 
 
+def test_lp_without_a_column_matches_the_list_without_it():
+    cols = list(model_d_columns(5))
+    random.Random(7).shuffle(cols)
+    packed = PackedColumns(cols)
+    answers = []
+    for i, c in enumerate(cols):
+        others = cols[:i] + cols[i + 1 :]
+        for x in (c, [2 * v for v in c], [v + w for v, w in zip(c, cols[i - 1])]):
+            for k in (None, 1, 2):
+                answer = linear_feasible(packed, x, coefficient_sum=k, without=i)
+                assert answer == linear_feasible(others, x, coefficient_sum=k), (i, x, k)
+                answers.append(answer)
+    assert any(answers) and not all(answers)
+    for i in (-1, len(cols)):
+        with pytest.raises(IndexError):
+            linear_feasible(packed, cols[0], without=i)
+
+
 @pytest.mark.parametrize("T", [4, 5])
 def test_lp_prepacked_and_plain_agree_on_every_composition(T):
     cols = model_d_columns(T)
@@ -247,6 +266,26 @@ def test_packed_normals_match_the_dot_products(normals_and_points):
         assert tight & ~pack.guard == 0
         assert list(pack.fields(tight)) == [g for g, d in enumerate(dots) if d == 0]
         assert pack.decode(value) == dots
+
+
+def test_packed_fields_dropped_and_put_read_like_a_fresh_pack():
+    normals = [(1, -2, 3), (0, 4, -1), (-5, 1, 1)]
+    points = list(compositions(4, 3)) + [(-3, 2, 1), (1, -4, 0)]
+    reach = l1_reach(points)
+    pack = PackedNormals(normals, reach, 3)
+    pack.drop(1, normals[1])
+    assert pack.put(1, (2, 2, -3)) and pack.put(3, (7, 0, -7))
+    assert pack.count == 4
+    assert not pack.put(4, (1 << pack.width, 0, 0))  # outgrows the field: nothing changes
+    assert pack.count == 4
+    fresh = PackedNormals([(1, -2, 3), (2, 2, -3), (-5, 1, 1), (7, 0, -7)], reach)
+    for p in points:
+        assert pack.decode(pack.value(p)) == fresh.decode(fresh.value(p)), p
+        assert list(pack.fields(pack.tight(pack.value(p)))) == list(fresh.fields(fresh.tight(fresh.value(p))))
+    pack.drop(2, (-5, 1, 1))
+    for p in points:  # an empty field reads 0: inside and tight
+        value = pack.value(p)
+        assert pack.decode(value)[2] == 0 and pack.tight(value) & pack.bit(2)
 
 
 # 4r + t for the first normal r of d/T=4: exactly one column falls outside it, by 1
@@ -346,12 +385,13 @@ def test_dual_description_independent_of_insertion_order():
         assert dual_description(shuffled) == facets
 
 
-@given(
-    st.integers(2, 4).flatmap(
-        lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=2 * n + 2)
-    ),
-    st.randoms(use_true_random=False),
+# n to 2n + 2 generators of n = 2..4 coordinates, entries 0..3
+_small_cones = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=2 * n + 2)
 )
+
+
+@given(_small_cones, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_dual_description_of_small_cones_independent_of_order(gens, rng):
     # nonnegative generators keep the cone pointed; they must span the space
@@ -359,6 +399,124 @@ def test_dual_description_of_small_cones_independent_of_order(gens, rng):
     shuffled = list(gens)
     rng.shuffle(shuffled)
     assert dual_description(shuffled) == dual_description(gens)
+
+
+def _wedge_step(minors, last, sets, G, k):
+    """The k x k minors of every generator subset one longer, by expansion along the new, last row.
+
+    ``minors`` row i holds the (k-1) x (k-1) minors of a subset, one per
+    column set of ``sets``, and ``last[i]`` is its largest generator
+    index; the subset gains each later generator in turn.
+    """
+    np = pytest.importorskip("numpy")
+    index = {cols: t for t, cols in enumerate(sets)}
+    counts = len(G) - 1 - last
+    parent = np.repeat(np.arange(len(last)), counts)
+    later = np.repeat(last + 1 - (np.cumsum(counts) - counts), counts) + np.arange(len(parent))
+    larger = list(combinations(range(G.shape[1]), k))
+    wedge = np.zeros((len(parent), len(larger)), dtype=G.dtype)
+    for t, cols in enumerate(larger):
+        for pos, col in enumerate(cols):
+            term = minors[parent, index[cols[:pos] + cols[pos + 1 :]]] * G[later, col]
+            wedge[:, t] += term if (k - 1 + pos) % 2 == 0 else -term
+    return wedge, later, larger
+
+
+def _facets_by_brute_force(gens):
+    """Facet normals of a full-dimensional cone from every (dim-1)-subset of its generators.
+
+    A subset of rank dim-1 spans a hyperplane whose normal has entry i
+    equal to (-1)^i times its minor without column i; the normal, made
+    primitive, is a facet normal if every generator lies on one side,
+    and the sign is chosen to put them at >= 0. The minors come level by
+    level as wedge products, for every subset at once (numpy, int64 when
+    Hadamard's bound allows, else Python ints), the last level in blocks.
+    """
+    np = pytest.importorskip("numpy")
+    gens = sorted({tuple(g) for g in gens if any(g)})
+    dim = len(gens[0])
+    top = max(abs(x) for g in gens for x in g)
+    G = np.array(gens, dtype=np.int64 if (top * dim) ** dim < 2**62 else object)
+    minors, last, sets = np.ones((1, 1), dtype=G.dtype), np.array([-1]), [()]
+    for k in range(1, dim - 1):
+        minors, last, sets = _wedge_step(minors, last, sets, G, k)
+    normals = set()
+    for lo in range(0, len(last), 2048):
+        wedge, _, final = _wedge_step(minors[lo : lo + 2048], last[lo : lo + 2048], sets, G, dim - 1)
+        index = {cols: t for t, cols in enumerate(final)}
+        h = np.stack([wedge[:, index[tuple(c for c in range(dim) if c != i)]] * (-1) ** i for i in range(dim)], axis=1)
+        h = h[(h != 0).any(axis=1)]  # rank dim-1 only
+        h //= np.gcd.reduce(h, axis=1)[:, None]
+        h *= np.sign(h[np.arange(len(h)), (h != 0).argmax(axis=1)])[:, None]  # one sign per hyperplane
+        normals.update(map(tuple, h.tolist()))
+    facets = set()
+    for h in normals:
+        sides = {(v > 0) - (v < 0) for v in (_dot(h, g) for g in gens)} - {0}
+        if len(sides) == 1:
+            sign = sides.pop()
+            facets.add(tuple(sign * x for x in h))
+    return facets
+
+
+def test_brute_force_facets_of_a_square_pyramid():
+    # apex cone over the square with corners (+-1, +-1, 1), and its centre, which spans no facet
+    gens = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (0, 0, 1)]
+    assert _facets_by_brute_force(gens) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
+
+
+@given(_small_cones)
+@settings(max_examples=60, deadline=None)
+def test_dual_description_of_small_cones_matches_the_brute_force_facets(gens):
+    assume(IntLattice.from_vectors(len(gens[0]), gens).rank == len(gens[0]))
+    assert set(dual_description(gens)) == _facets_by_brute_force(gens)
+
+
+@pytest.mark.parametrize("model, S, T", [(Model.D, 3, 4), (Model.D, 3, 5), (Model.D, 3, 6), (Model.C, 3, 4)])
+def test_dual_description_matches_the_brute_force_facets(model, S, T):
+    cols = distinct_columns(model, S, T)
+    # drop coordinates that the span equations determine, from the last (c/S=3 has one equation)
+    rank = IntLattice.from_vectors(len(cols[0]), cols).rank
+    keep = list(range(len(cols[0])))
+    for i in reversed(range(len(cols[0]))):
+        fewer = [j for j in keep if j != i]
+        if len(keep) > rank and IntLattice.from_vectors(len(fewer), [[c[j] for j in fewer] for c in cols]).rank == rank:
+            keep = fewer
+    gens = [tuple(c[j] for j in keep) for c in cols]
+    facets = dual_description(gens)
+    assert set(facets) == _facets_by_brute_force(gens)
+    assert len(facets) == len(cone_facets(cols).inequalities)
+
+
+def test_dual_description_widens_and_reuses_ray_fields(monkeypatch):
+    # the first rays are unit vectors; the rays that the entries near 10^6 cut out outgrow their fields
+    import thmc.polyhedra
+
+    log = Counter()
+
+    class Spy(PackedNormals):
+        def __init__(self, *args):
+            log["packs"] += 1
+            super().__init__(*args)
+
+        def put(self, f, normal):
+            count = self.count
+            done = super().put(f, normal)
+            log["refused" if not done else "reused" if f < count else "appended"] += 1
+            return done
+
+    monkeypatch.setattr(thmc.polyhedra, "PackedNormals", Spy)
+    M = 10**6
+    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (M, M + 1, -1, 1), (3, -M, M + 7, 2), (-5, M - 17, 4, M + 3)]
+    facets = dual_description(gens)
+    assert log["packs"] >= 2 and log["refused"] == log["packs"] - 1  # each refused put packed afresh
+    assert log["reused"] and log["appended"]
+    assert set(facets) == _facets_by_brute_force(gens)
+    assert max(abs(x) for h in facets for x in h) > M
+
+
+@pytest.mark.slow
+def test_cone_facets_of_model_d_at_S4_T5():
+    assert len(cone_facets(distinct_columns(Model.D, 4, 5)).inequalities) == 64
 
 
 def test_f_vector_simplex():
