@@ -436,8 +436,8 @@ class PackedNormals:
 
     Normal f takes the field of ``width`` bits at offset width * f of one
     integer per coordinate, so guard + sum(p_i * coord_i) holds guard + h_f.p
-    in field f. ``width`` = bit_length(max |entry| * reach) + 2 + ``spare``,
-    and ``reach`` must make max |entry| * reach >= every |h_f.p| evaluated
+    in field f. ``width`` = bit_length(max |entry| * reach) + 2, and
+    ``reach`` must make max |entry| * reach >= every |h_f.p| evaluated
     (an L1 bound on the points, :func:`l1_reach`, is one way to meet it),
     so each h_f.p lies strictly inside +-2^(width-2): every field stays in
     [0, 2^width) and nothing carries between fields, for signed normals
@@ -447,15 +447,15 @@ class PackedNormals:
     The fields can change in place: :meth:`drop` empties one (it then
     reads h.p = 0, tight, at every point) and :meth:`put` fills an empty
     one or appends a field, by adding the shifted entries to the
-    coordinate integers. ``spare`` extra bits per field leave room for
-    normals with larger entries than the first ones.
+    coordinate integers. The width is fixed when the table is packed, so
+    ``reach`` must also cover the normals put later: max |entry| of the
+    first normals * reach >= every |h.p| of every normal the table holds.
     """
 
-    def __init__(self, normals: Sequence[Sequence[int]], reach: int, spare: int = 0):
+    def __init__(self, normals: Sequence[Sequence[int]], reach: int):
         self.count = len(normals)
-        self.reach = reach
         top = max(map(abs, chain.from_iterable(normals)), default=0) * reach
-        self.width = width = top.bit_length() + 2 + spare
+        self.width = width = top.bit_length() + 2
         self.guard = sum(1 << (width * f + width - 1) for f in range(self.count))
         self.low = self.guard - (self.guard >> (width - 1))  # the bits below the guard of each field
         self.coords = [sum(x << (width * f) for f, x in enumerate(column)) for column in zip(*normals)]
@@ -464,20 +464,13 @@ class PackedNormals:
         """The guard bit of field f."""
         return 1 << (self.width * f + self.width - 1)
 
-    def put(self, f: int, normal: Sequence[int]) -> bool:
-        """Add the normal into the empty field f (f == count appends a field).
-
-        Returns False, and changes nothing, when max |entry| * reach
-        outgrows the field width; the caller then packs afresh.
-        """
-        if (max(map(abs, normal)) * self.reach).bit_length() + 2 > self.width:
-            return False
+    def put(self, f: int, normal: Sequence[int]) -> None:
+        """Add the normal into the empty field f (f == count appends a field)."""
         if f == self.count:
             self.count += 1
             self.guard |= self.bit(f)
             self.low = self.guard - (self.guard >> (self.width - 1))
         self._shift_in(f, normal, 1)
-        return True
 
     def drop(self, f: int, normal: Sequence[int]) -> None:
         """Empty field f, which holds the normal: it then reads h.p = 0 at every point."""
@@ -508,10 +501,11 @@ class PackedNormals:
 
     def fields(self, mask: int) -> Iterator[int]:
         """Indices f of the guard bits set in ``mask``, in increasing order."""
-        while mask:
-            bit = mask & -mask
-            yield bit.bit_length() // self.width - 1
-            mask ^= bit
+        guards = bin(mask)[:1:-1][self.width - 1 :: self.width]  # character f: the guard bit of field f
+        f = guards.find("1")
+        while f >= 0:
+            yield f
+            f = guards.find("1", f + 1)
 
     def decode(self, value: int) -> list[int]:
         """Every h_f.point, in order."""

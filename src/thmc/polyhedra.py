@@ -12,10 +12,9 @@ signs, the containment assertion, the vertex masks, the incidences and
 the Hilbert-basis cone tests) evaluates all normals at once in one
 packed integer sum (:class:`PackedNormals`); the double description
 keeps its rays in one such table, emptying and filling fields in place
-as rays leave and enter. The LP uses the same layout: a column set is
-packed once (:class:`PackedColumns`, one integer per row, one field per
-column; the vertex test keeps each tested column out by its guard bit),
-a rational right-hand side is scaled to
+as rays leave and enter. The LP uses the same
+layout: a column set is packed once (:class:`PackedColumns`, one integer
+per row, one field per column), a rational right-hand side is scaled to
 integers once per call, and each pivot is an integer-preserving
 Gauss-Jordan step over one common denominator d, applied to every field
 of a row in one multiply-subtract-divide. The division by d is exact
@@ -30,7 +29,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import stategraph
@@ -106,7 +107,6 @@ def linear_feasible(
     rhs: Sequence[int | Fraction],
     *,
     coefficient_sum: int | Fraction | None = None,
-    without: int | None = None,
 ) -> bool:
     """Does rhs = sum(lambda_j * columns[j]) admit a solution with lambda >= 0?
 
@@ -116,9 +116,7 @@ def linear_feasible(
     (callers that ask many LPs of one column set pack it themselves); a
     rhs whose length is not the columns' dimension raises
     :class:`DimensionMismatch`. Where rhs is 0 and no column is negative,
-    every column positive there has lambda = 0, so it never enters; nor
-    does column ``without``, so the LP is the one over the other columns
-    (Bland's rule keeps their relative order). The
+    every column positive there has lambda = 0, so it never enters. The
     right-hand side (with ``coefficient_sum``) is multiplied once by the
     lcm L of its denominators (substitute L * lambda for lambda), so the
     tableau is integer from the start.
@@ -149,9 +147,7 @@ def linear_feasible(
     if packed.dim is not None and len(rhs) != packed.dim:
         raise DimensionMismatch(f"rhs has {len(rhs)} entries, the columns {packed.dim}")
     pack = packed.pack
-    if without is not None and not 0 <= without < pack.count:
-        raise IndexError(f"column {without} of {pack.count}")
-    dropped = 0 if without is None else pack.bit(without)
+    dropped = 0
     for x, drop in zip(rhs, packed.drops):
         if drop and x == 0:
             dropped |= drop
@@ -224,9 +220,6 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # Double description: facets of a full-dimensional pointed cone
 
-_SPARE_BITS = 8  # field bits beyond the first rays' need, so new rays rarely force a fresh pack
-
-
 def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     """Extreme rays of {h : h.g >= 0 for all generators} = facet normals.
 
@@ -245,9 +238,12 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     nothing. A ray that leaves empties its field, which then reads 0
     (never negative, always tight, so ``live`` filters the tight fields),
     and a new ray fills an empty field or appends one. The table is
-    packed afresh only when a new ray's entries outgrow the field width,
-    which is sized from the generators' L1 bound with ``_SPARE_BITS`` to
-    spare.
+    packed once, with a field width that no ray outgrows: every ray,
+    the first ones and each new one alike, is the primitive normal h of
+    dim - 1 independent generators, their cofactor vector divided by a
+    positive integer, so h.g is a dim x dim minor of the generators
+    divided by it, and Hadamard's bound (the product of the dim largest
+    generator norms) bounds every |h.g| the table evaluates.
 
     Adjacency is the combinatorial test (Fukuda-Prodon 1996), which holds
     for any inequality description of a pointed cone, so zero sets
@@ -268,8 +264,9 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
     order = [gens[i] for i in first] + [g for i, g in enumerate(gens) if i not in chosen]
     inverse, _ = smith_normal_form(order[:dim]).scaled_inverse()
     table: list[IntVec | None] = [primitive_vector([row[i] for row in inverse]) for i in range(dim)]  # ray per field
-    reach = l1_reach(gens)
-    pack = PackedNormals(table, reach, _SPARE_BITS)
+    squares = sorted(sum(map(mul, g, g)) for g in gens)
+    bound = isqrt(prod(squares[len(gens) - dim :])) + 1  # Hadamard: every |h.g| is below it
+    pack = PackedNormals(table, -(-bound // max(map(abs, chain.from_iterable(table)))))
     live, empty, masks, tight_at = (1 << dim) - 1, [], [0] * dim, []
     for g in order[:dim]:
         value = pack.value(g)
@@ -312,8 +309,7 @@ def dual_description(generators: Sequence[IntVec]) -> tuple[IntVec, ...]:
                 masks.append(0)
             table[f], masks[f] = ray, mask
             live |= 1 << f
-            if not pack.put(f, ray):
-                pack = PackedNormals([r or (0,) * dim for r in table], reach, _SPARE_BITS)
+            pack.put(f, ray)
             while mask:
                 low = mask & -mask
                 tight_at[low.bit_length() - 1] |= 1 << f
@@ -412,16 +408,19 @@ def polytope_vertices(columns: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
     """Columns that are vertices of the convex hull, by exact LP.
 
     A deduplicated column is a vertex iff it is not a convex combination
-    of the remaining columns. The columns are packed once; each LP keeps
-    the tested column out by its guard bit.
+    of the remaining columns.
     """
     cols = sorted(set(tuple(int(x) for x in c) for c in columns))
     if not cols:
         raise DegenerateInput("no columns")
     if len(cols) == 1:
         return tuple(cols)
-    packed = PackedColumns(cols)
-    return tuple(c for i, c in enumerate(cols) if not linear_feasible(packed, c, coefficient_sum=1, without=i))
+    verts = []
+    for i, c in enumerate(cols):
+        others = cols[:i] + cols[i + 1 :]
+        if not linear_feasible(others, c, coefficient_sum=1):
+            verts.append(c)
+    return tuple(verts)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -118,8 +118,18 @@ def test_probability_exponents_match_design_column():
         assert tuple(exponents) == col
 
 
-@pytest.mark.parametrize("model,S,T", [(Model.D, 3, 5), (Model.D, 3, 8), (Model.C, 3, 5), (Model.C, 3, 7)])
+@pytest.mark.parametrize(
+    "model,S,T",
+    [(Model.D, 3, 8), (Model.C, 3, 7)]
+    + [(model, S, T) for model in Model for S, top in [(2, 9), (3, 6), (4, 5)] for T in range(1, top + 1)],
+)
 def test_distinct_columns_fast_path_matches_streaming(model, S, T):
+    if T == 1:  # one-letter words are refused by both routes
+        with pytest.raises(InvalidDimension):
+            distinct_columns(model, S, T)
+        with pytest.raises(InvalidDimension):
+            next(iter_columns(model, S, T))
+        return
     streamed = sorted({col for _, col in iter_columns(model, S, T)})
     assert list(distinct_columns(model, S, T)) == streamed
 
@@ -151,45 +161,26 @@ def test_distinct_columns_beyond_the_word_cap():
 
 
 def test_distinct_columns_size_guard_runs_before_the_walk(monkeypatch):
-    # a/S=5/T=14: 5^14 words and comb(37, 24) compositions of 13, both over 10^7
-    with pytest.raises(SizeCapExceeded):
-        distinct_columns(Model.A, 5, 14)
     # d/S=3/T=8: 384 words, 792 compositions of 7 into 6 parts
     expected = distinct_columns(Model.D, 3, 8)
-    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 500)
-    assert distinct_columns(Model.D, 3, 8) == expected
-    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 100)
-    with pytest.raises(SizeCapExceeded):
-        distinct_columns(Model.D, 3, 8)
 
-
-@pytest.mark.parametrize("model", list(Model))
-@pytest.mark.parametrize("S, top", [(2, 9), (3, 6), (4, 5)])
-def test_distinct_columns_are_the_distinct_word_columns(model, S, top):
-    for T in range(1, top + 1):
-        if T == 1:  # one-letter words are refused by both routes
-            with pytest.raises(InvalidDimension):
-                distinct_columns(model, S, T)
-            with pytest.raises(InvalidDimension):
-                next(iter_words(S, T, model.no_loops))
-            continue
-        expected = sorted({column_of_word(model, S, w) for w in iter_words(S, T, model.no_loops)})
-        assert list(distinct_columns(model, S, T)) == expected, T
-
-
-def test_distinct_columns_cap_is_refused_before_any_work(monkeypatch):
     def work(*args):
         raise AssertionError("the walk started before the cap check")
 
     monkeypatch.setattr(thmc.design, "_rows", work)
     monkeypatch.setattr(thmc.design, "sufficient", work)
+    # a/S=5/T=14: 5^14 words and comb(37, 24) compositions of 13, both over 10^7
     with pytest.raises(SizeCapExceeded):
         distinct_columns(Model.A, 5, 14)
     monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 100)
     with pytest.raises(SizeCapExceeded):
         distinct_columns(Model.D, 3, 8)
-    with pytest.raises(AssertionError, match="before the cap check"):  # under the cap, the walk starts
-        distinct_columns(Model.D, 3, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 500)
+    assert distinct_columns(Model.D, 3, 8) == expected
+    monkeypatch.setattr(thmc.design, "DEFAULT_COLUMN_CAP", 100)
+    with pytest.raises(SizeCapExceeded):
+        distinct_columns(Model.D, 3, 8)
 
 
 def test_csv_export_layout():
