@@ -18,9 +18,10 @@ per row, one field per column), a rational right-hand side is scaled to
 integers once per call, and each pivot is an integer-preserving
 Gauss-Jordan step over one common denominator d, applied to every field
 of a row in one multiply-subtract-divide. The division by d is exact
-(Bareiss), the field width comes from Hadamard's bound on the minors the
-tableau can hold, and Bland's rule picks the same pivots as on any other
-positive scaling of the rows. No floating point anywhere.
+(Bareiss), the field width comes from Hadamard's bound on the minors
+the tableau can hold, taken over its largest columns, and Bland's rule
+enters the columns in rising norm, picking the same pivots as on any
+other positive scaling of the rows. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -59,41 +60,39 @@ def _integer_multiple(values: Sequence[int | Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _norm_ceiling(row: Sequence[int]) -> int:
-    """An integer >= the row's L2 norm, and >= 1."""
-    square = sum(x * x for x in row)
-    return isqrt(square - 1) + 1 if square > 1 else 1
-
-
 class PackedColumns:
     """A column set packed once for :func:`linear_feasible`: one integer per row.
 
     The layout is :class:`PackedNormals` with the columns as the normals:
     column j takes field j of every row, the coordinate rows come first
-    and the row of ones (for ``coefficient_sum``) last. ``drops[i]``
-    holds the guard bits of the columns that a zero right-hand side in
-    row i forces to 0: the columns positive there, when none is negative
-    (else 0). Ragged columns raise :class:`DimensionMismatch`.
+    and the row of ones (for ``coefficient_sum``) last. ``columns`` is in
+    rising squared norm, ties in lex order, so Bland's rule enters the
+    balanced columns near the slice's centre before the extreme ones and
+    makes fewer degenerate pivots. ``drops[i]`` holds the guard bits of
+    the columns that a zero right-hand side in row i forces to 0: the
+    columns positive there, when none is negative (else 0). Ragged
+    columns raise :class:`DimensionMismatch`.
 
     The field width comes from Hadamard's bound. Every tableau entry the
-    LP stores is, up to sign, a minor of [A; c], where A is the rows
-    (signs flipped as the right-hand side asks) and c = -sum of A's rows
-    the phase-1 cost row. A minor is at most the product of the L2 norms
-    of its rows, and |c| <= the sum of the row norms, so (sum of the
-    norms) * (product of the norms), with each norm rounded up to an
-    integer >= 1, bounds every entry of every column subset and sign
-    pattern the LP can meet.
+    LP stores is, up to sign, a minor of [A I; c 0]: A is the m rows
+    (signs flipped as the right-hand side asks), I the artificials' unit
+    columns, c = -sum of A's rows the phase-1 cost row. A minor has at
+    most m + 1 columns and is at most the product of their L2 norms, so
+    the product of the m + 1 largest column norms bounds it, where
+    column j of [A; c] has norm at most sqrt(|a_j|^2 + |a_j|_1^2) and a
+    unit column counts as sqrt(2). That holds for every column subset
+    and sign pattern the LP can meet.
     """
 
     def __init__(self, columns: Iterable[Sequence[int]]):
-        self.columns = tuple(map(tuple, columns))
+        self.columns = tuple(sorted(map(tuple, columns), key=lambda c: (sum(map(mul, c, c)), c)))
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise DimensionMismatch(f"ragged columns: lengths {sorted(lengths)}")
         self.dim = lengths.pop() if lengths else None
         rows = [*zip(*self.columns), (1,) * len(self.columns)]
-        norms = [_norm_ceiling(row) for row in rows]
-        bound = sum(norms) * prod(norms)
+        squares = sorted([1 + sum(map(mul, c, c)) + (1 + sum(map(abs, c))) ** 2 for c in self.columns] + [2] * len(rows))
+        bound = isqrt(prod(squares[-len(rows) - 1 :])) + 1
         top = max((abs(x) for row in rows for x in row), default=1)
         self.pack = pack = PackedNormals([(*c, 1) for c in self.columns], -(-bound // top))
         bits = [pack.bit(j) for j in range(pack.count)]
@@ -129,7 +128,7 @@ def linear_feasible(
     row becomes (row * p - row_r * row[e]) // d, then d = p. The
     division is exact in every field at once, because the new entries
     are minors of [A; cost] (Sylvester's identity); the fields never
-    carry, because :class:`PackedColumns` sizes them by Hadamard's bound
+    carry, because :class:`PackedColumns` sizes them by a Hadamard bound
     on those minors. The entering column is the lowest guard bit missing
     from the cost row (the first negative reduced cost).
 
@@ -137,9 +136,10 @@ def linear_feasible(
     an artificial that leaves is fixed at 0 and never re-enters, which
     keeps every feasible point of the original problem. Bland's rule
     (smallest entering index, smallest basic index on ratio ties,
-    artificial i counting as n + i) guarantees termination. Signs and
-    ratios do not depend on a row's positive scale, so these are the
-    same pivots as on any other scaling of the same tableau. A "yes" is
+    artificial i counting as n + i) guarantees termination in any fixed
+    index order, here the packing order. Signs and ratios do not depend
+    on a row's positive scale, so these are the same pivots as on any
+    other scaling of the same tableau. A "yes" is
     self-certifying: the final basic solution is checked against the
     plain columns in integers, and a mismatch raises AssertionError.
     """
@@ -362,26 +362,27 @@ class FVector:
 def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     """Irredundant facet inequalities of cone(columns) via double description.
 
-    The columns are echelonized once, until the rank is full; the span
-    equations are the integer kernel of that echelon. The double
-    description runs on the echelon's pivot coordinates, where the
-    projection is injective on the span, so it sees a full-dimensional
-    cone with the same facets. Each normal is lifted back with zeros in
-    the dropped coordinates: those are the pivots of the right echelon
-    of the equations, so the lift is already the canonical
-    representative modulo the equations. Normals are primitive and
-    lexicographically sorted; every generator lies in the cone they
-    describe and satisfies the equations (asserted, one packed
-    evaluation per column). The columns with the most zero entries, the
-    likely extreme rays, enter the double description first.
+    The columns are ordered once, most zero entries first and ties by
+    falling squared norm (the likely extreme rays first). In that order
+    they are echelonized until the rank is full, and fed to the double
+    description. The span equations are the integer kernel of that
+    echelon. The double description runs on the echelon's pivot
+    coordinates, where the projection is injective on the span, so it
+    sees a full-dimensional cone with the same facets. Each normal is
+    lifted back with zeros in the dropped coordinates: those are the
+    pivots of the right echelon of the equations, so the lift is already
+    the canonical representative modulo the equations. Normals are
+    primitive and lexicographically sorted; every generator lies in the
+    cone they describe and satisfies the equations (asserted, one packed
+    evaluation per column).
     """
-    cols = sorted(set(tuple(int(x) for x in c) for c in columns))
-    cols = [c for c in cols if any(c)]
+    cols = [c for c in sorted({tuple(map(int, c)) for c in columns}) if any(c)]
     if not cols:
         raise DegenerateInput("all columns are zero")
     dim = len(cols[0])
+    ordered = sorted(cols, key=lambda c: (c.count(0), sum(map(mul, c, c))), reverse=True)
     span = IntLattice(dim)
-    for c in cols:
+    for c in ordered:
         span.add(c)
         if span.rank == dim:  # every later column is in the span: no equations, every coordinate a pivot
             break
@@ -389,7 +390,6 @@ def cone_facets(columns: Iterable[Sequence[int]]) -> HRep:
     kernel = [primitive_vector(e) for e in kernel_lattice_basis(echelon)]
     equations = tuple(sorted(e if next(filter(None, e)) > 0 else tuple(-x for x in e) for e in kernel))  # first nonzero entry positive
     pivots = [next(i for i, x in enumerate(row) if x) for row in echelon]
-    ordered = sorted(cols, key=lambda c: c.count(0), reverse=True)
     normals = []
     for ray in dual_description([tuple(c[i] for i in pivots) for c in ordered]):
         h = [0] * dim

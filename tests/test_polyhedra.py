@@ -123,10 +123,36 @@ def test_lp_refuses_ragged_columns_when_packed():
 def test_lp_yes_is_checked_against_the_plain_columns():
     packed = PackedColumns([(1, 0), (0, 1)])
     assert linear_feasible(packed, (2, 3), coefficient_sum=5)
+    j = packed.columns.index((1, 0))  # the packing order is not the given order
     coords = packed.pack.coords
-    packed.pack.coords = (coords[0] + 1, *coords[1:])  # column 0 now reads (2, 0) in the tableau
+    packed.pack.coords = (coords[0] + (1 << packed.pack.width * j), *coords[1:])  # (1, 0) now reads (2, 0) in the tableau
     with pytest.raises(AssertionError, match="basic solution"):
         linear_feasible(packed, (2, 3))
+
+
+@pytest.mark.parametrize("T", [4, 5, 6])
+def test_lp_packs_by_rising_norm_and_answers_match_the_hrep(T):
+    # Bland's rule follows the packing order, which does not depend on the order the columns come in
+    cols = list(model_d_columns(T))
+    packed = PackedColumns(cols)
+    keys = [(sum(x * x for x in c), c) for c in packed.columns]
+    assert keys == sorted(keys) and sorted(packed.columns) == sorted(cols)
+    shuffled = cols[:]
+    random.Random(T).shuffle(shuffled)
+    assert all(PackedColumns(order).columns == packed.columns for order in (cols[::-1], shuffled))
+    hrep = cone_facets(cols)
+    rng = random.Random(100 + T)
+    points = [(x, k) for x in compositions(T - 1, 6) for k in (None, 1)]
+    for k in (1, 2, 3):
+        for x in _rational_points(cols, rng, 40):
+            points.append(([k * (T - 1) * v / sum(x) for v in x], k))  # on the k-th slice, inside kP or not
+    answers = Counter()
+    for x, k in points:
+        scale = lcm(*(Fraction(v).denominator for v in x))
+        expected = hrep.contains([int(v * scale) for v in x])
+        assert linear_feasible(packed, x, coefficient_sum=k) == expected, (x, k)
+        answers[expected] += 1
+    assert answers[True] > 100 and answers[False] > 100
 
 
 def test_lp_field_width_follows_the_hadamard_bound():
@@ -135,7 +161,7 @@ def test_lp_field_width_follows_the_hadamard_bound():
     hrep = cone_facets(cols)
     scale = (1 << 40) - 3
     big = PackedColumns([tuple(scale * x for x in c) for c in cols])
-    assert big.pack.width > 6 * 40
+    assert big.pack.width == 338 > 6 * 40
     rng = random.Random(40)
     answers = []
     for point in _rational_points(cols, rng, 60):
@@ -148,17 +174,32 @@ def test_lp_field_width_follows_the_hadamard_bound():
     assert any(answers) and not all(answers)
 
 
-def test_lp_dropped_columns_in_the_middle_match_the_shorter_list():
-    # a zero entry of x drops the columns positive there; they sit between kept ones in the index order
-    cols = list(model_d_columns(5))
-    random.Random(5).shuffle(cols)
+def test_lp_field_width_at_criterion_8s_largest_slice():
+    # 96 columns of 6 entries: the 7 largest column norms bound every minor in 28-bit fields
+    cols = model_d_columns(8)
     packed = PackedColumns(cols)
+    assert packed.pack.width == 28
+    hrep = cone_facets(cols)
+    answers = []
+    for point in _rational_points(cols, random.Random(8), 60):
+        in_cone = hrep.contains([int(v * lcm(*(w.denominator for w in point))) for v in point])
+        assert linear_feasible(packed, point) == in_cone, point
+        k = Fraction(sum(point), 7)  # the point is on the k-th slice, so it is in kP iff it is in the cone
+        assert linear_feasible(packed, point, coefficient_sum=k) == in_cone, (point, k)
+        assert not linear_feasible(packed, point, coefficient_sum=k + Fraction(1, 7)), (point, k)
+        answers.append(in_cone)
+    assert any(answers) and not all(answers)
+
+
+def test_lp_dropped_columns_in_the_middle_match_the_shorter_list():
+    # a zero entry of x drops the columns positive there; they sit between kept ones in the packing order
+    packed = PackedColumns(model_d_columns(5))
     interleaved = 0
     for x in compositions(4, 6):
         zero = [i for i, v in enumerate(x) if v == 0]
-        kept = [j for j, c in enumerate(cols) if not any(c[i] for i in zero)]
+        kept = [j for j, c in enumerate(packed.columns) if not any(c[i] for i in zero)]
         interleaved += bool(kept) and kept != list(range(kept[0], kept[-1] + 1))
-        shorter = [cols[j] for j in kept]
+        shorter = [packed.columns[j] for j in kept]
         for k in (None, 1, 2):
             assert linear_feasible(packed, x, coefficient_sum=k) == linear_feasible(shorter, x, coefficient_sum=k), (x, k)
     assert interleaved
@@ -588,6 +629,9 @@ def test_dilation_sum_of_columns():
 def test_integer_points_equal_columns_small():
     assert integer_points_equal_columns(4)
     assert integer_points_equal_columns(5)
+    # criterion 8 checks T=4..8; the lattice-point claim holds on the next two, too
+    assert integer_points_equal_columns(9)
+    assert integer_points_equal_columns(10)
 
 
 def test_imbalanced_point_outside():
@@ -647,9 +691,9 @@ def test_model_a_cone_has_span_equation():
         assert all(sum(a * b for a, b in zip(e, c)) == 0 for c in cols)
 
 
-@pytest.mark.parametrize("model, T, adds", [(Model.D, 25, 216), (Model.C, 9, 162)])
+@pytest.mark.parametrize("model, T, adds", [(Model.D, 25, 9), (Model.C, 9, 162)])
 def test_cone_facets_echelon_stops_at_full_rank(monkeypatch, model, T, adds):
-    # d/S=3/T=25 is full-dimensional: 216 of its 1,899 columns reach rank 6, and the rest are skipped;
+    # d/S=3/T=25 is full-dimensional: fed most zeros first, 9 of its 1,899 columns reach rank 6, and the rest are skipped;
     # c/S=3/T=9 has one span equation, so every one of its 162 columns is read
     added = []
 
