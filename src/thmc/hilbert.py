@@ -443,20 +443,16 @@ def nonnormality_witness(model: Model | str, S: int, T: int) -> NonNormalityWitn
     else:
         raise ValueError(f"no printed witness for model {model.value}")
 
-    dim = len(column_of_word(model, S, rational[0][0]))
-    h_frac = [Fraction(0)] * dim
-    for word, coeff in rational:
-        for i, x in enumerate(column_of_word(model, S, word)):
-            h_frac[i] += coeff * x
+    def combination(terms: Sequence[tuple[tuple[int, ...], Fraction | int]]) -> tuple[Fraction | int, ...]:
+        """The sum of coeff * column over the (word, coeff) terms."""
+        columns = ([coeff * x for x in column_of_word(model, S, word)] for word, coeff in terms)
+        return tuple(map(sum, zip(*columns)))
+
+    h_frac = combination(rational)
     if any(v.denominator != 1 for v in h_frac):
         raise WitnessVerificationFailed("rational combination is not integral")
-    h = tuple(int(v) for v in h_frac)
-
-    h_lat = [0] * dim
-    for word, coeff in lattice:
-        for i, x in enumerate(column_of_word(model, S, word)):
-            h_lat[i] += coeff * x
-    if tuple(h_lat) != h:
+    h = tuple(map(int, h_frac))
+    if combination(lattice) != h:
         raise WitnessVerificationFailed("lattice combination does not match h")
 
     if model is Model.A and S == 3:

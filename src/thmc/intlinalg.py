@@ -134,43 +134,22 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SnfResult:
     """
     A = as_int_matrix(matrix)
     r, c = len(A), len(A[0])
-    M = [list(row) for row in A]
-    U = identity_matrix(r)
-    V = identity_matrix(c)
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
+    # One table: row i < r is [M_i | U_i], rows r.. are V. A row operation
+    # moves M and U together, a column operation (j < c) M and V together.
+    W = [list(row) + e for row, e in zip(A, identity_matrix(r))] + identity_matrix(c)
 
     def row_addmul(dst: int, src: int, q: int) -> None:
-        if q:
-            M[dst] = [x + q * y for x, y in zip(M[dst], M[src])]
-            U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        W[dst] = [x + q * y for x, y in zip(W[dst], W[src])]
 
     def col_addmul(dst: int, src: int, q: int) -> None:
-        if q:
-            for row in M:
-                row[dst] += q * row[src]
-            for row in V:
-                row[dst] += q * row[src]
+        for row in W:
+            row[dst] += q * row[src]
 
     def smallest_nonzero(t: int) -> tuple[int, int] | None:
         best = None
         best_abs = None
         for i in range(t, r):
-            row = M[i]
+            row = W[i]
             for j in range(t, c):
                 x = row[j]
                 if x:
@@ -190,36 +169,31 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SnfResult:
         if pos is None:
             break
         i, j = pos
-        swap_rows(t, i)
-        swap_cols(t, j)
-        if M[t][t] < 0:
-            negate_row(t)
-        p = M[t][t]
-        dirty = False
+        W[t], W[i] = W[i], W[t]
+        if j != t:
+            for row in W:
+                row[t], row[j] = row[j], row[t]
+        if W[t][t] < 0:
+            W[t] = [-x for x in W[t]]
+        p = W[t][t]
         for i2 in range(t + 1, r):
-            x = M[i2][t]
-            if x:
-                row_addmul(i2, t, -(x // p))
-                if M[i2][t]:
-                    dirty = True
-        if dirty:
+            if W[i2][t]:
+                row_addmul(i2, t, -(W[i2][t] // p))
+        if any(W[i2][t] for i2 in range(t + 1, r)):
             continue
         for j2 in range(t + 1, c):
-            x = M[t][j2]
-            if x:
-                col_addmul(j2, t, -(x // p))
-                if M[t][j2]:
-                    dirty = True
-        if dirty:
+            if W[t][j2]:
+                col_addmul(j2, t, -(W[t][j2] // p))
+        if any(W[t][t + 1 : c]):
             continue
-        offender = next((i2 for i2 in range(t + 1, r) if any(x % p for x in M[i2][t + 1:])), None)
+        offender = next((i2 for i2 in range(t + 1, r) if any(x % p for x in W[i2][t + 1 : c])), None)
         if offender is not None:
             row_addmul(t, offender, 1)
             continue
         t += 1
 
-    diagonal = tuple(M[i][i] for i in range(limit) if M[i][i])
-    result = SnfResult(U=tuple(map(tuple, U)), V=tuple(map(tuple, V)), diagonal=diagonal)
+    diagonal = tuple(W[i][i] for i in range(limit) if W[i][i])
+    result = SnfResult(U=tuple(tuple(row[c:]) for row in W[:r]), V=tuple(map(tuple, W[r:])), diagonal=diagonal)
     _verify_snf(A, result)
     return result
 

@@ -294,7 +294,7 @@ def check_euler_roundtrip(seed: int) -> tuple[bool, str]:
 # 10. f-vector stabilization
 
 def check_stabilization(seed: int) -> tuple[bool, str]:
-    fv = {T: polyhedra.f_vector(distinct_columns(Model.D, 3, T)).counts for T in range(4, 16)}
+    fv = {T: polyhedra.f_vector(distinct_columns(Model.D, 3, T)).counts for T in (4, 5, 6, 7, 11, 12, 14, 15)}
     ok = fv[12] == fv[14] and fv[11] == fv[15]
     distinct_small = len({fv[T] for T in range(4, 8)}) == 4
     return ok and distinct_small, f"f(12)==f(14): {fv[12] == fv[14]}, f(11)==f(15): {fv[11] == fv[15]}, T=4..7 distinct: {distinct_small}"

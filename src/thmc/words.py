@@ -62,20 +62,17 @@ def enumerate_words(S: int, T: int, no_loops: bool) -> tuple[Word, ...]:
 
 
 def word_index(word: Sequence[int], S: int, no_loops: bool) -> int:
-    """Lexicographic rank of a word among its peers, in O(T)."""
-    T = len(word)
+    """Lexicographic rank of a word among its peers, in O(T).
+
+    Horner's rule over the first state and then the steps, in base S (base
+    S - 1 and the step ranks of :func:`iter_words` without loops).
+    """
     if not is_valid_word(word, S, no_loops):
         raise ValueError(f"invalid word {word!r} for S={S}, no_loops={no_loops}")
-    if not no_loops:
-        idx = 0
-        for s in word:
-            idx = idx * S + (s - 1)
-        return idx
-    idx = (word[0] - 1) * (S - 1) ** (T - 1)
-    for pos in range(1, T):
-        prev, s = word[pos - 1], word[pos]
-        rank = s - 1 - (1 if s > prev else 0)
-        idx += rank * (S - 1) ** (T - 1 - pos)
+    base = S - 1 if no_loops else S
+    idx = word[0] - 1
+    for prev, s in zip(word, word[1:]):
+        idx = idx * base + s - 1 - (no_loops and s > prev)
     return idx
 
 

@@ -205,6 +205,24 @@ def test_witness_fails_when_its_fiber_is_not_empty(monkeypatch, model, S, T):
         nonnormality_witness(model, S, T)
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [((1, 1, 1, 2), "rational combination is not integral"), ((1, 1, 2, 3), "lattice combination does not match h")],
+)
+def test_witness_fails_when_a_combination_is_off(monkeypatch, word, message):
+    # checks (i) and (ii): one coordinate of one word's column is bumped, a word
+    # of the rational combination (coefficient 1/2) or one only the lattice one uses
+    real = thmc.hilbert.column_of_word
+
+    def bumped(model, S, w):
+        column = real(model, S, w)
+        return (column[0] + 1,) + column[1:] if tuple(w) == word else column
+
+    monkeypatch.setattr(thmc.hilbert, "column_of_word", bumped)
+    with pytest.raises(WitnessVerificationFailed, match=message):
+        nonnormality_witness(Model.A, 3, 4)
+
+
 def test_hb_export_formats():
     result = hilbert_basis(Model.D, 3, 4)
     csv = result.to_csv()

@@ -1,6 +1,8 @@
 """Smith normal form, lattices, kernels, pivot paths."""
 
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -46,20 +48,36 @@ def test_snf_model_d_3_6():
     assert snf.diagonal == (1, 1, 1, 1, 1, 5)
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-        min_size=2,
-        max_size=4,
-    )
-)
-@settings(max_examples=60)
+@st.composite
+def _int_matrices(draw):
+    """1..6 x 1..6 integer matrices, some with a zero row or column or a dependent row."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r))
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=1)):
+        rows[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=1)):
+        for row in rows:
+            row[j] = 0
+    if r > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[r - 2])]
+    return rows
+
+
+@given(_int_matrices())
+@settings(max_examples=150)
 def test_snf_random_matrices_verify(rows):
     # the verification inside smith_normal_form asserts U*A*V = D and
     # unimodularity; surviving the call is the property
     snf = smith_normal_form(rows)
     for a, b in zip(snf.diagonal, snf.diagonal[1:]):
         assert b % a == 0
+    # independently: d_1 ... d_k is the gcd of the k x k minors (0 beyond the rank)
+    r, c = len(rows), len(rows[0])
+    for k in range(1, min(r, c) + 1):
+        minors = [det_bareiss([[rows[i][j] for j in cols] for i in rs])
+                  for rs in combinations(range(r), k) for cols in combinations(range(c), k)]
+        assert gcd(*minors) == (prod(snf.diagonal[:k]) if k <= snf.rank else 0)
 
 
 def _identity(n):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import thmc.fixtures
+import thmc.hilbert
 import thmc.markov
 import thmc.polyhedra
 import thmc.stategraph
@@ -177,3 +178,25 @@ def test_markov_criterion_fails_on_a_changed_move_count(monkeypatch):
     result = _run("markov-probe")
     assert not result.passed and len(result.details.splitlines()) == 1
     assert result.details == "d/S=4/T=3/D=4: moves by degree {2: 42, 3: 95, 4: 6}, expected {2: 42, 3: 96, 4: 6}"
+
+
+def test_stabilization_criterion_fails_on_a_changed_f_vector(monkeypatch):
+    real = thmc.polyhedra.f_vector
+
+    def f14_off(columns):
+        fv = real(columns)
+        if sum(columns[0]) != Model.D.column_sum(14):
+            return fv
+        *head, a, b = fv.counts
+        return replace(fv, counts=(*head, a + 1, b + 1))  # the Euler relation still holds
+
+    monkeypatch.setattr(thmc.polyhedra, "f_vector", f14_off)
+    result = _run("fvector-stabilization")
+    assert not result.passed and result.details.startswith("f(12)==f(14): False, f(11)==f(15): True")
+
+
+def test_hilbert_oracle_criterion_fails_on_a_dropped_oracle_element(monkeypatch):
+    real = thmc.hilbert.hilbert_basis_bruteforce_oracle
+    monkeypatch.setattr(thmc.hilbert, "hilbert_basis_bruteforce_oracle", lambda *args: real(*args)[1:])
+    result = _run("hilbert-oracle")
+    assert not result.passed and result.details == "d T=4: main 20 vs oracle 19"

@@ -62,7 +62,7 @@ def test_invalid_dimensions():
         enumerate_words(3, 1, False)
 
 
-@pytest.mark.parametrize("S,T,no_loops", [(2, 4, False), (3, 4, True), (4, 6, False), (4, 6, True)])
+@pytest.mark.parametrize("S,T,no_loops", [(2, 4, False), (3, 4, True), (4, 6, False), (4, 6, True), (2, 5, True), (5, 3, True)])
 def test_index_is_lex_position(S, T, no_loops):
     for pos, w in enumerate(iter_words(S, T, no_loops)):
         assert word_index(w, S, no_loops) == pos
