@@ -15,8 +15,8 @@ with less per-simplex work. Boundary facets are bitmasks of rays, and
 one met again is interior. Every simplex carries its scaled inverse
 N = vol R^-1 and vol = |det R|: row i of N is the inward normal of the
 facet opposite ray i, and the columns of N mod vol generate the
-parallelepiped's coefficient group, whose elements c are mapped to
-R c / vol by one packed sum each.
+parallelepiped's coefficient group, walked on packed integers with
+each point R c / vol; a candidate is one packed integer throughout.
 Only the first simplex takes a Smith normal form; each later one is a
 neighbour with one ray exchanged, its (N, vol) a rank-1 update checked
 in full against N R = vol I.
@@ -29,17 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import gcd
+from operator import lshift, mul
 from typing import Iterable, Iterator, Sequence
 
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
-from .intlinalg import IntLattice, IntVec, PackedNormals, independent_subset, l1_reach, mat_vec, primitive_vector, smith_normal_form
+from .intlinalg import IntLattice, IntVec, PackedNormals, identity_matrix, independent_subset, l1_reach, mat_vec, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
 from .polyhedra import PackedColumns, cone_facets, linear_feasible, vertices_by_facet_rank
 from .words import word_count
 
-# the largest T of models a, b, c, d by S; at S=4 the next T takes 7 s and 135 MB (d), while a fills 2.5 GB
-# in 130 s and b, c run past 150 s, on 2 vCPU
+# the largest T of models a, b, c, d by S; at S=4 the next T takes 6.8 s and 141 MB (d; b takes 4.8 s at T=3),
+# while a fills 2.5 GB in 130 s and b, c run past 150 s, on 2 vCPU
 _CAPS_BY_S = {2: (30, 10, 9, 15), 3: (30, 10, 9, 15), 4: (2, 3, 3, 3)}
 _DEFAULT_T_CAP = {(model, S): cap for S, caps in _CAPS_BY_S.items() for model, cap in zip(Model, caps)}
 
@@ -109,30 +110,40 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
     directions = _placing_order(direction_of.values(), extreme, normals)
 
-    candidates = set(directions)
-    for simplex, N, vol in _placing_triangulation(directions, lattice.rank, normals):
-        candidates.update(_parallelepiped_points([directions[i] for i in simplex], N, vol))
+    # a candidate is one packed integer: its facet values, its r coordinates and, in the top field, its weight,
+    # so candidates sort by weight; its L1 norm is below r * l1_reach(directions), that of a difference twice that
+    r = lattice.rank
+    pack = PackedNormals([*sorted(normals), *identity_matrix(r), weight], 2 * r * l1_reach(directions))
+    guard, width = pack.guard, pack.width
+    forms = [pack.value(z) - guard for z in directions]
+    candidates = set(forms)
+    for simplex, N, vol in _placing_triangulation(directions, r, normals):
+        if vol > 1:  # a unimodular simplex adds no point
+            candidates.update(_parallelepiped_points([forms[i] for i in simplex], pack.coords, N, vol))
 
-    # a difference of two candidates has at most twice their L1 norm, so one pack tests them all
-    pack = PackedNormals(sorted(normals), 2 * l1_reach(candidates))
-    accepted: list[IntVec] = []
-    by_degree: dict[int, list[int]] = {}  # packed values of the accepted elements
-    for z in sorted(candidates, key=lambda z: sum(map(mul, weight, z))):
-        value = pack.value(z)
-        if not pack.inside(value):
+    facets = guard & ((1 << width * len(normals)) - 1)  # the guard bits of the facet fields
+    top, half = width * (pack.count - 1), 1 << (width - 1)
+    accepted, lower, level = [], [], 0  # lower: the accepted values of smaller degree, the last reducer that worked first
+    for value in sorted(candidates):
+        value += guard
+        if value & facets != facets:
             raise AssertionError("parallelepiped candidate escaped the cone")
-        deg, rest = divmod(sum(map(mul, weight, z)), colsum)
+        deg, rest = divmod((value >> top) - half, colsum)
         if rest:
             raise AssertionError("candidate degree is not integral")
+        if deg > level:
+            lower, level = accepted[::-1], deg
         # value(z) - value(h) + guard packs z - h, in the cone iff every facet keeps its guard bit;
         # strictly smaller degrees suffice
-        shifted = value + pack.guard
-        if not any(pack.inside(shifted - h) for d in range(1, deg) for h in by_degree.get(d, ())):
-            accepted.append(z)
-            by_degree.setdefault(deg, []).append(value)
+        shifted = value + guard
+        h = next((h for h in lower if (shifted - h) & facets == facets), None)
+        if h is None:
+            accepted.append(value)
+        else:  # candidates in packed order are alike, so a reducer that worked is tried first next
+            lower.insert(0, lower.pop(lower.index(h)))
 
     columns_of_B = list(zip(*B))
-    elements = tuple(sorted(tuple(mat_vec(columns_of_B, z)) for z in accepted))
+    elements = tuple(sorted(tuple(mat_vec(columns_of_B, pack.decode(v)[len(normals) : -1])) for v in accepted))
     normal = set(elements) <= set(cols)
     return HilbertBasisResult(model=model, S=S, T=T, elements=elements, normal=normal)
 
@@ -273,48 +284,47 @@ def _exchange(N: Sequence[IntVec], vol: int, drop: int, v: IntVec) -> tuple[list
     return rows, abs(wd)
 
 
-def _parallelepiped_points(rays: Sequence[IntVec], N: Sequence[IntVec], vol: int) -> list[IntVec]:
-    """Nonzero lattice points of the half-open parallelepiped of a simplex.
+def _parallelepiped_points(rays: Sequence[int], units: Sequence[int], N: Sequence[IntVec], vol: int) -> list[int]:
+    """Packed forms of the nonzero lattice points of a simplex's half-open parallelepiped.
 
-    A lattice point x = sum(lambda_i rays_i) of the parallelepiped has
-    every lambda in [0, 1), and vol * lambda = N x with N = vol * R^-1.
-    So the coefficient vectors vol * lambda are N x mod vol for x in Z^r:
-    the subgroup of (Z/vol)^r generated by the columns of N mod vol,
-    which is isomorphic to Z^r / R Z^r and so has order vol. It is built
-    one generator at a time as a union of cosets, its order is asserted,
-    and each of its elements c gives the point R c / vol, which must be
-    integral. The rows of R are packed once, one signed field per
-    coordinate, so one sum per c yields every coordinate of R c.
+    ``rays`` and ``units`` are the packed forms (no guard) of the rays
+    and of the unit vectors. The vectors c = vol * lambda = N x mod vol,
+    N = vol * R^-1, form the group generated by the columns of N mod vol,
+    of order vol; it is built generator by generator. Each c is one
+    integer whose field i, of top + 1 bits for top = bit_length(2 vol),
+    holds c_i + 2^top - vol, so a sum sets the top bit of the fields
+    that reach vol. The point R c / vol moves
+    with c: generator j is e_j - R (N e_j div vol), and a wrap in fields
+    o subtracts the rays of o, summed once per o. c_i takes each multiple
+    of g_i = gcd(vol, row i of N) g_i times: 2 sum(points) = sum((vol - g_i) rays_i).
     """
-    if vol == 1:
-        return []
-    r = len(rays)
-    zero = (0,) * r
-    group = [zero]
-    seen = {zero}
-    for j in range(r):
-        g = tuple(row[j] % vol for row in N)
-        base = list(group)
-        step = g
-        while step not in seen:  # the cosets base + k g, k = 1, 2, ..., until k g falls in base
-            coset = [tuple((a + b) % vol for a, b in zip(e, step)) for e in base]
-            group.extend(coset)
-            seen.update(coset)
-            step = tuple((a + b) % vol for a, b in zip(step, g))
+    top = (2 * vol).bit_length()  # the guard bit of a field of top + 1 bits
+    shifts = range(0, (top + 1) * len(rays), top + 1)
+    ones = sum(1 << shift for shift in shifts)
+    guard, zero = ones << top, ones * ((1 << top) - vol)
+    group = {zero: 0}  # c -> its point
+    wrapped = {0: 0}  # the guard bits of the fields that wrapped -> the sum of their rays
+    for column, unit in zip(zip(*N), units):
+        g = sum(map(lshift, map(vol.__rmod__, column), shifts))
+        if zero + g in group:  # no field of g reaches vol
+            continue
+        at = unit - sum(map(mul, map(vol.__rfloordiv__, column), rays))
+        walk = list(group.items())
+        for c, p in walk:  # base + k g for k = 0, 1, ..., each new element appended
+            s = c + g
+            o = s & guard
+            c = s - (o >> top) * vol
+            if c not in group:
+                if o not in wrapped:
+                    wrapped[o] = sum(ray for shift, ray in zip(shifts, rays) if o >> (shift + top) & 1)
+                group[c] = p = p + at - wrapped[o]
+                walk.append((c, p))
     if len(group) != vol:
         raise AssertionError(f"parallelepiped group has order {len(group)}, not vol = {vol}")
-    # |(R c)_i| <= max |R entry| * L1(c), and L1(c) <= r * (vol - 1)
-    pack = PackedNormals(tuple(zip(*rays)), r * (vol - 1))
-    points = []
-    for c in group[1:]:
-        point = []
-        for num in pack.decode(pack.value(c)):
-            q, rem = divmod(num, vol)
-            if rem:
-                raise AssertionError("parallelepiped point is not integral")
-            point.append(q)
-        points.append(tuple(point))
-    return points
+    points = list(group.values())
+    if 2 * sum(points) != sum((vol - gcd(vol, *row)) * ray for row, ray in zip(N, rays)):
+        raise AssertionError("parallelepiped points fail their checksum")
+    return points[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from thmc.hilbert import (
     hilbert_basis_bruteforce_oracle,
     nonnormality_witness,
 )
-from thmc.intlinalg import IntLattice, det_bareiss, mat_vec, primitive_vector, smith_normal_form
+from thmc.intlinalg import IntLattice, PackedNormals, det_bareiss, identity_matrix, l1_reach, mat_vec, primitive_vector, smith_normal_form
 from thmc.polyhedra import cone_facets, vertices_by_facet_rank
 
 
@@ -231,6 +231,15 @@ def test_hb_export_formats():
     assert summary["count"] == 20 and summary["normal"] is True
 
 
+def _walk(rays, N, vol):
+    """The parallelepiped points of plain rays, through a pack of their coordinates alone; the pack; the ray forms."""
+    r = len(rays)
+    pack = PackedNormals(identity_matrix(r), r * l1_reach(rays))
+    forms = [pack.value(ray) - pack.guard for ray in rays]
+    points = _parallelepiped_points(forms, pack.coords, N, vol)
+    return [tuple(pack.decode(pack.guard + p)) for p in points], pack, forms
+
+
 @given(
     st.integers(1, 3).flatmap(
         lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
@@ -242,7 +251,7 @@ def test_parallelepiped_points_match_brute_force(R):
     n = len(R)
     N, vol = smith_normal_form(R).scaled_inverse()
     rays = [tuple(R[i][j] for i in range(n)) for j in range(n)]
-    points = _parallelepiped_points(rays, N, vol)
+    points = _walk(rays, N, vol)[0]
     box = [range(sum(min(x, 0) for x in row), sum(max(x, 0) for x in row) + 1) for row in R]
     expected = {
         x
@@ -256,10 +265,10 @@ def test_parallelepiped_points_match_brute_force(R):
 def test_parallelepiped_order_check_catches_a_dropped_generator():
     # R = diag(2, 3): N = diag(3, 2), vol 6, and the columns of N mod 6 generate orders 2 and 3
     rays = [(2, 0), (0, 3)]
-    assert len(_parallelepiped_points(rays, [(3, 0), (0, 2)], 6)) == 5
+    assert len(_walk(rays, [(3, 0), (0, 2)], 6)[0]) == 5
     for dropped in ([(0, 0), (0, 2)], [(3, 0), (0, 0)]):
         with pytest.raises(AssertionError, match="order"):
-            _parallelepiped_points(rays, dropped, 6)
+            _walk(rays, dropped, 6)
 
 
 def _unimodular(rng, r, bound):
@@ -269,9 +278,8 @@ def _unimodular(rng, r, bound):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*U)] for row in L]
 
 
-@pytest.mark.parametrize("diagonal", [(2, 3), (1, 1, 6), (1, 2, 4), (1, 1, 2, 3), (1, 2, 2, 2), (1, 1, 1, 7)])
-def test_packed_point_mapping_matches_the_plain_formula(diagonal):
-    # R = U D V with unimodular U, V of entries up to about 10^6: wide fields, small vol
+def _wide_simplex(diagonal):
+    """Rays R = U D V for unimodular U, V of entries up to about 10^6 (wide fields, small vol), with N and vol."""
     rng = random.Random(sum(diagonal))
     r = len(diagonal)
     U, V = _unimodular(rng, r, 1000), _unimodular(rng, r, 1000)
@@ -280,22 +288,84 @@ def test_packed_point_mapping_matches_the_plain_formula(diagonal):
     N, vol = smith_normal_form(R).scaled_inverse()
     rays = [tuple(R[i][j] for i in range(r)) for j in range(r)]
     assert vol == prod(diagonal) and max(abs(x) for ray in rays for x in ray) > 10**9
+    return rays, N, vol
+
+
+WIDE = [(2, 3), (1, 1, 6), (1, 2, 4), (1, 1, 2, 3), (1, 2, 2, 2), (1, 1, 1, 7)]
+
+
+@pytest.mark.parametrize("diagonal", WIDE)
+def test_packed_point_mapping_matches_the_plain_formula(diagonal):
+    rays, N, vol = _wide_simplex(diagonal)
+    r = len(rays)
     # the parallelepiped points are R c / vol for the nonzero c in [0, vol)^r that make it integral
     expected = []
     for c in product(range(vol), repeat=r):
         num = [sum(x * ray[i] for x, ray in zip(c, rays)) for i in range(r)]
         if any(c) and all(x % vol == 0 for x in num):
             expected.append(tuple(x // vol for x in num))
-    points = _parallelepiped_points(rays, N, vol)
+    points = _walk(rays, N, vol)[0]
     assert len(points) == vol - 1 and sorted(points) == sorted(expected)
-    # one N entry off by 1 adds ray i mod vol to the image of a generator under R: not integral
-    shifted = [i for i, ray in enumerate(rays) if any(x % vol for x in ray)]
-    assert shifted
-    for i, j in product(shifted, range(r)):
+    # every N entry off by +-1 breaks N R = vol I: the group order or the checksum must refuse it
+    for i, j, delta in product(range(r), range(r), (1, -1)):
         mutated = [list(row) for row in N]
-        mutated[i][j] += 1
-        with pytest.raises(AssertionError):
-            _parallelepiped_points(rays, mutated, vol)
+        mutated[i][j] += delta
+        with pytest.raises(AssertionError, match="order|checksum"):
+            _walk(rays, mutated, vol)
+
+
+@pytest.mark.parametrize("diagonal", WIDE)
+def test_parallelepiped_checksum_catches_a_corrupted_form(diagonal):
+    # a unit or ray form off by one in some field either leaves every point as it was or fails the checksum
+    rays, N, vol = _wide_simplex(diagonal)
+    points, pack, forms = _walk(rays, N, vol)
+    raised = 0
+    for which, k, f, delta in product((0, 1), range(len(rays)), range(pack.count), (1, -1)):
+        walked = [list(forms), list(pack.coords)]  # the ray forms, the unit forms
+        walked[which][k] += delta << (pack.width * f)
+        try:
+            got = _parallelepiped_points(*walked, N, vol)
+        except AssertionError as error:
+            assert "checksum" in str(error)
+            raised += 1
+        else:
+            assert sorted(tuple(pack.decode(pack.guard + p)) for p in got) == sorted(points)
+    assert raised
+
+
+def _walk_adding(monkeypatch, extra):
+    """Make hilbert_basis's parallelepiped walk also yield extra(rays, pack) for every simplex.
+
+    ``pack`` is the candidates' PackedNormals: the one whose coordinates are the walk's units.
+    """
+    real_walk = thmc.hilbert._parallelepiped_points
+    packs = []
+
+    class Spy(PackedNormals):
+        def __init__(self, *args):
+            super().__init__(*args)
+            packs.append(self)
+
+    def walk(rays, units, N, vol):
+        pack = next(p for p in packs if p.coords is units)
+        return real_walk(rays, units, N, vol) + [extra(rays, pack)]
+
+    monkeypatch.setattr(thmc.hilbert, "PackedNormals", Spy)
+    monkeypatch.setattr(thmc.hilbert, "_parallelepiped_points", walk)
+
+
+def test_reduction_refuses_a_candidate_outside_the_cone(monkeypatch):
+    # the negative of a ray is in the lattice but not in the cone
+    _walk_adding(monkeypatch, lambda rays, pack: -rays[0])
+    with pytest.raises(AssertionError, match="escaped the cone"):
+        hilbert_basis("d", 3, 5)
+
+
+def test_reduction_refuses_a_candidate_of_fractional_degree(monkeypatch):
+    # a ray with its weight field one too high: its facet values keep it in the cone, its degree is 1 + 1/(T - 1)
+    _walk_adding(monkeypatch, lambda rays, pack: rays[0] + (1 << pack.width * (pack.count - 1)))
+    with pytest.raises(AssertionError, match="degree is not integral"):
+        hilbert_basis("d", 3, 5)
 
 
 def test_one_smith_form_per_hilbert_basis(monkeypatch):
