@@ -12,7 +12,6 @@ from .intlinalg import (
     IntLattice,
     SnfResult,
     kernel_lattice_basis,
-    lattice_membership,
     residue_test,
     smith_normal_form,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "eulerian_path",
     "f_T",
     "kernel_lattice_basis",
-    "lattice_membership",
     "pivot_paths",
     "residue_test",
     "row_labels",

@@ -59,14 +59,11 @@ def cmd_design(args: argparse.Namespace) -> int:
             print(f"no embedded fixture for model {model.value} at S={args.S}, T={args.T}", file=sys.stderr)
             return _USAGE_ERROR
         cmp = fixtures.compare_design_fixture(model)
-        if model in (Model.A, Model.B):
-            print(f"fixture check model {model.value}: entrywise {'PASS' if cmp.strict_entrywise else 'FAIL'}")
-        else:
+        verdict = ", ".join(f"{name} FAIL" for name in cmp.failed) or f"{cmp.column_check} PASS"
+        if cmp.column_check == "multiset":
             order = "matches the lex order" if cmp.strict_entrywise else "columns are a permutation of the lex-ordered build"
-            print(
-                f"fixture check model {model.value}: multiset {'PASS' if cmp.columns_match_as_multiset else 'FAIL'}"
-                f" (printed data {order})"
-            )
+            verdict += f" (printed data {order})"
+        print(f"fixture check model {model.value}: {verdict}")
         return 0 if cmp.ok else _VERIFY_ERROR
     matrix = build_design_matrix(model, args.S, args.T)
     if args.format == "csv":

@@ -78,10 +78,20 @@ class DesignComparison:
     columns_match_as_multiset: bool
 
     @property
+    def column_check(self) -> str:
+        """How the columns must match: "entrywise" for the with-loop models a and b, as a "multiset" for c and d."""
+        return "multiset" if self.model.no_loops else "entrywise"
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """The checks that failed, in the order column check, "header", "labels"; empty when the fixture matches."""
+        columns = self.columns_match_as_multiset if self.column_check == "multiset" else self.strict_entrywise
+        checks = ((self.column_check, columns), ("header", self.header_is_lex), ("labels", self.labels_match))
+        return tuple(name for name, passed in checks if not passed)
+
+    @property
     def ok(self) -> bool:
-        if self.model in (Model.A, Model.B):
-            return self.strict_entrywise and self.header_is_lex and self.labels_match
-        return self.columns_match_as_multiset and self.header_is_lex and self.labels_match
+        return not self.failed
 
 
 def compare_design_fixture(model: Model | str) -> DesignComparison:

@@ -122,6 +122,17 @@ class SnfResult:
         scaled_u = [[vol // d * x for x in row] for d, row in zip(self.diagonal, self.U)]
         return mat_mul(self.V, scaled_u), vol
 
+    def contains(self, vector: Sequence[int]) -> bool:
+        """Is ``vector`` an integer combination of the columns of A?
+
+        It is iff (U*y)_i is divisible by d_i on the diagonal positions
+        and zero on the rank-deficient ones.
+        """
+        if len(vector) != len(self.U):
+            raise DimensionMismatch(f"vector length {len(vector)} != row count {len(self.U)}")
+        u_y = mat_vec(self.U, vector)
+        return all(x % d == 0 for x, d in zip(u_y, self.diagonal)) and not any(u_y[self.rank:])
+
 
 def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SnfResult:
     """Smith normal form of an integer matrix, verified exactly on every call.
@@ -339,21 +350,6 @@ def independent_subset(vectors: Sequence[Sequence[int]], size: int) -> list[int]
     if len(picked) < size:
         raise DegenerateInput(f"vectors span rank {len(picked)}, expected {size}")
     return picked
-
-
-def lattice_membership(matrix: Iterable[Sequence[int]], vector: Sequence[int]) -> bool:
-    """Is ``vector`` an integer combination of the columns of ``matrix``?
-
-    Decided via the Smith normal form: y is in the column lattice iff
-    (U*y)_i is divisible by d_i on the diagonal positions and zero on
-    the rank-deficient ones.
-    """
-    A = as_int_matrix(matrix)
-    if len(vector) != len(A):
-        raise DimensionMismatch(f"vector length {len(vector)} != row count {len(A)}")
-    snf = smith_normal_form(A)
-    u_y = mat_vec(snf.U, vector)
-    return all(x % d == 0 for x, d in zip(u_y, snf.diagonal)) and not any(u_y[snf.rank:])
 
 
 def residue_test(vector: Sequence[int], T: int) -> bool:

@@ -530,53 +530,42 @@ def verify_dilation_slice(T: int, k: int, samples: int, *, seed: int = 0) -> Dil
     hrep = cone_facets(cols)
     packed = PackedColumns(cols)
     rng = random.Random((seed, T, k).__hash__() & 0x7FFFFFFF)
-    target_sum = k * (T - 1)
-    agreements = 0
     bad: list[tuple[Fraction, ...]] = []
+
+    def draw_weights(count: int, top: int) -> list[int]:
+        weights = [rng.randint(0, top) for _ in range(count)]
+        if not any(weights):
+            weights[0] = 1
+        return weights
+
+    def mix(weights: Sequence[int], num: int, den: int) -> tuple[Fraction, ...]:
+        """num/den times the weighted sum of len(weights) random columns."""
+        picks = [cols[rng.randrange(len(cols))] for _ in weights]
+        return tuple(Fraction(num * sum(w * p[i] for w, p in zip(weights, picks)), den) for i in range(6))
+
     for trial in range(samples):
-        style = trial % 3
-        if style == 0:
+        if trial % 3 == 0:
             # random rational point of the dilated polytope (scaled mix)
-            weights = [rng.randint(0, 6) for _ in range(4)]
-            if not any(weights):
-                weights[0] = 1
-            total = sum(weights)
-            picks = [cols[rng.randrange(len(cols))] for _ in range(4)]
-            x = tuple(
-                Fraction(k * sum(w * p[i] for w, p in zip(weights, picks)), total)
-                for i in range(6)
-            )
-        elif style == 1:
+            weights = draw_weights(4, 6)
+            x = mix(weights, k, sum(weights))
+        elif trial % 3 == 1:
             # integer column sum nudged off by a transfer between coordinates
-            acc = [0] * 6
-            for _ in range(k):
-                p = cols[rng.randrange(len(cols))]
-                acc = [a + b for a, b in zip(acc, p)]
+            acc = list(mix([1] * k, 1, 1))
             i, j = rng.randrange(6), rng.randrange(6)
             delta = rng.choice([-2, -1, 1, 2])
             acc[i] += delta
             acc[j] -= delta
-            x = tuple(Fraction(a) for a in acc)
+            x = tuple(acc)
         else:
             # conic point just off the k-th slice: sum = (k +- 1/q)(T-1)
-            weights = [rng.randint(0, 4) for _ in range(3)]
-            if not any(weights):
-                weights[0] = 1
-            total = sum(weights)
+            weights = draw_weights(3, 4)
             q = rng.randint(2, 5)
-            numer = k * q + rng.choice([-1, 1])
-            picks = [cols[rng.randrange(len(cols))] for _ in range(3)]
-            x = tuple(
-                Fraction(numer * sum(w * p[i] for w, p in zip(weights, picks)), q * total)
-                for i in range(6)
-            )
+            x = mix(weights, k * q + rng.choice([-1, 1]), q * sum(weights))
         in_dilation = linear_feasible(packed, x, coefficient_sum=k)
-        in_slice = sum(x) == target_sum and hrep.contains(_integer_multiple(x))
-        if in_dilation == in_slice:
-            agreements += 1
-        else:
+        in_slice = sum(x) == k * (T - 1) and hrep.contains(_integer_multiple(x))
+        if in_dilation != in_slice:
             bad.append(x)
-    return DilationReport(T=T, k=k, samples=samples, agreements=agreements, counterexamples=tuple(bad))
+    return DilationReport(T=T, k=k, samples=samples, agreements=samples - len(bad), counterexamples=tuple(bad))
 
 
 def integer_points_equal_columns(T: int) -> bool:
@@ -610,14 +599,10 @@ def classify_vertices(T: int) -> VertexClassReport:
     hrep = cone_facets(cols)
     verts = vertices_by_facet_rank(cols, hrep)
     p = (T - 1) // 2
-    classified = []
-    middle = []
-    for v in verts:
-        cls = stategraph.classify_Gmn(stategraph.graph_of_transition_vector(v, 3))
-        classified.append((v, cls.m, cls.n))
-        if 3 <= cls.m <= p - 3:
-            middle.append(v)
-    return VertexClassReport(T=T, p=p, classes=tuple(classified), middle_class_vertices=tuple(middle))
+    graph_classes = (stategraph.classify_Gmn(stategraph.graph_of_transition_vector(v, 3)) for v in verts)
+    classes = tuple((v, cls.m, cls.n) for v, cls in zip(verts, graph_classes))
+    middle = tuple(v for v, m, _ in classes if 3 <= m <= p - 3)
+    return VertexClassReport(T=T, p=p, classes=classes, middle_class_vertices=middle)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ decomposition classifies which transition vectors can be polytope
 vertices. Which graphs come from a single word is decided by the Euler
 rule, :func:`start_states`. The alternating pivot-path word pairs that
 diagonalize the loop-free design matrices are checked here too, by the
-difference of their graphs.
+difference of their columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .design import Model, column_of_word, transition_pairs
-from .words import Word
+from .words import Word, is_valid_word
 
 _PAIRS3 = ((1, 2), (1, 3), (2, 3))
 _CW3 = ((1, 2), (2, 3), (3, 1))
@@ -62,11 +63,6 @@ def graph_of_transition_vector(x: Sequence[int], S: int = 3, *, no_loops: bool =
     for (i, j), v in zip(pairs, x):
         mat[i - 1][j - 1] = int(v)
     return StateGraph(S=S, x=tuple(tuple(row) for row in mat))
-
-
-def transition_vector(graph: StateGraph) -> tuple[int, ...]:
-    """The flat loop-free transition vector of a graph: the inverse of :func:`graph_of_transition_vector`."""
-    return tuple(graph.x[i - 1][j - 1] for i, j in transition_pairs(graph.S, True))
 
 
 def start_states(graph: StateGraph) -> tuple[int, ...]:
@@ -190,17 +186,12 @@ def pivot_paths(i: int, j: int, k: int, T: int, kind: str) -> PivotPathPair:
         plus, minus = (k, i), (k, j)
 
     S = max(i, j, k)
-    graph_p, graph_q = graph_of_word(P, S), graph_of_word(Q, S)
     if len(P) != T or len(Q) != T:
         raise AssertionError(f"pivot paths have lengths {len(P)}, {len(Q)}, expected {T}")
-    if graph_p.has_self_loops() or graph_q.has_self_loops():
+    if not (is_valid_word(P, S, True) and is_valid_word(Q, S, True)):
         raise AssertionError("pivot path contains a self-loop")
-    diff = {
-        (a + 1, b + 1): p - q
-        for a, (row_p, row_q) in enumerate(zip(graph_p.x, graph_q.x))
-        for b, (p, q) in enumerate(zip(row_p, row_q))
-        if p != q
-    }
+    columns = zip(transition_pairs(S, False), column_of_word(Model.B, S, P), column_of_word(Model.B, S, Q))
+    diff = {pair: p - q for pair, p, q in columns if p != q}
     if diff != {plus: 1, minus: -1}:
         raise AssertionError(f"pivot pair difference {diff} violates the +1/-1 contract")
     return PivotPathPair(P=P, Q=Q, plus=plus, minus=minus)
@@ -231,25 +222,21 @@ def cycle_decomposition(graph: StateGraph) -> CycleDecomposition:
     if graph.S != 3 or graph.has_self_loops():
         raise ValueError("cycle decomposition is defined for loop-free graphs on 3 states")
     x = [list(row) for row in graph.x]
-    per_pair = []
-    for i, j in _PAIRS3:
-        two = min(x[i - 1][j - 1], x[j - 1][i - 1])
-        per_pair.append(two)
-        x[i - 1][j - 1] -= two
-        x[j - 1][i - 1] -= two
-    m = sum(per_pair)
-    cw = min(x[i - 1][j - 1] for i, j in _CW3)
-    for i, j in _CW3:
-        x[i - 1][j - 1] -= cw
-    ccw = min(x[i - 1][j - 1] for i, j in _CCW3)
-    for i, j in _CCW3:
-        x[i - 1][j - 1] -= ccw
-    leftover = StateGraph(S=3, x=tuple(tuple(row) for row in x))
+
+    def peel(cycle: Sequence[tuple[int, int]]) -> int:
+        count = min(x[i - 1][j - 1] for i, j in cycle)
+        for i, j in cycle:
+            x[i - 1][j - 1] -= count
+        return count
+
+    per_pair = tuple(peel(((i, j), (j, i))) for i, j in _PAIRS3)
+    cw, ccw = peel(_CW3), peel(_CCW3)
+    leftover = StateGraph(S=3, x=tuple(map(tuple, x)))
     decomp = CycleDecomposition(
-        m=m,
+        m=sum(per_pair),
         n=cw + ccw,
         leftover=leftover,
-        two_cycles_by_pair=tuple(per_pair),
+        two_cycles_by_pair=per_pair,
         three_cycles_cw=cw,
         three_cycles_ccw=ccw,
     )
@@ -272,15 +259,12 @@ def middle_class_decomposition(x: Sequence[int]) -> tuple[tuple[int, ...], tuple
     if pair is None:
         raise ValueError("need at least three two-cycles of one type to trade away")
     i, j = pair
-    trade = [[0] * 3 for _ in range(3)]
-    for a, b in _CW3 if decomp.three_cycles_cw else _CCW3:
-        trade[a - 1][b - 1] -= 2
-    trade[i - 1][j - 1] += 3
-    trade[j - 1][i - 1] += 3
-    y, z = ([[v + sign * t for v, t in zip(row, dt)] for row, dt in zip(graph.x, trade)] for sign in (1, -1))
-    if any(v < 0 for mat in (y, z) for row in mat for v in row):
+    orientation = _CW3 if decomp.three_cycles_cw else _CCW3
+    trade = [3 * (e in (pair, (j, i))) - 2 * (e in orientation) for e in transition_pairs(3, True)]
+    y, z = (tuple(v + sign * t for v, t in zip(x, trade)) for sign in (1, -1))
+    if min(y + z) < 0:
         raise ValueError("trade produced negative multiplicities")
-    return tuple(transition_vector(StateGraph(S=3, x=tuple(map(tuple, mat)))) for mat in (y, z))
+    return y, z
 
 
 @dataclass(frozen=True)
@@ -317,8 +301,8 @@ def enumerate_Gmn(T: int, m: int) -> tuple[StateGraph, ...]:
     """All graphs of G_{m, f_T(m)}: the at-most-18 case constructions.
 
     Choices: which pair carries the two-cycles (3), which orientation
-    the three-cycles take (2), where the one or two leftover edges sit
-    along that orientation (at most 3). Empty when 2m > T-1.
+    the three-cycles take (2), which one or two edges of that orientation
+    carry the leftover (at most 3). Empty when 2m > T-1.
     """
     if m < 0 or T < 1:
         raise ValueError("need m >= 0 and T >= 1")
@@ -327,30 +311,14 @@ def enumerate_Gmn(T: int, m: int) -> tuple[StateGraph, ...]:
     n = f_T(T, m)
     r = (T - 1) - 2 * m - 3 * n
     graphs: set[StateGraph] = set()
-    pair_choices: Sequence[tuple[int, int] | None] = _PAIRS3 if m > 0 else (None,)
-    for pair in pair_choices:
-        for triangle in (_CW3, _CCW3):
-            leftover_choices: list[tuple[tuple[int, int], ...]]
-            if r == 0:
-                leftover_choices = [()]
-            elif r == 1:
-                leftover_choices = [(e,) for e in triangle]
-            else:
-                leftover_choices = [tuple(e for e in triangle if e != skip) for skip in triangle]
-            for leftover in leftover_choices:
-                x = [[0] * 3 for _ in range(3)]
-                if pair is not None:
-                    i, j = pair
-                    x[i - 1][j - 1] += m
-                    x[j - 1][i - 1] += m
-                for i, j in triangle:
-                    x[i - 1][j - 1] += n
-                for i, j in leftover:
-                    x[i - 1][j - 1] += 1
-                graph = StateGraph(S=3, x=tuple(tuple(row) for row in x))
-                cls = classify_Gmn(graph)
-                if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and start_states(graph):
-                    graphs.add(graph)
+    edges = transition_pairs(3, True)
+    for (i, j), orientation in product(_PAIRS3, (_CW3, _CCW3)):
+        for leftover in combinations(orientation, r):
+            x = [m * (e in ((i, j), (j, i))) + n * (e in orientation) + (e in leftover) for e in edges]
+            graph = graph_of_transition_vector(x, 3)
+            cls = classify_Gmn(graph)
+            if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and start_states(graph):
+                graphs.add(graph)
     result = tuple(sorted(graphs, key=lambda g: g.x))
     if len(result) > 18:
         raise AssertionError(f"{len(result)} graphs in G_{{{m},{n}}}, more than the 18 constructions")

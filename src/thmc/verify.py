@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from . import fixtures, hilbert, markov, polyhedra, stategraph
 from .design import Model, build_design_matrix, column_of_word, distinct_columns, iter_columns, sufficient, transition_pairs
-from .intlinalg import IntLattice, lattice_membership, residue_test, smith_normal_form
+from .intlinalg import IntLattice, residue_test, smith_normal_form
 from .words import iter_words
 
 _SNF_SAMPLES = 50  # sampled columns double-checked against each generated lattice
@@ -45,14 +45,10 @@ def check_design_fixtures(seed: int) -> tuple[bool, str]:
     for model in (Model.A, Model.B, Model.C, Model.D):
         cmp = fixtures.compare_design_fixture(model)
         ok &= cmp.ok
-        if model in (Model.A, Model.B):
-            notes.append(f"{model.value}: entrywise={'OK' if cmp.strict_entrywise else 'FAIL'}")
-        else:
-            tag = "identity" if cmp.strict_entrywise else "permuted"
-            notes.append(
-                f"{model.value}: multiset={'OK' if cmp.columns_match_as_multiset else 'FAIL'}"
-                f" (printed data column order vs lex header: {tag})"
-            )
+        verdict = ", ".join(f"{name}=FAIL" for name in cmp.failed) or f"{cmp.column_check}=OK"
+        if cmp.column_check == "multiset":
+            verdict += f" (printed data column order vs lex header: {'identity' if cmp.strict_entrywise else 'permuted'})"
+        notes.append(f"{model.value}: {verdict}")
     return ok, "; ".join(notes)
 
 
@@ -169,10 +165,10 @@ def check_lattice_lemmas(seed: int) -> tuple[bool, str]:
                 agreements += 1
     # direct matrix route on small instances
     for model, S, T in [(Model.B, 2, 4), (Model.B, 2, 5), (Model.D, 3, 4), (Model.D, 3, 5)]:
-        rows = build_design_matrix(model, S, T).as_rows()
+        snf = smith_normal_form(build_design_matrix(model, S, T).as_rows())
         for _ in range(50):
-            y = [rng.randint(-6, 6) for _ in range(len(rows))]
-            if lattice_membership(rows, y) != residue_test(y, T):
+            y = [rng.randint(-6, 6) for _ in range(len(snf.U))]
+            if snf.contains(y) != residue_test(y, T):
                 return False, f"direct route disagreement {model.value} S={S} T={T}: {y}"
             agreements += 1
     return True, f"{agreements} membership/residue agreements"

@@ -13,7 +13,6 @@ from thmc.intlinalg import (
     IntLattice,
     det_bareiss,
     kernel_lattice_basis,
-    lattice_membership,
     mat_mul,
     mat_vec,
     primitive_vector,
@@ -162,14 +161,17 @@ def test_det_bareiss():
 def test_lattice_membership_column_generator():
     rows = _design_rows(Model.D, 3, 5)
     col = column_of_word(Model.D, 3, (1, 2, 1, 2, 1))
-    assert lattice_membership(rows, col)
+    assert smith_normal_form(rows).contains(col)
 
 
 def test_lattice_membership_unit_vector_fails():
     rows = _design_rows(Model.B, 3, 5)
     e11 = tuple(1 if i == 0 else 0 for i in range(9))
-    assert not lattice_membership(rows, e11)
+    snf = smith_normal_form(rows)
+    assert not snf.contains(e11)
     assert not residue_test(e11, 5)
+    with pytest.raises(DimensionMismatch, match="vector length 8 != row count 9"):
+        snf.contains(e11[1:])
 
 
 def test_residue_test_values():
@@ -181,10 +183,11 @@ def test_residue_test_values():
 @pytest.mark.parametrize("model,S,T", [(Model.B, 2, 4), (Model.B, 2, 6), (Model.D, 3, 4), (Model.D, 3, 6)])
 def test_membership_equals_residue_on_random_vectors(model, S, T):
     rows = _design_rows(model, S, T)
+    snf = smith_normal_form(rows)
     rng = random.Random(3)
     for _ in range(120):
         y = [rng.randint(-8, 8) for _ in range(len(rows))]
-        assert lattice_membership(rows, y) == residue_test(y, T)
+        assert snf.contains(y) == residue_test(y, T)
 
 
 def test_kernel_lattice_basis_trivial():
@@ -212,11 +215,12 @@ def test_int_lattice_streaming_matches_direct():
     rows = _design_rows(Model.D, 3, 5)
     cols = list(zip(*rows))
     lat = IntLattice.from_vectors(6, cols)
+    snf = smith_normal_form(rows)
     rng = random.Random(5)
     for _ in range(200):
         y = [rng.randint(-6, 6) for _ in range(6)]
-        assert lat.contains(y) == lattice_membership(rows, y)
-    assert lat.invariant_factors() == smith_normal_form(rows).diagonal
+        assert lat.contains(y) == snf.contains(y)
+    assert lat.invariant_factors() == snf.diagonal
 
 
 def test_int_lattice_coordinates_roundtrip():

@@ -14,8 +14,8 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Top-level names that nothing in the package or the benchmark calls, kept on purpose.
 KEPT_UNREFERENCED = {
     "polytope_vertices",  # the LP route to the vertices, the cross-check of vertices_by_facet_rank
-    "middle_class_decomposition",  # the finite-vertex proof step, for the midpoint cross-route of the f-vectors
-    "enumerate_Gmn",  # the G_{m,n} case constructions, for the same cross-route
+    "middle_class_decomposition",  # the finite-vertex proof step, tested on every middle-class G_{m,n} graph at T=13..25
+    "enumerate_Gmn",  # the G_{m,n} case constructions, for the same test (test_every_middle_class_graph_is_a_midpoint_of_two_columns)
 }
 
 

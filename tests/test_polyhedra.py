@@ -668,6 +668,24 @@ def test_middle_class_graph_is_not_vertex():
     assert x not in verts
 
 
+def test_every_middle_class_graph_is_a_midpoint_of_two_columns():
+    # the finite-vertex proof step: each graph of G_{q,f(q)} with 3 <= q <= p-3 splits as (y + z) / 2, y and z columns
+    from thmc.design import transition_pairs
+    from thmc.stategraph import enumerate_Gmn, middle_class_decomposition
+
+    split = 0
+    for T in range(13, 26):
+        cols = set(model_d_columns(T))
+        for q in range(3, (T - 1) // 2 - 2):
+            for graph in enumerate_Gmn(T, q):
+                x = tuple(graph.x[i - 1][j - 1] for i, j in transition_pairs(3, True))
+                y, z = middle_class_decomposition(x)
+                assert y in cols and z in cols, (T, x)
+                assert tuple(a + b for a, b in zip(y, z)) == tuple(2 * v for v in x)
+                split += 1
+    assert split == 654
+
+
 def test_vertices_have_one_two_cycle_type():
     # a column with two distinct two-cycle types is never a vertex
     from thmc.stategraph import classify_Gmn, graph_of_transition_vector

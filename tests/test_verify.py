@@ -92,6 +92,21 @@ def test_polytope_criterion_fails_with_a_negated_dilation_lp(monkeypatch):
     assert not result.passed and result.details.startswith("integer points differ")
 
 
+def test_polytope_criterion_fails_on_a_middle_class_vertex(monkeypatch):
+    # the first vertex classified (T=13, p=6) is reported in class m=3, the middle range 3 <= m <= p-3
+    real = thmc.stategraph.classify_Gmn
+    calls = []
+
+    def first_in_middle(graph):
+        calls.append(graph)
+        cls = real(graph)
+        return replace(cls, m=3) if len(calls) == 1 else cls
+
+    monkeypatch.setattr(thmc.stategraph, "classify_Gmn", first_in_middle)
+    result = _run("polytope-structure")
+    assert not result.passed and result.details.startswith("middle-class vertices found")
+
+
 def _graph_drops_last_letter(monkeypatch):
     real = thmc.stategraph.graph_of_word
     monkeypatch.setattr(thmc.stategraph, "graph_of_word", lambda word, S: real(word[:-1], S))
@@ -122,6 +137,23 @@ def test_design_criterion_fails_on_a_changed_fixture_entry(monkeypatch):
     monkeypatch.setattr(thmc.fixtures, "load_design_fixture", one_entry_up)
     result = _run("design-fixtures")
     assert not result.passed and result.details.startswith("a: entrywise=FAIL")
+
+
+def test_design_verdict_fails_on_a_changed_row_label(monkeypatch, capsys):
+    # the columns still match entrywise; criterion 1 and the CLI name the labels as the failed check
+    from thmc.cli import main
+
+    real = thmc.fixtures.load_design_fixture
+
+    def relabeled(model):
+        fixture = real(model)
+        return replace(fixture, labels=("xx", *fixture.labels[1:])) if fixture.model is Model.A else fixture
+
+    monkeypatch.setattr(thmc.fixtures, "load_design_fixture", relabeled)
+    result = _run("design-fixtures")
+    assert not result.passed and result.details.startswith("a: labels=FAIL; b: entrywise=OK")
+    assert main(["design", "--model", "a", "--S", "2", "--T", "4", "--check-fixture"]) == 2
+    assert capsys.readouterr().out == "fixture check model a: labels FAIL\n"
 
 
 @pytest.mark.parametrize("name, details", [("snf-theorems", "generating subset reached factors"), ("lattice-lemmas", "disagreement")])
