@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterator
 
 from .design import Model, build_design_matrix, format_row_label
 from .intlinalg import IntVec
@@ -20,6 +21,13 @@ from .words import parse_word
 
 def _read_data(name: str) -> str:
     return (resources.files("thmc") / "data" / name).read_text()
+
+
+def _data_lines(name: str) -> Iterator[tuple[str, list[str]]]:
+    """Each non-empty line of data file ``name`` with its whitespace-split fields."""
+    for line in _read_data(name).splitlines():
+        if parts := line.split():
+            yield line, parts
 
 
 @dataclass(frozen=True)
@@ -38,15 +46,11 @@ class DesignFixture:
 
 def load_design_fixture(model: Model | str) -> DesignFixture:
     model = Model.parse(model)
-    text = _read_data(f"design_{model.value}_{2 if not model.no_loops else 3}_4.txt")
     words: tuple[tuple[int, ...], ...] = ()
     labels: list[str] = []
     rows: list[tuple[int, ...]] = []
     S = T = 0
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
+    for _, parts in _data_lines(f"design_{model.value}_{2 if not model.no_loops else 3}_4.txt"):
         if parts[0] == "S":
             S = int(parts[1])
         elif parts[0] == "T":
@@ -113,10 +117,7 @@ def load_tables() -> dict[str, dict[int, tuple[int, tuple[int, ...]]]]:
     """{model letter: {T: (#HB, f-vector)}} for the loop-free models."""
     tables: dict[str, dict[int, tuple[int, tuple[int, ...]]]] = {}
     current: dict[int, tuple[int, tuple[int, ...]]] | None = None
-    for line in _read_data("tables.txt").splitlines():
-        parts = line.split()
-        if not parts:
-            continue
+    for line, parts in _data_lines("tables.txt"):
         if parts[0] == "table":
             current = tables.setdefault(parts[1], {})
         elif parts[0] == "T":
@@ -136,10 +137,7 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
     name = f"hyperplanes_{model.value}.txt"
     lines_by_T: dict[int, list[str]] = {}
     cur: int | None = None
-    for line in _read_data(name).splitlines():
-        parts = line.split()
-        if not parts:
-            continue
+    for line, parts in _data_lines(name):
         if parts[0] == "T":
             cur = int(parts[1])
             lines_by_T[cur] = []
@@ -158,23 +156,35 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
 
 @dataclass(frozen=True)
 class HyperplaneComparison:
+    """The printed block of T against the computed cone.
+
+    The nontrivial normals must match as sets, and the number of facets
+    must be the last entry of the table's f-vector for T; a block without
+    a table row (``expected_facets`` None) checks only its normals.
+    """
+
     model: Model
     T: int
     fixture_only: tuple[IntVec, ...]
     computed_only: tuple[IntVec, ...]
+    facets: int
+    expected_facets: int | None
 
     @property
     def ok(self) -> bool:
-        return not self.fixture_only and not self.computed_only
+        return not self.fixture_only and not self.computed_only and self.expected_facets in (None, self.facets)
 
 
-def compare_hyperplanes(model: Model | str, T: int, computed_nontrivial: tuple[IntVec, ...]) -> HyperplaneComparison:
+def compare_hyperplanes(model: Model | str, T: int, computed_nontrivial: tuple[IntVec, ...], facets: int) -> HyperplaneComparison:
     model = Model.parse(model)
     fixture = set(load_hyperplane_blocks(model)[T])
     computed = set(computed_nontrivial)
+    row = load_tables()[model.value].get(T)
     return HyperplaneComparison(
         model=model,
         T=T,
         fixture_only=tuple(sorted(fixture - computed)),
         computed_only=tuple(sorted(computed - fixture)),
+        facets=facets,
+        expected_facets=None if row is None else row[1][-1],
     )

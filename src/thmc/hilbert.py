@@ -30,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import lshift, mul
+from operator import lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
+from .design import DEFAULT_COLUMN_CAP, Model, column_of_word, compositions, distinct_columns, transition_pairs
 from .intlinalg import IntLattice, IntVec, PackedNormals, identity_matrix, independent_subset, l1_reach, mat_vec, primitive_vector, smith_normal_form
 from .markov import enumerate_fiber
 from .polyhedra import PackedColumns, cone_facets, linear_feasible, vertices_by_facet_rank
-from .words import word_count
 
 # the largest T of models a, b, c, d by S; at S=4 the next T takes 6.8 s and 141 MB (d; b takes 4.8 s at T=3),
 # while a fills 2.5 GB in 130 s and b, c run past 150 s, on 2 vCPU
@@ -331,71 +330,45 @@ def _parallelepiped_points(rays: Sequence[int], units: Sequence[int], N: Sequenc
 # Brute-force oracle
 
 def hilbert_basis_bruteforce_oracle(model: Model | str, S: int, T: int, degree_cap: int) -> tuple[IntVec, ...]:
-    """Degree-capped irreducibles by direct search, independent of the triangulation.
+    """Degree-capped irreducibles by direct search, independent of the triangulation and of every DD facet.
 
-    Enumerates every vector of degree <= cap that passes the lattice
-    membership test and exact LP cone membership, then marks irreducible
-    the ones that are not a sum of two smaller members.
+    The members are the flow-balanced candidates of degree <= cap that
+    pass the lattice membership test and exact LP cone membership. Every
+    column has the same sum, so sums order degrees: a member y is
+    irreducible unless y - a is a member for some member a of smaller sum.
     """
     model = Model.parse(model)
-    if degree_cap <= 0:
-        return ()
     cols = distinct_columns(model, S, T)
     lattice = IntLattice.from_vectors(len(cols[0]), cols)
     packed = PackedColumns(cols)
-    colsum = model.column_sum(T)
-    members: list[IntVec] = []
-    for k in range(1, degree_cap + 1):
-        for y in _degree_k_candidates(model, S, T, k):
-            if not lattice.contains(y):
-                continue
-            if not linear_feasible(packed, y):
-                continue
-            members.append(y)
-    member_set = set(members)
-    irreducible = []
-    for y in sorted(members, key=lambda v: (sum(v), v)):
-        deg_y = sum(y) // colsum
-        reducible = False
-        for a in members:
-            deg_a = sum(a) // colsum
-            if deg_a >= deg_y:
-                continue
-            diff = tuple(b - c for b, c in zip(y, a))
-            if diff in member_set:
-                reducible = True
-                break
-        if not reducible:
-            irreducible.append(y)
+    members = {
+        y: sum(y)
+        for k in range(1, degree_cap + 1)
+        for y in _balanced_candidates(model, S, T, k)
+        if lattice.contains(y) and linear_feasible(packed, y)
+    }
+    irreducible = (y for y, s in members.items() if not any(tuple(map(sub, y, a)) in members for a, t in members.items() if t < s))
     return tuple(sorted(irreducible))
 
 
-def _degree_k_candidates(model: Model, S: int, T: int, k: int):
-    """Nonnegative integer vectors obeying the per-degree structural sums."""
-    n_trans = len(transition_pairs(S, model.no_loops))
-    trans_total = k * (T - 1)
-    if model.has_initial:
-        for init in compositions(k, S):
-            for trans in compositions(trans_total, n_trans):
-                if _balance_ok(model, S, init, trans, k):
-                    yield tuple(init) + tuple(trans)
-    else:
-        for trans in compositions(trans_total, n_trans):
-            if _balance_ok(model, S, None, trans, k):
-                yield tuple(trans)
+def _balanced_candidates(model: Model, S: int, T: int, k: int) -> Iterator[IntVec]:
+    """The non-negative degree-k vectors whose transition counts balance the flow through every state.
 
-
-def _balance_ok(model: Model, S: int, init, trans: Sequence[int], k: int) -> bool:
+    The net flow (in minus out) of each state is counted once per
+    composition of the k(T-1) transitions. Without initial rows every
+    |net| <= k; with them, each composition of the k initial counts with
+    init + net >= 0 (the path-end counts) is a candidate.
+    """
     pairs = transition_pairs(S, model.no_loops)
-    out = [0] * S
-    inn = [0] * S
-    for (i, j), v in zip(pairs, trans):
-        out[i - 1] += v
-        inn[j - 1] += v
-    if init is None:
-        return all(abs(o - i) <= k for o, i in zip(out, inn))
-    # with initial counts the path-end counts must be non-negative
-    return all(init[s] - out[s] + inn[s] >= 0 for s in range(S))
+    for trans in compositions(k * (T - 1), len(pairs)):
+        net = [0] * S
+        for (i, j), v in zip(pairs, trans):
+            net[i - 1] -= v
+            net[j - 1] += v
+        if model.has_initial:
+            yield from (init + trans for init in compositions(k, S) if all(a + x >= 0 for a, x in zip(init, net)))
+        elif all(abs(x) <= k for x in net):
+            yield trans
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +391,8 @@ def nonnormality_witness(model: Model | str, S: int, T: int) -> NonNormalityWitn
     membership), (ii) the explicit signed integer combination lands on h
     (lattice membership), (iii) no nonnegative integer solution of
     A x = h exists: the fiber of h, from :func:`markov.enumerate_fiber`,
-    is empty.
+    is empty. Past ``DEFAULT_COLUMN_CAP`` words that search raises
+    :class:`SizeCapExceeded` before it streams any word.
     """
     model = Model.parse(model)
     if model is Model.A:
@@ -473,8 +447,8 @@ def nonnormality_witness(model: Model | str, S: int, T: int) -> NonNormalityWitn
         if h != (1, 0, 0, T - 2):
             raise WitnessVerificationFailed("witness differs from the printed formula")
 
-    # every word is a candidate: the witness has degree 1 or 2, so the search stays small
-    if enumerate_fiber(model, S, T, h, word_cap=word_count(S, T, model.no_loops)).elements:
+    # the witness has degree 1 or 2, so the search stays small
+    if enumerate_fiber(model, S, T, h, word_cap=DEFAULT_COLUMN_CAP).elements:
         raise WitnessVerificationFailed("A x = h unexpectedly has a non-negative integer solution")
 
     return NonNormalityWitness(

@@ -262,8 +262,8 @@ class IntLattice:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, vector: Sequence[int]) -> bool:
-        """Insert a generator; returns True when the lattice grew.
+    def add(self, vector: Sequence[int]) -> None:
+        """Insert a generator.
 
         v's lead is found once; each reduction clears v up to the pivot
         it eliminated, so the next lead is sought only to its right.
@@ -273,7 +273,6 @@ class IntLattice:
         v = [int(x) for x in vector]
         rows, pivots = self._rows, self._pivots
         lead = next((j for j, x in enumerate(v) if x), None)
-        changed = False
         idx = 0
         while lead is not None:
             idx = bisect_left(pivots, lead, idx)
@@ -282,7 +281,7 @@ class IntLattice:
                     v = [-x for x in v]
                 rows.insert(idx, v)
                 pivots.insert(idx, lead)
-                return True
+                return
             row = rows[idx]
             a, b = row[lead], v[lead]
             if b % a == 0:
@@ -292,10 +291,8 @@ class IntLattice:
                 g, s, t = _xgcd(a, b)
                 rows[idx] = [s * x + t * y for x, y in zip(row, v)]
                 v = [(a // g) * y - (b // g) * x for x, y in zip(row, v)]
-                changed = True
             lead = next((j for j in range(lead + 1, self.dim) if v[j]), None)
             idx += 1
-        return changed
 
     def invariant_factors(self) -> IntVec:
         """Nonzero invariant factors: the SNF diagonal of the echelon rows.

@@ -79,9 +79,19 @@ def test_hyperplane_T4_contains_printed_column():
 def test_compare_hyperplanes_detects_mismatch():
     blocks = load_hyperplane_blocks(Model.D)
     tampered = tuple(sorted(blocks[4][:-1] + ((9, 9, 9, 9, 9, 9),)))
-    cmp = compare_hyperplanes(Model.D, 4, tampered)
+    cmp = compare_hyperplanes(Model.D, 4, tampered, 12)
     assert not cmp.ok
     assert cmp.fixture_only and cmp.computed_only
+
+
+def test_compare_hyperplanes_checks_the_facet_count_of_the_table_row(monkeypatch):
+    # d/T=4 has 12 facets, the last entry of its f-vector; without a table row only the normals are checked
+    normals = load_hyperplane_blocks(Model.D)[4]
+    assert compare_hyperplanes(Model.D, 4, normals, 12).ok
+    cmp = compare_hyperplanes(Model.D, 4, normals, 11)
+    assert not cmp.ok and not cmp.fixture_only and not cmp.computed_only
+    monkeypatch.setattr(fixtures, "load_tables", lambda: {"d": {}})
+    assert compare_hyperplanes(Model.D, 4, normals, 11).ok
 
 
 def test_hyperplane_row_before_any_T_line_is_a_value_error(monkeypatch):

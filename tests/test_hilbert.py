@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from dataclasses import replace
 from itertools import product
 from math import prod
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import thmc.hilbert
-from thmc.design import Model, distinct_columns
+import thmc.markov
+from thmc.design import Model, SizeCapExceeded, distinct_columns
 from thmc.hilbert import (
     RangeExceeded,
     WitnessVerificationFailed,
@@ -137,18 +139,31 @@ def test_oracle_empty_cap():
     assert hilbert_basis_bruteforce_oracle(Model.D, 3, 4, 0) == ()
 
 
-def test_oracle_agrees_with_main_T4():
-    cap = 3
-    main = hilbert_basis(Model.D, 3, 4)
-    capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * 3))
-    assert capped == hilbert_basis_bruteforce_oracle(Model.D, 3, 4, cap)
+@pytest.mark.parametrize(
+    "model,S,T,cap,count,not_columns",
+    [(Model.D, 3, 4, 3, 20, 0), (Model.C, 3, 4, 2, 24, 0), (Model.B, 2, 5, 4, 21, 3), (Model.A, 3, 4, 2, 87, 12)],
+)
+def test_oracle_agrees_with_main(model, S, T, cap, count, not_columns):
+    # b/S=2/T=5 and a/S=3/T=4 are not normal: the reduction must keep irreducibles that are not columns
+    main = hilbert_basis(model, S, T)
+    capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * model.column_sum(T)))
+    oracle = hilbert_basis_bruteforce_oracle(model, S, T, cap)
+    assert oracle == capped and len(oracle) == count
+    assert len(set(oracle) - set(distinct_columns(model, S, T))) == not_columns
 
 
-def test_oracle_agrees_with_main_c_T4():
-    cap = 2
-    main = hilbert_basis(Model.C, 3, 4)
-    capped = tuple(sorted(v for v in main.elements if sum(v) <= cap * 4))
-    assert capped == hilbert_basis_bruteforce_oracle(Model.C, 3, 4, cap)
+def test_oracle_uses_no_double_description(monkeypatch):
+    # the oracle decides by flow balance, lattice membership and the exact LP alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached a double-description or triangulation route")
+
+    names = ("cone_facets", "dual_description", "vertices_by_facet_rank", "hilbert_basis")
+    for module in [m for name, m in sys.modules.items() if name == "thmc" or name.startswith("thmc.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # d/S=3/T=4 is normal, so its Hilbert basis is its columns
+    assert hilbert_basis_bruteforce_oracle(Model.D, 3, 4, 3) == distinct_columns(Model.D, 3, 4)
 
 
 def test_witness_a_3_4():
@@ -165,6 +180,16 @@ def test_witness_a_3_10_beyond_the_fiber_word_cap():
     # 3^10 = 59,049 words, over enumerate_fiber's default cap of 20,000
     w = nonnormality_witness(Model.A, 3, 10)
     assert w.h == (1, 0, 1, 7, 1, 0, 0, 0, 1, 0, 2, 7)
+
+
+def test_witness_a_3_15_is_refused_before_any_word_is_streamed(monkeypatch):
+    # 3^15 = 14,348,907 words exceed the design-matrix cap of 10^7
+    def refuse(*args, **kwargs):
+        raise AssertionError("words were streamed")
+
+    monkeypatch.setattr(thmc.markov, "iter_columns", refuse)
+    with pytest.raises(SizeCapExceeded, match="14348907 words"):
+        nonnormality_witness(Model.A, 3, 15)
 
 
 def test_witness_b_2_5():

@@ -718,7 +718,7 @@ def test_cone_facets_echelon_stops_at_full_rank(monkeypatch, model, T, adds):
     class CountingLattice(IntLattice):
         def add(self, vector):
             added.append(vector)
-            return super().add(vector)
+            super().add(vector)
 
     monkeypatch.setattr(polyhedra, "IntLattice", CountingLattice)
     cols = distinct_columns(model, 3, T)
