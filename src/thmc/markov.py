@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .design import Model, SizeCapExceeded, distinct_columns, iter_columns, row_labels, sufficient
 from .intlinalg import DimensionMismatch, PackedNormals, identity_matrix
@@ -142,11 +142,11 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
     Degree 1 pairs each distinct column's first word with each of its
     other words. A fiber of degree d >= 2 whose column classes form c
     components under "shares a column" needs c - 1 moves of degree d
-    (Takemura-Aoki 2004). :func:`_column_fibers`, over the sorted
-    distinct columns the probe walks, gives one column multiset per
-    component; each is lifted to words by each column's first word, and
-    the first component is linked to each of the others. Components share
-    no column, so no move cancels. The word cap and the probe's caps are
+    (Takemura-Aoki 2004). The pass of :func:`_column_fibers` over the
+    sorted distinct columns the probe walks gives each component's lowest
+    column; where c >= 2, each one's representative multiset is lifted to
+    words by each column's first word, and the first component is linked
+    to each of the others. Components share no column, so no move cancels. The word cap and the probe's caps are
     checked before any word is streamed; the words' columns must be the
     distinct columns.
     """
@@ -162,9 +162,11 @@ def moves_up_to_degree(model: Model | str, S: int, T: int, k: int) -> tuple[Move
         raise AssertionError("the columns of the words are not the distinct columns of the state walk")
     first = [words[0] for words in words_of.values()]
     moves = [Move(S=S, T=T, model=model, positive=(w0,), negative=(w,)) for w0, *rest in words_of.values() for w in rest]
-    for *_, representatives in _column_fibers(columns, k):
-        lifted = [tuple(sorted(first[c] for c in rep)) for rep in representatives]
-        moves += [Move(S=S, T=T, model=model, positive=lifted[0], negative=other) for other in lifted[1:]]
+    _, representative, fibers = _column_fibers(columns, k)
+    for degree, s, _, lows in fibers:
+        if len(lows) > 1:
+            lifted = [tuple(sorted(first[c] for c in representative(s, low, degree))) for low in lows]
+            moves += [Move(S=S, T=T, model=model, positive=lifted[0], negative=other) for other in lifted[1:]]
     return tuple(moves)
 
 
@@ -250,8 +252,7 @@ def fiber_connected(fiber: Fiber, moves: Iterable[Move]) -> tuple[bool, tuple[tu
 # ---------------------------------------------------------------------------
 # Degree-capped connectivity probe on column-multiset classes
 
-@dataclass(frozen=True)
-class FiberSummary:
+class FiberSummary(NamedTuple):
     b: tuple[int, ...]
     degree: int
     classes: int
@@ -289,7 +290,7 @@ class ConnectivityReport:
                 "moves_by_degree": self.moves_by_degree,
                 "fibers_checked": self.fibers_checked,
                 "disconnected": list(self.disconnected_fibers),
-                "fibers": [f.__dict__ | {"b": list(f.b)} for f in self.interesting_fibers],
+                "fibers": [f._asdict() | {"b": list(f.b)} for f in self.interesting_fibers],
             }
         )
 
@@ -313,24 +314,24 @@ def minimal_connecting_degree(
     1 if there is none. Degrees above D are not inspected. D above
     ``_DEFAULT_DEGREE_CAP``, or more column multisets than
     ``_MULTISET_CAP``, is refused before any work. The fibers are the
-    distinct column sums of :func:`_column_fibers`, which counts each
-    fiber's classes and components without listing them; the first
-    ``report_limit`` multi-class fibers are reported.
+    packed sums of :func:`_column_fibers`, which counts each one's classes
+    and components without listing them; only the first ``report_limit``
+    multi-class fibers are decoded and reported.
     """
     model = Model.parse(model)
     columns = _checked_columns(model, S, T, D)
     moves_by_degree: dict[int, int] = {}
     fibers_checked = 0
     interesting: list[FiberSummary] = []
-
-    for degree, b, classes, parts, _ in _column_fibers(columns, D):
+    decode, _, fibers = _column_fibers(columns, D)
+    for degree, s, classes, lows in fibers:
         fibers_checked += 1
         if classes == 1:
             continue
-        if parts > 1:
-            moves_by_degree[degree] = moves_by_degree.get(degree, 0) + parts - 1
+        if len(lows) > 1:
+            moves_by_degree[degree] = moves_by_degree.get(degree, 0) + len(lows) - 1
         if len(interesting) < report_limit:
-            interesting.append(FiberSummary(b=b, degree=degree, classes=classes, components=parts))
+            interesting.append(FiberSummary(decode(s), degree, classes, len(lows)))
 
     return ConnectivityReport(
         model=model,
@@ -343,28 +344,28 @@ def minimal_connecting_degree(
     )
 
 
-def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple[int, tuple[int, ...], int, int, tuple[tuple[int, ...], ...]]]:
-    """(degree, b, classes, components, representatives) for each sum b of 1..D of the non-negative ``columns``.
+def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> tuple[Callable, Callable, Iterator[tuple[int, int, int, list[int]]]]:
+    """The one pass over the sums of 1..D of the non-negative ``columns``: (decode, representative, fibers).
 
-    ``classes`` is the number of column multisets summing to b and
-    ``components`` the number of their components under "shares a
-    column"; each degree's sums come in colex order of b (last
-    coordinate first). Only a fiber with two or more components lists
-    multisets: one per component. Sums are packed as in :func:`_fibers`
-    (coordinate r in field r, so integer order is colex order) and kept
-    per degree with two numbers: the class count, by the multiset-counting
-    recurrence taken column by column (a multiset of degree d whose
-    largest column is c is one of degree d-1 over the columns up to c,
-    plus c), and the column mask, the union of the columns of its
-    classes. A column c of b lies in exactly the classes of b - c plus
-    c, so its neighbours are c and the mask of b - c, and the components
-    are the floods of those neighbourhoods. A component's representative
-    is its lowest column c, then the lowest column of each rest, walked
+    ``fibers`` yields (degree, s, classes, lows) per packed sum s, each
+    degree's in colex order: ``classes`` column multisets sum to s, and
+    ``lows`` has the lowest column (as a bit) of each of their components
+    under "shares a column". A sum is little-endian byte fields, field r
+    for coordinate r, as wide as D times the largest entry needs: no entry
+    is negative, so no field carries and integer order is colex order;
+    ``decode(s)`` is b, by one ``to_bytes``. Per degree a sum keeps its
+    class count (a multiset of degree d with largest column c is one of
+    degree d-1 over the columns up to c, plus c) and its column mask, the
+    union of its classes' columns. Column c of b lies in exactly the
+    classes of b - c plus c, so its neighbours are c and the mask of
+    b - c; the floods of those are the components. Only
+    :func:`moves_up_to_degree` calls ``representative(s, low, degree)``:
+    the column of ``low``, then the lowest column of each rest, walked
     down the levels.
     """
-    pack = PackedNormals(identity_matrix(len(columns[0])), D * max(map(max, columns)))
-    guard = pack.guard
-    packed = [pack.value(col) - guard for col in columns]
+    width = max(1, (D * max(map(max, columns))).bit_length() + 7 >> 3)
+    size = len(columns[0]) * width
+    packed = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in col), "little") for col in columns]
     levels: list[dict[int, list[int]]] = [{0: [1, 0]}] + [{} for _ in range(D)]  # sum -> [classes, column mask]
     for c, p in enumerate(packed):
         bit = 1 << c
@@ -378,39 +379,38 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> Iterator[tuple
                     entry[0] += count
                     entry[1] |= mask | bit
 
-    def representative(b: int, low: int, degree: int) -> tuple[int, ...]:
+    def decode(s: int) -> tuple[int, ...]:
+        raw = s.to_bytes(size, "little")
+        return tuple(raw) if width == 1 else tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width))
+
+    def representative(s: int, low: int, degree: int) -> tuple[int, ...]:
         picked = []
         for level in levels[degree - 1::-1]:  # the column of low, then the lowest column of each rest
             picked.append(low.bit_length() - 1)
-            b -= packed[picked[-1]]
-            low = level[b][1] & -level[b][1]
+            s -= packed[picked[-1]]
+            low = level[s][1] & -level[s][1]
         return tuple(sorted(picked))
 
-    for degree in range(1, D + 1):
-        below, level = levels[degree - 1], levels[degree]
-        for b in sorted(level):
-            classes, mask = level[b]
-            lows = (mask & -mask,) if classes == 1 else _shared_column_components(b, mask, below, packed)
-            representatives = tuple(representative(b, low, degree) for low in lows) if len(lows) > 1 else ()
-            yield degree, tuple(pack.decode(b + guard)), classes, len(lows), representatives
+    def fibers() -> Iterator[tuple[int, int, int, list[int]]]:
+        for degree, (below, level) in enumerate(zip(levels, levels[1:]), 1):
+            for s in sorted(level):
+                classes, mask = level[s]
+                lows = []
+                while mask:  # one flood per component, from its lowest column
+                    reach = todo = mask & -mask
+                    lows.append(reach)
+                    while todo:
+                        bit = todo & -todo
+                        todo ^= bit
+                        near = below[s - packed[bit.bit_length() - 1]][1]
+                        todo |= near & ~reach
+                        reach |= near
+                        if reach == mask:  # at once when one neighbourhood covers the rest
+                            break
+                    mask &= ~reach
+                yield degree, s, classes, lows
 
-
-def _shared_column_components(b: int, mask: int, below: dict[int, list[int]], packed: Sequence[int]) -> list[int]:
-    """The lowest column (as a bit) of each component of the columns in ``mask``, each joined to the columns of the classes of b - column."""
-    lows = []
-    while mask:
-        reach = todo = mask & -mask
-        lows.append(reach)
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            near = below[b - packed[bit.bit_length() - 1]][1]
-            todo |= near & ~reach
-            reach |= near
-            if reach == mask:  # at once when one neighbourhood covers the rest
-                return lows
-        mask &= ~reach
-    return lows
+    return decode, representative, fibers()
 
 
 def moves_to_text(moves: Sequence[Move]) -> str:

@@ -1,6 +1,7 @@
 """Fibers, moves, connectivity, and the degree probe."""
 
 import gc
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -361,6 +362,18 @@ def _column_fibers_by_search(columns, D):
             yield degree, b, len(classes), len(set(components(len(classes), edges)))
 
 
+def _decoded_fibers(vectors, D):
+    """(degree, b, classes, components, representatives) of each fiber of the pass; representatives only with two or more components."""
+    decode, representative, fibers = _column_fibers(vectors, D)
+    found = []
+    for degree, s, classes, lows in fibers:
+        representatives = tuple(representative(s, low, degree) for low in lows) if len(lows) > 1 else ()
+        found.append((degree, decode(s), classes, len(lows), representatives))
+        # each component's multiset starts at the lowest column it is flooded from
+        assert [rep[0] for rep in representatives] == [low.bit_length() - 1 for low in lows][: len(representatives)]
+    return found
+
+
 def _check_representatives(vectors, fibers):
     """Each fiber with two or more components lists one multiset per component; they sum to b and share no column."""
     for degree, b, _, parts, representatives in fibers:
@@ -376,6 +389,17 @@ def _check_representatives(vectors, fibers):
             columns.update(rep)
 
 
+def _column_fibers_by_pairs(vectors, D):
+    """Reference: the multisets of each sum, in colex order, with their components under "shares a column" by every pair of classes."""
+    expected = []
+    for degree in range(1, D + 1):
+        for b, classes in _colex(_fibers_by_combinations(vectors, degree)):
+            columns = [set(cls) for cls in classes]
+            edges = [(i, j) for i in range(len(classes)) for j in range(i) if columns[i] & columns[j]]
+            expected.append((degree, b, len(classes), len(set(components(len(classes), edges)))))
+    return expected
+
+
 @pytest.mark.parametrize(
     "model, S, T, D",
     [(Model.D, 3, 4, 4), (Model.D, 3, 5, 3)] + [(model, 2, T, 3) for model in Model for T in range(3, 7)],
@@ -383,7 +407,7 @@ def _check_representatives(vectors, fibers):
 )
 def test_column_fibers_match_the_multiset_search(model, S, T, D):
     columns = distinct_columns(model, S, T)
-    fibers = list(_column_fibers(columns, D))
+    fibers = _decoded_fibers(columns, D)
     assert [f[:4] for f in fibers] == list(_column_fibers_by_search(columns, D))
     _check_representatives(columns, fibers)
 
@@ -392,25 +416,77 @@ def test_column_fibers_match_the_multiset_search(model, S, T, D):
 @given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=6), st.integers(1, 4))
 def test_column_fibers_of_any_small_vectors(vectors, D):
     # duplicates, zero vectors and unequal coordinate sums, unlike design columns
-    expected = []
-    for degree in range(1, D + 1):
-        for b, classes in _colex(_fibers_by_combinations(vectors, degree)):
-            columns = [set(cls) for cls in classes]
-            edges = [(i, j) for i in range(len(classes)) for j in range(i) if columns[i] & columns[j]]
-            expected.append((degree, b, len(classes), len(set(components(len(classes), edges)))))
-    fibers = list(_column_fibers(vectors, D))
-    assert [f[:4] for f in fibers] == expected
+    fibers = _decoded_fibers(vectors, D)
+    assert [f[:4] for f in fibers] == _column_fibers_by_pairs(vectors, D)
+    _check_representatives(vectors, fibers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 300), min_size=3, max_size=3), min_size=1, max_size=4),
+    st.integers(1, 2).flatmap(lambda D: st.tuples(st.just(D), st.integers(-(-256 // D), 300))),
+    st.randoms(use_true_random=False),
+)
+def test_column_fibers_of_two_byte_fields(vectors, D_wide, rng):
+    # a zero vector, a duplicate and an entry of at least 256 / D, so the sums need 2-byte fields
+    D, wide = D_wide
+    vectors = vectors + [[0, 0, 0], vectors[0], [0, wide, 0]]
+    rng.shuffle(vectors)
+    fibers = _decoded_fibers(vectors, D)
+    assert [f[:4] for f in fibers] == _column_fibers_by_pairs(vectors, D)
+    assert max(max(b) for _, b, *_ in fibers) >= 256
+    _check_representatives(vectors, fibers)
+
+
+def test_column_fibers_of_three_byte_fields():
+    # every entry fits 2 bytes, but D times the largest is 120,000, past 65,536: each field is 3 bytes
+    vectors = [(40000, 1, 0), (30000, 0, 1), (60000, 0, 0), (10000, 1, 1), (0, 0, 0)]
+    fibers = _decoded_fibers(vectors, 2)
+    assert [f[:4] for f in fibers] == _column_fibers_by_pairs(vectors, 2)
+    assert (2, (70000, 1, 1), 2, 2, ((0, 1), (2, 3))) in fibers
+    assert (2, (120000, 0, 0), 1, 1, ()) in fibers
     _check_representatives(vectors, fibers)
 
 
 def test_column_fibers_come_in_colex_order_within_a_degree():
-    fibers = [(degree, b) for degree, b, *_ in _column_fibers([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)]
+    fibers = [(degree, b) for degree, b, *_ in _decoded_fibers([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)]
     assert fibers == [
         (1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)),
         (2, (2, 0, 0)), (2, (1, 1, 0)), (2, (0, 2, 0)), (2, (1, 0, 1)), (2, (0, 1, 1)), (2, (0, 0, 2)),
     ]
-    sums = [(degree, b[::-1]) for degree, b, *_ in _column_fibers(distinct_columns(Model.D, 3, 5), 3)]
+    sums = [(degree, b[::-1]) for degree, b, *_ in _decoded_fibers(distinct_columns(Model.D, 3, 5), 3)]
     assert sums == sorted(sums)
+
+
+# (T, D) -> fibers_checked, moves_by_degree, multi-class fibers, sha256 of to_json() with every one reported
+_BENCHMARK_PROBES = {
+    (4, 4): (2408, {2: 72}, 1662, "cd988988adedd8bd9e7903299a4291b46463b42cf280fb03226f495bdc42d960"),
+    (5, 4): (5216, {2: 210}, 3849, "86f2eeda60161f030a992553e2d0265dd720d3f11580620105d34c9c93e9572f"),
+    (6, 4): (11775, {2: 675}, 9853, "2c70c72058b47886b4e2426ece421e6ee8d7386cbcf4eb0b189aced62a22695e"),
+    (7, 3): (4443, {2: 1495}, 3767, "adc74bcb7843193478d873f7b22bf04c2a0cc88b94c5e60c46dc035b2144c114"),
+    (8, 3): (7892, {2: 3444}, 6903, "ed922695d1dc5363a4411efe956165800111725704332adf1ad5af06eaa71ed7"),
+}
+
+
+@pytest.mark.parametrize("T, D", list(_BENCHMARK_PROBES), ids=lambda v: str(v))
+def test_benchmark_probes_are_pinned(T, D):
+    report = minimal_connecting_degree(Model.D, 3, T, D, report_limit=10**9)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert (report.fibers_checked, report.moves_by_degree, len(report.interesting_fibers), digest) == _BENCHMARK_PROBES[T, D]
+
+
+def test_minimal_basis_text_is_pinned():
+    text = moves_to_text(moves_up_to_degree(Model.D, 3, 5, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == "139c906c8a34276c911eb9cf7c5a64f64e1c19fc3385d8cbca336ca38371430c"
+
+
+@pytest.mark.parametrize("limit", [0, 1, 50, 890, 891])
+def test_report_limit_keeps_the_first_fibers_of_the_full_list(limit):
+    full = minimal_connecting_degree(Model.D, 3, 5, 3, report_limit=10**9)
+    report = minimal_connecting_degree(Model.D, 3, 5, 3, report_limit=limit)
+    assert len(full.interesting_fibers) == 891
+    assert report.interesting_fibers == full.interesting_fibers[:limit]
+    assert (report.fibers_checked, report.moves_by_degree) == (full.fibers_checked, full.moves_by_degree)
 
 
 def test_probe_pins_the_degree_three_moves_of_four_states():
