@@ -19,9 +19,7 @@ from .stategraph import (
     StateGraph,
     classify_Gmn,
     cycle_decomposition,
-    enumerate_Gmn,
     eulerian_path,
-    f_T,
     pivot_paths,
 )
 from .words import enumerate_words, word_count
@@ -39,10 +37,8 @@ __all__ = [
     "column_of_word",
     "cycle_decomposition",
     "distinct_columns",
-    "enumerate_Gmn",
     "enumerate_words",
     "eulerian_path",
-    "f_T",
     "kernel_lattice_basis",
     "pivot_paths",
     "residue_test",

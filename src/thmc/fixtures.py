@@ -119,13 +119,16 @@ def load_tables() -> dict[str, dict[int, tuple[int, tuple[int, ...]]]]:
     current: dict[int, tuple[int, tuple[int, ...]]] | None = None
     for line, parts in _data_lines("tables.txt"):
         if parts[0] == "table":
-            current = tables.setdefault(parts[1], {})
+            table, current = parts[1], tables.setdefault(parts[1], {})
         elif parts[0] == "T":
             if current is None:
                 raise ValueError("tables.txt: 'T' row before the first 'table' line")
             if len(parts) < 5 or parts[2] != "hb" or parts[4] != "f":
                 raise ValueError(f"tables.txt: malformed row {line.strip()!r}")
-            current[int(parts[1])] = (int(parts[3]), tuple(int(x) for x in parts[5:]))
+            T = int(parts[1])
+            if T in current:
+                raise ValueError(f"tables.txt: table {table}: second row for T={T}")
+            current[T] = (int(parts[3]), tuple(int(x) for x in parts[5:]))
     return tables
 
 
@@ -140,6 +143,8 @@ def load_hyperplane_blocks(model: Model | str) -> dict[int, tuple[IntVec, ...]]:
     for line, parts in _data_lines(name):
         if parts[0] == "T":
             cur = int(parts[1])
+            if cur in lines_by_T:
+                raise ValueError(f"{name}: second block for T={cur}")
             lines_by_T[cur] = []
         elif cur is None:
             raise ValueError(f"{name}: matrix row before the first 'T' line")

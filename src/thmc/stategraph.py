@@ -13,7 +13,6 @@ difference of their columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .design import Model, column_of_word, transition_pairs
@@ -286,40 +285,3 @@ def classify_Gmn(graph: StateGraph) -> GmnClass:
     orientations = (decomp.three_cycles_cw > 0) + (decomp.three_cycles_ccw > 0)
     member = pair_types <= 1 and orientations <= 1
     return GmnClass(m=decomp.m, n=decomp.n, member_of_script_G=member)
-
-
-def f_T(T: int, t: int) -> int:
-    """floor((T-1-2t)/3) on 0 <= 2t <= T-1, zero outside."""
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    if 0 <= 2 * t <= T - 1:
-        return (T - 1 - 2 * t) // 3
-    return 0
-
-
-def enumerate_Gmn(T: int, m: int) -> tuple[StateGraph, ...]:
-    """All graphs of G_{m, f_T(m)}: the at-most-18 case constructions.
-
-    Choices: which pair carries the two-cycles (3), which orientation
-    the three-cycles take (2), which one or two edges of that orientation
-    carry the leftover (at most 3). Empty when 2m > T-1.
-    """
-    if m < 0 or T < 1:
-        raise ValueError("need m >= 0 and T >= 1")
-    if 2 * m > T - 1:
-        return ()
-    n = f_T(T, m)
-    r = (T - 1) - 2 * m - 3 * n
-    graphs: set[StateGraph] = set()
-    edges = transition_pairs(3, True)
-    for (i, j), orientation in product(_PAIRS3, (_CW3, _CCW3)):
-        for leftover in combinations(orientation, r):
-            x = [m * (e in ((i, j), (j, i))) + n * (e in orientation) + (e in leftover) for e in edges]
-            graph = graph_of_transition_vector(x, 3)
-            cls = classify_Gmn(graph)
-            if cls.member_of_script_G and (cls.m, cls.n) == (m, n) and start_states(graph):
-                graphs.add(graph)
-    result = tuple(sorted(graphs, key=lambda g: g.x))
-    if len(result) > 18:
-        raise AssertionError(f"{len(result)} graphs in G_{{{m},{n}}}, more than the 18 constructions")
-    return result

@@ -107,9 +107,23 @@ def test_ragged_hyperplane_block_is_a_value_error(monkeypatch):
         load_hyperplane_blocks(Model.C)
 
 
+def test_repeated_hyperplane_block_is_a_value_error(monkeypatch):
+    # a second block for T would otherwise replace the first
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: "T 4\n1 0\n0 1\nT 4\n5\n5\n")
+    with pytest.raises(ValueError, match="hyperplanes_d.txt: second block for T=4"):
+        load_hyperplane_blocks(Model.D)
+
+
 def test_table_row_before_any_table_line_is_a_value_error(monkeypatch):
     monkeypatch.setattr(fixtures, "_read_data", lambda name: "T 4 hb 20 f 20 69 90 51 12\ntable d\n")
     with pytest.raises(ValueError, match="tables.txt"):
+        load_tables()
+
+
+def test_repeated_table_row_is_a_value_error(monkeypatch):
+    # a second row for T would otherwise replace the first
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: "table d\nT 4 hb 20 f 1 2 3\nT 4 hb 21 f 1 2 3\n")
+    with pytest.raises(ValueError, match="tables.txt: table d: second row for T=4"):
         load_tables()
 
 

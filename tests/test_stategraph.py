@@ -5,17 +5,16 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from thmc.design import Model, column_of_word, compositions, transition_pairs
+from thmc.design import Model, column_of_word, compositions, distinct_columns, transition_pairs
 from thmc.stategraph import (
     NoEulerianPath,
     StateGraph,
     classify_Gmn,
     cycle_decomposition,
-    enumerate_Gmn,
     eulerian_path,
-    f_T,
     graph_of_transition_vector,
     graph_of_word,
+    middle_class_decomposition,
     start_states,
 )
 from thmc.words import iter_words
@@ -116,32 +115,30 @@ def test_classify_examples():
     assert not classify_Gmn(g).member_of_script_G
 
 
-def test_f_T_values():
-    assert f_T(13, 3) == 2
-    assert f_T(5, 3) == 0
-    assert f_T(10, 0) == 3
-
-
-def test_enumerate_Gmn_nonempty_in_range():
+def test_script_G_columns_by_class():
+    # G_{m,f(m)} read off the model-d columns: for 0 <= m <= p = (T-1)//2 the columns in script G of class m
+    # are the paper's at-most-18 case constructions, each with n = f(m) = (T-1-2m)//3
+    graphs = splits = 0
     for T in range(3, 26):
-        for m in range(0, (T - 1) // 2 + 1):
-            graphs = enumerate_Gmn(T, m)
-            assert graphs, (T, m)
-            assert len(graphs) <= 18
-            for g in graphs:
-                assert g.edge_count == T - 1
-                cls = classify_Gmn(g)
-                assert cls.member_of_script_G and cls.m == m and cls.n == f_T(T, m)
-
-
-def test_enumerate_Gmn_empty_beyond_range():
-    assert enumerate_Gmn(9, 5) == ()
-    assert enumerate_Gmn(4, 2) == ()
-
-
-def test_enumerate_Gmn_members_are_word_graphs():
-    for T in (5, 8, 11):
-        for m in range(0, (T - 1) // 2 + 1):
-            for g in enumerate_Gmn(T, m):
-                word = eulerian_path(g)
-                assert graph_of_word(word, 3) == g
+        columns = set(distinct_columns(Model.D, 3, T))
+        p = (T - 1) // 2
+        by_class: dict[int, list[tuple[int, ...]]] = {}
+        for x in columns:
+            cls = classify_Gmn(graph_of_transition_vector(x, 3))
+            if cls.member_of_script_G:
+                assert cls.n == (T - 1 - 2 * cls.m) // 3, (T, x)
+                by_class.setdefault(cls.m, []).append(x)
+        assert sorted(by_class) == list(range(p + 1)), T  # every class up to p, none beyond
+        assert max(map(len, by_class.values())) <= 18, T
+        graphs += sum(map(len, by_class.values()))
+        if T in (5, 8, 11):
+            for x in (x for xs in by_class.values() for x in xs):
+                graph = graph_of_transition_vector(x, 3)
+                assert graph_of_word(eulerian_path(graph), 3) == graph
+        # the finite-vertex proof step: each middle-class graph, 3 <= m <= p-3, is the midpoint of two columns
+        for x in (x for m in range(3, p - 2) for x in by_class[m]):
+            y, z = middle_class_decomposition(x)
+            assert y != z and {y, z} <= columns, (T, x)
+            assert tuple(a + b for a, b in zip(y, z)) == tuple(2 * v for v in x)
+            splits += 1
+    assert (graphs, splits) == (2038, 654)
