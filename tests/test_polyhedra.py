@@ -668,6 +668,25 @@ def test_middle_class_graph_is_not_vertex():
     assert x not in verts
 
 
+def test_every_middle_class_graph_is_a_midpoint_of_two_columns():
+    # the finite-vertex proof step: each model-d column in script G of class 3 <= m <= p-3 splits as (y + z) / 2,
+    # y != z columns
+    from thmc.stategraph import classify_Gmn, graph_of_transition_vector, middle_class_decomposition
+
+    split = 0
+    for T in range(13, 26):
+        cols = set(model_d_columns(T))
+        p = (T - 1) // 2
+        for x in cols:
+            cls = classify_Gmn(graph_of_transition_vector(x, 3))
+            if cls.member_of_script_G and 3 <= cls.m <= p - 3:
+                y, z = middle_class_decomposition(x)
+                assert y != z and y in cols and z in cols, (T, x)
+                assert tuple(a + b for a, b in zip(y, z)) == tuple(2 * v for v in x)
+                split += 1
+    assert split == 654
+
+
 def test_vertices_have_one_two_cycle_type():
     # a column with two distinct two-cycle types is never a vertex
     from thmc.stategraph import classify_Gmn, graph_of_transition_vector

@@ -1,5 +1,6 @@
 """State graphs, Euler paths, cycle decompositions, G_{m,n}."""
 
+import functools
 import re
 
 import pytest
@@ -14,7 +15,6 @@ from thmc.stategraph import (
     eulerian_path,
     graph_of_transition_vector,
     graph_of_word,
-    middle_class_decomposition,
     start_states,
 )
 from thmc.words import iter_words
@@ -115,30 +115,49 @@ def test_classify_examples():
     assert not classify_Gmn(g).member_of_script_G
 
 
-def test_script_G_columns_by_class():
-    # G_{m,f(m)} read off the model-d columns: for 0 <= m <= p = (T-1)//2 the columns in script G of class m
-    # are the paper's at-most-18 case constructions, each with n = f(m) = (T-1-2m)//3
-    graphs = splits = 0
+@functools.cache
+def _script_G_columns(T):
+    # G_{m,f(m)} read off the model-d columns: class m -> the columns classify_Gmn puts in script G with class m
+    by_class: dict[int, list[tuple[int, ...]]] = {}
+    for x in distinct_columns(Model.D, 3, T):
+        cls = classify_Gmn(graph_of_transition_vector(x, 3))
+        if cls.member_of_script_G:
+            by_class.setdefault(cls.m, []).append(x)
+    return by_class
+
+
+def test_f_T_values():
+    # n = f(m) = (T-1-2m)//3 on every script-G column of class m
+    for T, m, n in ((13, 3, 2), (10, 0, 3), (7, 3, 0)):
+        for x in _script_G_columns(T)[m]:
+            assert classify_Gmn(graph_of_transition_vector(x, 3)).n == n, (T, x)
+
+
+def test_enumerate_Gmn_nonempty_in_range():
+    # for 0 <= m <= p = (T-1)//2 the columns of class m are the paper's at-most-18 case constructions
+    graphs = 0
     for T in range(3, 26):
-        columns = set(distinct_columns(Model.D, 3, T))
-        p = (T - 1) // 2
-        by_class: dict[int, list[tuple[int, ...]]] = {}
-        for x in columns:
-            cls = classify_Gmn(graph_of_transition_vector(x, 3))
-            if cls.member_of_script_G:
-                assert cls.n == (T - 1 - 2 * cls.m) // 3, (T, x)
-                by_class.setdefault(cls.m, []).append(x)
-        assert sorted(by_class) == list(range(p + 1)), T  # every class up to p, none beyond
-        assert max(map(len, by_class.values())) <= 18, T
-        graphs += sum(map(len, by_class.values()))
-        if T in (5, 8, 11):
-            for x in (x for xs in by_class.values() for x in xs):
-                graph = graph_of_transition_vector(x, 3)
-                assert graph_of_word(eulerian_path(graph), 3) == graph
-        # the finite-vertex proof step: each middle-class graph, 3 <= m <= p-3, is the midpoint of two columns
-        for x in (x for m in range(3, p - 2) for x in by_class[m]):
-            y, z = middle_class_decomposition(x)
-            assert y != z and {y, z} <= columns, (T, x)
-            assert tuple(a + b for a, b in zip(y, z)) == tuple(2 * v for v in x)
-            splits += 1
-    assert (graphs, splits) == (2038, 654)
+        for m in range((T - 1) // 2 + 1):
+            columns = _script_G_columns(T)[m]
+            assert 0 < len(columns) <= 18, (T, m)
+            for x in columns:
+                g = graph_of_transition_vector(x, 3)
+                assert g.edge_count == T - 1
+                assert classify_Gmn(g).n == (T - 1 - 2 * m) // 3, (T, x)
+            graphs += len(columns)
+    assert graphs == 2038
+
+
+def test_enumerate_Gmn_empty_beyond_range():
+    assert 5 not in _script_G_columns(9)
+    assert 2 not in _script_G_columns(4)
+    for T in range(3, 26):
+        assert sorted(_script_G_columns(T)) == list(range((T - 1) // 2 + 1)), T
+
+
+def test_enumerate_Gmn_members_are_word_graphs():
+    for T in (5, 8, 11):
+        for columns in _script_G_columns(T).values():
+            for x in columns:
+                g = graph_of_transition_vector(x, 3)
+                assert graph_of_word(eulerian_path(g), 3) == g
