@@ -123,11 +123,12 @@ def cmd_hyperplanes(args: argparse.Namespace) -> int:
     if args.check_fixture and missing:  # refused before the first T is computed
         print(f"no fixture block for T={', '.join(map(str, missing))}", file=sys.stderr)
         return _USAGE_ERROR
+    facets_of = {T: fv[-1] for T, (_, fv) in fixtures.load_tables()[model.value].items()} if args.check_fixture else {}
     failed = False
     for T in T_values:
         nontrivial, hrep = verify.computed_nontrivial_facets(model, T)
         if args.check_fixture:
-            cmp = fixtures.compare_hyperplanes(model, T, nontrivial, len(hrep.inequalities))
+            cmp = fixtures.compare_hyperplanes(model, T, blocks[T], facets_of.get(T), nontrivial, len(hrep.inequalities))
             failed |= not cmp.ok
             print(f"T={T:2d}: {len(nontrivial)} nontrivial facets, fixture match {'PASS' if cmp.ok else 'FAIL'}")
             for h in cmp.fixture_only:

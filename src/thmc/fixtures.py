@@ -45,22 +45,25 @@ class DesignFixture:
 
 
 def load_design_fixture(model: Model | str) -> DesignFixture:
+    """The printed matrix; a header line (``S``, ``T``, ``words``) given twice, or a row not as long as the words, is a ``ValueError``."""
     model = Model.parse(model)
-    words: tuple[tuple[int, ...], ...] = ()
-    labels: list[str] = []
-    rows: list[tuple[int, ...]] = []
-    S = T = 0
-    for _, parts in _data_lines(f"design_{model.value}_{2 if not model.no_loops else 3}_4.txt"):
-        if parts[0] == "S":
-            S = int(parts[1])
-        elif parts[0] == "T":
-            T = int(parts[1])
-        elif parts[0] == "words":
-            words = tuple(parse_word(tok) for tok in parts[1:])
-        elif parts[0] == "row":
-            labels.append(parts[1])
-            rows.append(tuple(int(x) for x in parts[2:]))
-    return DesignFixture(model=model, S=S, T=T, words=words, labels=tuple(labels), rows=tuple(rows))
+    name = f"design_{model.value}_{2 if not model.no_loops else 3}_4.txt"
+    header: dict[str, list[str]] = {}
+    printed: list[list[str]] = []  # label and entries of each row line
+    for _, (key, *rest) in _data_lines(name):
+        if key == "row":
+            printed.append(rest)
+        elif key in header:
+            raise ValueError(f"{name}: second '{key}' line")
+        else:
+            header[key] = rest
+    words = tuple(map(parse_word, header.get("words", ())))
+    for label, *row in printed:
+        if len(row) != len(words):
+            raise ValueError(f"{name}: row {label} has {len(row)} entries for {len(words)} words")
+    S, T = (int(header.get(key, [0])[0]) for key in ("S", "T"))
+    rows = tuple(tuple(map(int, row)) for _, *row in printed)
+    return DesignFixture(model=model, S=S, T=T, words=words, labels=tuple(label for label, *_ in printed), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -180,16 +183,17 @@ class HyperplaneComparison:
         return not self.fixture_only and not self.computed_only and self.expected_facets in (None, self.facets)
 
 
-def compare_hyperplanes(model: Model | str, T: int, computed_nontrivial: tuple[IntVec, ...], facets: int) -> HyperplaneComparison:
-    model = Model.parse(model)
-    fixture = set(load_hyperplane_blocks(model)[T])
+def compare_hyperplanes(
+    model: Model, T: int, printed: tuple[IntVec, ...], expected_facets: int | None, computed_nontrivial: tuple[IntVec, ...], facets: int
+) -> HyperplaneComparison:
+    """The printed block of T and its table row's facet count (None without a row), loaded once by the caller, against the cone."""
+    fixture = set(printed)
     computed = set(computed_nontrivial)
-    row = load_tables()[model.value].get(T)
     return HyperplaneComparison(
         model=model,
         T=T,
         fixture_only=tuple(sorted(fixture - computed)),
         computed_only=tuple(sorted(computed - fixture)),
         facets=facets,
-        expected_facets=None if row is None else row[1][-1],
+        expected_facets=expected_facets,
     )

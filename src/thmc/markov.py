@@ -26,7 +26,7 @@ from .stategraph import components
 from .words import Word, word_count, word_index
 
 _DEFAULT_DEGREE_CAP = 4
-_DEFAULT_WORD_CAP = 20000
+_FIBER_WORD_CAP = 20000
 _MOVES_WORD_CAP = 2000
 _MULTISET_CAP = 10**6
 
@@ -99,21 +99,15 @@ class Move:
         return tuple(vec)
 
 
-def enumerate_fiber(
-    model: Model | str,
-    S: int,
-    T: int,
-    b: Sequence[int],
-    *,
-    word_cap: int = _DEFAULT_WORD_CAP,
-) -> Fiber:
+def enumerate_fiber(model: Model | str, S: int, T: int, b: Sequence[int]) -> Fiber:
     """All word multisets with marginal b, in lexicographic order.
 
     Only words whose column is <= b in every coordinate can occur; the
     multisets of those columns that :func:`_fibers` finds summing to b
     are the fiber. With no such word the fiber is empty, except at b = 0, whose
     one element is the empty multiset. A b whose length is not the
-    model's row count raises :class:`DimensionMismatch` before any word
+    model's row count raises :class:`DimensionMismatch`, and more than
+    ``_FIBER_WORD_CAP`` words :class:`SizeCapExceeded`, before any word
     is streamed.
     """
     model = Model.parse(model)
@@ -127,8 +121,8 @@ def enumerate_fiber(
     if degree:  # degree 0 needs no search: see the b = 0 case below
         check_degree("marginal", degree)
     m = word_count(S, T, model.no_loops)
-    if m > word_cap:
-        raise SizeCapExceeded(f"{m} words exceed the word cap {word_cap}")
+    if m > _FIBER_WORD_CAP:
+        raise SizeCapExceeded(f"{m} words exceed the word cap {_FIBER_WORD_CAP}")
     fitting = [(w, col) for w, col in iter_columns(model, S, T) if all(map(le, col, b))]
     if not fitting:
         return Fiber(elements=() if any(b) else ((),))

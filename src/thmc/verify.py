@@ -228,10 +228,13 @@ def computed_nontrivial_facets(model: Model, T: int) -> tuple[tuple[tuple[int, .
 def check_hyperplanes(seed: int) -> tuple[bool, str]:
     ok = True
     parts = []
+    tables = fixtures.load_tables()
     for model in (Model.D, Model.C):
-        for T in sorted(fixtures.load_hyperplane_blocks(model)):
+        blocks = fixtures.load_hyperplane_blocks(model)
+        facets_of = {T: fv[-1] for T, (_, fv) in tables[model.value].items()}
+        for T in sorted(blocks):
             nontrivial, hrep = computed_nontrivial_facets(model, T)
-            cmp = fixtures.compare_hyperplanes(model, T, nontrivial, len(hrep.inequalities))
+            cmp = fixtures.compare_hyperplanes(model, T, blocks[T], facets_of.get(T), nontrivial, len(hrep.inequalities))
             ok &= cmp.ok
             parts.append(f"{model.value}/T={T}:{'PASS' if cmp.ok else 'FAIL'}")
     return ok, " ".join(parts)

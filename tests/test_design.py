@@ -120,7 +120,8 @@ def test_probability_exponents_match_design_column():
 
 @pytest.mark.parametrize(
     "model,S,T",
-    [(Model.D, 3, 8), (Model.C, 3, 7)]
+    # criterion 4's witnesses rest on these columns; its largest cases a/S=3/T=8 and b/S=3/T=8 (b/S=2/T=8 is in the S=2 range)
+    [(Model.D, 3, 8), (Model.C, 3, 7), (Model.A, 3, 8), (Model.B, 3, 8)]
     + [(model, S, T) for model in Model for S, top in [(2, 9), (3, 6), (4, 5)] for T in range(1, top + 1)],
 )
 def test_distinct_columns_fast_path_matches_streaming(model, S, T):

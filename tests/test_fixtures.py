@@ -79,19 +79,59 @@ def test_hyperplane_T4_contains_printed_column():
 def test_compare_hyperplanes_detects_mismatch():
     blocks = load_hyperplane_blocks(Model.D)
     tampered = tuple(sorted(blocks[4][:-1] + ((9, 9, 9, 9, 9, 9),)))
-    cmp = compare_hyperplanes(Model.D, 4, tampered, 12)
+    cmp = compare_hyperplanes(Model.D, 4, blocks[4], 12, tampered, 12)
     assert not cmp.ok
     assert cmp.fixture_only and cmp.computed_only
 
 
-def test_compare_hyperplanes_checks_the_facet_count_of_the_table_row(monkeypatch):
+def test_compare_hyperplanes_checks_the_facet_count_of_the_table_row():
     # d/T=4 has 12 facets, the last entry of its f-vector; without a table row only the normals are checked
     normals = load_hyperplane_blocks(Model.D)[4]
-    assert compare_hyperplanes(Model.D, 4, normals, 12).ok
-    cmp = compare_hyperplanes(Model.D, 4, normals, 11)
+    assert load_tables()["d"][4][1][-1] == 12
+    assert compare_hyperplanes(Model.D, 4, normals, 12, normals, 12).ok
+    cmp = compare_hyperplanes(Model.D, 4, normals, 12, normals, 11)
     assert not cmp.ok and not cmp.fixture_only and not cmp.computed_only
-    monkeypatch.setattr(fixtures, "load_tables", lambda: {"d": {}})
-    assert compare_hyperplanes(Model.D, 4, normals, 11).ok
+    assert compare_hyperplanes(Model.D, 4, normals, None, normals, 11).ok
+
+
+def test_hyperplane_check_reads_each_data_file_once(monkeypatch, capsys):
+    # the printed blocks and the table are loaded once per run, not once per T
+    from thmc.cli import main
+
+    real = fixtures._read_data
+    reads = []
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: reads.append(name) or real(name))
+    assert main(["hyperplanes", "--model", "d", "--check-fixture"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 12
+    assert sorted(reads) == ["hyperplanes_d.txt", "tables.txt"]
+
+
+def _patch_design_text(monkeypatch, edit):
+    """Serve the shipped model-a design fixture with its lines passed through ``edit``."""
+    text = "\n".join(edit(fixtures._read_data("design_a_2_4.txt").splitlines())) + "\n"
+    monkeypatch.setattr(fixtures, "_read_data", lambda name: text)
+
+
+def test_design_fixture_row_longer_than_the_words_is_a_value_error(monkeypatch):
+    # zipping the rows into columns would cut the extra entry off and the fixture would still match
+    def one_more_entry(lines):
+        first_row = next(i for i, line in enumerate(lines) if line.startswith("row "))
+        return lines[:first_row] + [lines[first_row] + " 0"] + lines[first_row + 1 :]
+
+    _patch_design_text(monkeypatch, one_more_entry)
+    with pytest.raises(ValueError, match="design_a_2_4.txt: row 1 has 17 entries for 16 words"):
+        load_design_fixture(Model.A)
+
+
+def test_design_fixture_second_T_line_is_a_value_error(monkeypatch):
+    # a second T line would otherwise replace the first
+    def T_twice(lines):
+        T_line = lines.index("T 4")
+        return lines[: T_line + 1] + ["T 5"] + lines[T_line + 1 :]
+
+    _patch_design_text(monkeypatch, T_twice)
+    with pytest.raises(ValueError, match="design_a_2_4.txt: second 'T' line"):
+        load_design_fixture(Model.A)
 
 
 def test_hyperplane_row_before_any_T_line_is_a_value_error(monkeypatch):

@@ -6,12 +6,13 @@ import sys
 from dataclasses import replace
 from itertools import product
 from math import prod
+from operator import le, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import thmc.design
 import thmc.hilbert
-import thmc.markov
 from thmc.design import Model, SizeCapExceeded, distinct_columns
 from thmc.hilbert import (
     RangeExceeded,
@@ -167,47 +168,56 @@ def test_oracle_uses_no_double_description(monkeypatch):
 
 
 def test_witness_a_3_4():
-    w = nonnormality_witness(Model.A, 3, 4)
-    assert w.h == (1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 2, 1)
+    assert nonnormality_witness(Model.A, 3, 4) == (1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 2, 1)
 
 
 def test_witness_a_3_6():
-    w = nonnormality_witness(Model.A, 3, 6)
-    assert w.h == (1, 0, 1, 3, 1, 0, 0, 0, 1, 0, 2, 3)
+    assert nonnormality_witness(Model.A, 3, 6) == (1, 0, 1, 3, 1, 0, 0, 0, 1, 0, 2, 3)
 
 
 def test_witness_a_3_10_beyond_the_fiber_word_cap():
-    # 3^10 = 59,049 words, over enumerate_fiber's default cap of 20,000
-    w = nonnormality_witness(Model.A, 3, 10)
-    assert w.h == (1, 0, 1, 7, 1, 0, 0, 0, 1, 0, 2, 7)
+    # 3^10 = 59,049 words, over enumerate_fiber's cap of 20,000; the witness reads the 4,662 distinct columns
+    assert nonnormality_witness(Model.A, 3, 10) == (1, 0, 1, 7, 1, 0, 0, 0, 1, 0, 2, 7)
 
 
-def test_witness_a_3_15_is_refused_before_any_word_is_streamed(monkeypatch):
-    # 3^15 = 14,348,907 words exceed the design-matrix cap of 10^7
-    def refuse(*args, **kwargs):
-        raise AssertionError("words were streamed")
+@pytest.mark.parametrize("T", [14, 15])
+def test_witness_a_3_at_T_14_and_15(T):
+    # as a word fiber, T=14 streamed 4,782,969 words and T=15's 14,348,907 were over the cap of 10^7;
+    # the distinct columns (35,955 at T=15) stay within it
+    assert nonnormality_witness(Model.A, 3, T) == (1, 0, 1, T - 3, 1, 0, 0, 0, 1, 0, 2, T - 3)
 
-    monkeypatch.setattr(thmc.markov, "iter_columns", refuse)
-    with pytest.raises(SizeCapExceeded, match="14348907 words"):
-        nonnormality_witness(Model.A, 3, 15)
+
+def test_witness_a_3_25_is_refused_before_the_column_walk(monkeypatch):
+    # 3^25 words and C(32, 8) = 10,518,300 compositions of T-1 both exceed the cap of 10^7
+    real = thmc.hilbert.distinct_columns
+
+    def refuse(*args):
+        raise AssertionError("the column walk started")
+
+    def walk_refused(*args):  # checks (i), (ii) and the formula read columns of words; the walk may not start
+        monkeypatch.setattr(thmc.design, "_rows", refuse)
+        return real(*args)
+
+    monkeypatch.setattr(thmc.hilbert, "distinct_columns", walk_refused)
+    with pytest.raises(SizeCapExceeded, match="both exceed the cap"):
+        nonnormality_witness(Model.A, 3, 25)
 
 
 def test_witness_b_2_5():
-    w = nonnormality_witness(Model.B, 2, 5)
-    assert w.h == (1, 0, 0, 3)
+    assert nonnormality_witness(Model.B, 2, 5) == (1, 0, 0, 3)
 
 
 def test_witness_b_3_4():
-    w = nonnormality_witness(Model.B, 3, 4)
-    assert sum(w.h) == 3
-    assert w.h[0] == 1  # the (1,1) transition coordinate
+    h = nonnormality_witness(Model.B, 3, 4)
+    assert sum(h) == 3
+    assert h[0] == 1  # the (1,1) transition coordinate
 
 
 def test_witness_a_4_5():
-    w = nonnormality_witness(Model.A, 4, 5)
-    assert len(w.h) == 4 + 16
+    h = nonnormality_witness(Model.A, 4, 5)
+    assert len(h) == 4 + 16
     # only states 1..3 participate; all state-4 coordinates are zero
-    assert w.h[3] == 0
+    assert h[3] == 0
 
 
 def test_witness_rejects_wrong_models():
@@ -219,15 +229,29 @@ def test_witness_rejects_wrong_models():
 
 @pytest.mark.parametrize("model,S,T", [(Model.A, 3, 4), (Model.B, 2, 5)])
 def test_witness_fails_when_its_fiber_is_not_empty(monkeypatch, model, S, T):
-    # check (iii) must reject h once A x = h has a non-negative integer solution
-    real = thmc.hilbert.enumerate_fiber
+    # check (iii) must reject h once it is a sum of deg(h) columns: the degree-1 h of b/S=2/T=5
+    # once h is a column, the degree-2 h of a/S=3/T=4 once h - c is one for a column c <= h
+    h = nonnormality_witness(model, S, T)
+    real = thmc.hilbert.distinct_columns
 
-    def with_a_solution(model, S, T, h, **caps):
-        return replace(real(model, S, T, h, **caps), elements=(((1,) * T,),))
+    def with_a_solution(model, S, T):
+        columns = real(model, S, T)
+        if model is Model.A:
+            c = next(c for c in columns if all(map(le, c, h)))
+            return tuple(sorted(columns + (tuple(map(sub, h, c)),)))
+        return tuple(sorted(columns + (h,)))
 
-    monkeypatch.setattr(thmc.hilbert, "enumerate_fiber", with_a_solution)
+    monkeypatch.setattr(thmc.hilbert, "distinct_columns", with_a_solution)
     with pytest.raises(WitnessVerificationFailed, match="non-negative integer solution"):
         nonnormality_witness(model, S, T)
+
+
+def test_witness_beyond_degree_2_is_refused(monkeypatch):
+    # a/S=4/T=5 has no printed formula to compare with; doubled columns double h to degree 4
+    real = thmc.hilbert.column_of_word
+    monkeypatch.setattr(thmc.hilbert, "column_of_word", lambda model, S, w: tuple(2 * x for x in real(model, S, w)))
+    with pytest.raises(WitnessVerificationFailed, match="degree 4"):
+        nonnormality_witness(Model.A, 4, 5)
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,19 @@ def test_move_degree_guard_runs_before_the_word_stream(monkeypatch):
         moves_up_to_degree(Model.D, 3, 6, 5)
 
 
+def test_fiber_word_cap_is_checked_before_any_word_is_streamed(monkeypatch):
+    # 3^10 = 59,049 words exceed the fixed cap of 20,000 words; 3^9 = 19,683 do not
+    def no_words(*args):
+        raise AssertionError("words streamed past the word cap")
+
+    monkeypatch.setattr(thmc.markov, "iter_columns", no_words)
+    with pytest.raises(SizeCapExceeded, match="59049 words exceed the word cap 20000"):
+        enumerate_fiber(Model.A, 3, 10, sufficient(Model.A, 3, [(1,) * 10]))
+    monkeypatch.undo()
+    b = sufficient(Model.A, 3, [(1,) * 9])
+    assert enumerate_fiber(Model.A, 3, 9, b).elements == (((1,) * 9,),)
+
+
 def _no_search(*args):
     raise AssertionError("multisets enumerated past the size guard")
 
