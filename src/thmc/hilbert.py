@@ -6,12 +6,12 @@ are mapped in once, the cone is triangulated by placing the primitive
 generator directions, and the lattice points of every half-open
 fundamental parallelepiped are tested, graded and reduced to
 irreducibles by increasing degree; only the irreducibles are mapped
-back. The extreme rays are placed first, so no later direction adds a
-simplex, and among them the ones on the most facets first: a placed
-ray adds one simplex per boundary facet it sees, and the simplices'
-volumes always sum to the same normalized volume of the cone, so a
-triangulation of fewer, larger simplices does the same point search
-with less per-simplex work. Boundary facets are bitmasks of rays, and
+back. Directions are placed by falling count of tight facets: a face's
+vertices come before the directions inside it, which add no simplex,
+and the extreme rays on the most facets come first. A placed ray adds
+one simplex per boundary facet it sees, and the volumes always sum to
+the cone's normalized volume, so fewer, larger simplices do the same
+point search with less work. Boundary facets are bitmasks of rays, and
 one met again is interior. Every simplex carries its scaled inverse
 N = vol R^-1 and vol = |det R|: row i of N is the inward normal of the
 facet opposite ray i, and the columns of N mod vol generate the
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .design import Model, column_of_word, compositions, distinct_columns, transition_pairs
 from .intlinalg import IntLattice, IntVec, PackedNormals, identity_matrix, independent_subset, l1_reach, mat_vec, primitive_vector, smith_normal_form
-from .polyhedra import PackedColumns, cone_facets, linear_feasible, vertices_by_facet_rank
+from .polyhedra import PackedColumns, cone_facets, linear_feasible
 
 # the largest T of models a, b, c, d by S; at S=4 the next T takes 6.8 s and 141 MB (d; b takes 4.8 s at T=3),
 # while a fills 2.5 GB in 130 s and b, c run past 150 s, on 2 vCPU
@@ -104,22 +104,21 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     weight = [sum(row) for row in B]
     colsum = model.column_sum(T)
 
-    direction_of = {c: primitive_vector(lattice.coordinates(c)) for c in cols}
-    extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
-    directions = _placing_order(direction_of.values(), extreme, normals)
-
     # a candidate is one packed integer: its facet values, its r coordinates and, in the top field, its weight,
     # so candidates sort by weight; its L1 norm is below r * l1_reach(directions), that of a difference twice that
+    directions = {primitive_vector(lattice.coordinates(c)) for c in cols}
     r = lattice.rank
     pack = PackedNormals([*sorted(normals), *identity_matrix(r), weight], 2 * r * l1_reach(directions))
     guard, width = pack.guard, pack.width
+    facets = guard & ((1 << width * len(normals)) - 1)  # the guard bits of the facet fields
+    # placing order: falling count of tight facets, then lex, so only the extreme rays add simplices
+    directions = sorted(directions, key=lambda z: (-(pack.tight(pack.value(z)) & facets).bit_count(), z))
     forms = [pack.value(z) - guard for z in directions]
     candidates = set(forms)
     for simplex, N, vol in _placing_triangulation(directions, r, normals):
         if vol > 1:  # a unimodular simplex adds no point
             candidates.update(_parallelepiped_points([forms[i] for i in simplex], pack.coords, N, vol))
 
-    facets = guard & ((1 << width * len(normals)) - 1)  # the guard bits of the facet fields
     top, half = width * (pack.count - 1), 1 << (width - 1)
     accepted, lower, level = [], [], 0  # lower: the accepted values of smaller degree, the last reducer that worked first
     for value in sorted(candidates):
@@ -146,18 +145,6 @@ def hilbert_basis(model: Model | str, S: int, T: int, *, max_T: int | None = Non
     return HilbertBasisResult(model=model, S=S, T=T, elements=elements, normal=normal)
 
 
-def _placing_order(directions: Iterable[IntVec], extreme: set[IntVec], normals: set[IntVec]) -> list[IntVec]:
-    """The distinct directions in placing order: the extreme ones first, by falling count of tight facets.
-
-    Ties and the non-extreme directions, which come last, go in lex
-    order. One packed evaluation of the facet normals per extreme
-    direction counts its tight facets.
-    """
-    pack = PackedNormals(sorted(normals), l1_reach(extreme))
-    tight = {z: pack.tight(pack.value(z)).bit_count() for z in extreme}
-    return sorted(set(directions), key=lambda z: (z not in extreme, -tight.get(z, 0), z))
-
-
 Simplex = tuple[tuple[int, ...], tuple[IntVec, ...], int]  # (ray indices, N = vol * R^-1, vol)
 
 
@@ -169,11 +156,12 @@ def _placing_triangulation(rays: Sequence[IntVec], rank: int, normals: set[IntVe
     new simplex per visible facet; a ray inside the current cone adds
     nothing. The volumes of the simplices sum to the normalized volume
     of the cone in every order, but their number depends on the order,
-    so callers place the rays by :func:`_placing_order`: the extreme
-    rays first, those on the most facets of the cone first among them
-    (d/S=3/T=15: 316 simplices, against 1,152 with the extreme rays in
-    lex order and 12,577 in plain lex order; c/S=3/T=9: 1,206, 3,450 and
-    7,946).
+    so :func:`hilbert_basis` places them by falling count of tight
+    facets. A ray inside a face of dimension >= 1 comes after the face's
+    vertices, each tight on a strict superset of its facets, and adds
+    nothing: only the extreme rays add simplices (d/S=3/T=15: 316,
+    against 1,152 with the extreme rays first in lex order and 12,577 in
+    plain lex order; c/S=3/T=9: 1,206, 3,450 and 7,946).
 
     Facets are bitmasks over the ray indices. A facet met a second time
     is interior: the new simplex must lie on its other side, and the
@@ -282,18 +270,19 @@ def _exchange(N: Sequence[IntVec], vol: int, drop: int, v: IntVec) -> tuple[list
     return rows, abs(wd)
 
 
-def _parallelepiped_points(rays: Sequence[int], units: Sequence[int], N: Sequence[IntVec], vol: int) -> list[int]:
+def _parallelepiped_points(rays: Sequence[int], units: Iterable[int], N: Sequence[IntVec], vol: int) -> list[int]:
     """Packed forms of the nonzero lattice points of a simplex's half-open parallelepiped.
 
     ``rays`` and ``units`` are the packed forms (no guard) of the rays
     and of the unit vectors. The vectors c = vol * lambda = N x mod vol,
     N = vol * R^-1, form the group generated by the columns of N mod vol,
-    of order vol; it is built generator by generator. Each c is one
-    integer whose field i, of top + 1 bits for top = bit_length(2 vol),
-    holds c_i + 2^top - vol, so a sum sets the top bit of the fields
-    that reach vol. The point R c / vol moves
-    with c: generator j is e_j - R (N e_j div vol), and a wrap in fields
-    o subtracts the rays of o, summed once per o. c_i takes each multiple
+    of order vol; it is built generator by generator until it has that
+    order, and no later unit form is read. Each c is one integer whose
+    field i, of top + 1 bits for top = bit_length(2 vol), holds
+    c_i + 2^top - vol, so a sum sets the top bit of the fields that
+    reach vol. The point R c / vol moves with c: generator j is
+    e_j - R (N e_j div vol), and a wrap in fields o subtracts the rays
+    of o, summed once per o. c_i takes each multiple
     of g_i = gcd(vol, row i of N) g_i times: 2 sum(points) = sum((vol - g_i) rays_i).
     """
     top = (2 * vol).bit_length()  # the guard bit of a field of top + 1 bits
@@ -302,7 +291,8 @@ def _parallelepiped_points(rays: Sequence[int], units: Sequence[int], N: Sequenc
     guard, zero = ones << top, ones * ((1 << top) - vol)
     group = {zero: 0}  # c -> its point
     wrapped = {0: 0}  # the guard bits of the fields that wrapped -> the sum of their rays
-    for column, unit in zip(zip(*N), units):
+    generators = zip(*N)  # the columns of N
+    for column, unit in zip(generators, units):
         g = sum(map(lshift, map(vol.__rmod__, column), shifts))
         if zero + g in group:  # no field of g reaches vol
             continue
@@ -317,8 +307,10 @@ def _parallelepiped_points(rays: Sequence[int], units: Sequence[int], N: Sequenc
                     wrapped[o] = sum(ray for shift, ray in zip(shifts, rays) if o >> (shift + top) & 1)
                 group[c] = p = p + at - wrapped[o]
                 walk.append((c, p))
-    if len(group) != vol:
-        raise AssertionError(f"parallelepiped group has order {len(group)}, not vol = {vol}")
+        if len(group) == vol:  # complete: every later generator is in it, and so is their sum, looked up once
+            break
+    if len(group) != vol or zero + sum(map(lshift, (sum(e) % vol for e in zip(*generators)), shifts)) not in group:
+        raise AssertionError(f"parallelepiped group has order {len(group)} or a later generator outside it, not vol = {vol}")
     points = list(group.values())
     if 2 * sum(points) != sum((vol - gcd(vol, *row)) * ray for row, ray in zip(N, rays)):
         raise AssertionError("parallelepiped points fail their checksum")

@@ -408,5 +408,5 @@ def _column_fibers(columns: Sequence[tuple[int, ...]], D: int) -> tuple[Callable
 
 
 def moves_to_text(moves: Sequence[Move]) -> str:
-    """One move per line, signed integers over the lexicographic word order."""
-    return "\n".join(" ".join(str(x) for x in mv.as_vector()) for mv in moves) + "\n"
+    """One move per line, signed integers over the lexicographic word order; no moves, no lines."""
+    return "".join(" ".join(str(x) for x in mv.as_vector()) + "\n" for mv in moves)

@@ -338,7 +338,10 @@ class HRep:
     equations: tuple[IntVec, ...]
 
     def contains(self, point: Sequence[int]) -> bool:
-        """Is the integer point in the cone?"""
+        """Is the integer point in the cone? A point of the wrong length raises :class:`DimensionMismatch`."""
+        for h in (*self.inequalities, *self.equations):
+            if len(h) != len(point):
+                raise DimensionMismatch(f"point of length {len(point)}, normals of length {len(h)}")
         return all(sum(a * b for a, b in zip(h, point)) >= 0 for h in self.inequalities) and not any(
             sum(a * b for a, b in zip(e, point)) for e in self.equations
         )

@@ -336,6 +336,14 @@ def test_markov_moves_out_writes_the_minimal_basis(capsys, tmp_path):
         assert all(sum(map(mul, row, vec)) == 0 for row in rows)
 
 
+def test_markov_moves_out_is_empty_without_moves(capsys, tmp_path):
+    # b/S=2/T=2 has no moves: no line, so a line reader counts no move
+    moves_path = tmp_path / "moves.txt"
+    assert main(["markov", "--model", "b", "--S", "2", "--T", "2", "--D", "1", "--moves-out", str(moves_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["moves_by_degree"] == {}
+    assert moves_path.read_text() == ""
+
+
 def test_markov_move_multiset_cap_runs_before_the_probe(capsys, monkeypatch, tmp_path):
     import thmc.markov
 

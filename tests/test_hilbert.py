@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 from itertools import product
 from math import prod
-from operator import le, sub
+from operator import le, mul, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +18,6 @@ from thmc.hilbert import (
     RangeExceeded,
     WitnessVerificationFailed,
     _parallelepiped_points,
-    _placing_order,
     _placing_triangulation,
     hilbert_basis,
     hilbert_basis_bruteforce_oracle,
@@ -320,6 +319,24 @@ def test_parallelepiped_order_check_catches_a_dropped_generator():
             _walk(rays, dropped, 6)
 
 
+def test_parallelepiped_walk_reads_no_generator_after_the_group_is_complete():
+    # rays (1, 1), (0, 3): N = [[3, 0], [-1, 1]] and vol 3, so the first column of N, (0, 2) mod 3, generates the group
+    rays = [(1, 1), (0, 3)]
+    N, vol = smith_normal_form([[1, 0], [1, 3]]).scaled_inverse()
+    points, pack, forms = _walk(rays, N, vol)
+    assert sorted(points) == [(0, 1), (0, 2)]
+    pulled = []
+
+    def units():
+        for unit in pack.coords:
+            pulled.append(unit)
+            yield unit
+
+    got = _parallelepiped_points(forms, units(), N, vol)
+    assert sorted(tuple(pack.decode(pack.guard + p)) for p in got) == sorted(points)
+    assert len(pulled) == 1
+
+
 def _unimodular(rng, r, bound):
     """L U for unit lower and upper triangular L and U with off-diagonal entries up to +-bound."""
     L = [[1 if i == j else rng.randint(-bound, bound) if i > j else 0 for j in range(r)] for i in range(r)]
@@ -437,7 +454,7 @@ def test_one_smith_form_per_hilbert_basis(monkeypatch):
     monkeypatch.setattr(thmc.hilbert, "_placing_triangulation", placing)
     hilbert_basis("d", 3, 5)
     # d/S=3/T=5 takes 190 simplices in lex order, 159 with the extreme rays first (in lex order) and 128
-    # with them by falling count of tight facets; c/S=3/T=4, whose 24 rays are all extreme, 213, 213 and 183
+    # by falling count of tight facets; c/S=3/T=4, whose 24 rays are all extreme, 213, 213 and 183
     assert (len(calls), len(simplices)) == (1, 128)
     calls.clear()
     simplices.clear()
@@ -478,7 +495,9 @@ def test_placing_overlap_check_catches_a_same_side_neighbour(monkeypatch):
 def _lattice_directions(model, T):
     """Primitive column directions in lex, extreme-first and shipped placing order, the rank and the facet normals.
 
-    All in lattice coordinates, as hilbert_basis places them.
+    All in lattice coordinates, as hilbert_basis places them. The shipped order is what hilbert_basis passes to
+    _placing_triangulation; the extreme-first order puts the columns that vertices_by_facet_rank finds first, by
+    falling count of tight facets, then the rest, ties in lex order.
     """
     cols = distinct_columns(model, 3, T)
     hrep = cone_facets(cols)
@@ -488,7 +507,16 @@ def _lattice_directions(model, T):
     extreme = {direction_of[c] for c in vertices_by_facet_rank(cols, hrep)}
     normals = {primitive_vector(mat_vec(B, h)) for h in hrep.inequalities}
     lex = sorted(set(direction_of.values()))
-    orders = [lex, sorted(lex, key=lambda z: (z not in extreme, z)), _placing_order(lex, extreme, normals)]
+
+    def tight(z):
+        return sum(not sum(map(mul, h, z)) for h in normals)
+
+    shipped = []
+    real = thmc.hilbert._placing_triangulation
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thmc.hilbert, "_placing_triangulation", lambda rays, *args: shipped.append(rays) or real(rays, *args))
+        hilbert_basis(model, 3, T)
+    orders = [lex, sorted(lex, key=lambda z: (z not in extreme, -tight(z), z)), shipped[0]]
     return orders, lattice.rank, normals
 
 
@@ -517,8 +545,40 @@ def test_exchanged_scaled_inverse_matches_the_smith_form(model, T):
             assert (N, vol) == (tuple(map(tuple, N_snf)), vol_snf)
 
 
+@pytest.mark.parametrize("model,T", TRIANGULATED)
+def test_shipped_order_places_the_extreme_first_triangulation(model, T):
+    # a direction that is no extreme ray comes after the vertices of its face and adds no simplex; the same
+    # simplices may come in another order where a ray's visible facets, sets of index bitmasks, iterate otherwise
+    # (d/S=3/T=13 and 15), but on these cases they come in the same order
+    (_, extreme_first, shipped), rank, normals = _lattice_directions(model, T)
+    assert sorted(shipped) == sorted(extreme_first)
+    sequences = [
+        [(tuple(rays[j] for j in simplex), N, vol) for simplex, N, vol in _placing_triangulation(rays, rank, normals)]
+        for rays in (extreme_first, shipped)
+    ]
+    assert sequences[0] == sequences[1]
+
+
+def test_hilbert_basis_runs_no_vertex_test(monkeypatch):
+    expected = hilbert_basis("d", 3, 5)
+
+    def refused(*args):
+        raise AssertionError("the vertex test ran")
+
+    bound = [module for name, module in sys.modules.items() if name.startswith("thmc") and hasattr(module, "vertices_by_facet_rank")]
+    assert thmc.polyhedra in bound
+    for module in bound:
+        monkeypatch.setattr(module, "vertices_by_facet_rank", refused)
+    real = thmc.hilbert._placing_triangulation
+    simplices = []
+    monkeypatch.setattr(thmc.hilbert, "_placing_triangulation", lambda *args: simplices.extend(real(*args)) or simplices)
+    assert hilbert_basis("d", 3, 5) == expected
+    assert len(simplices) == 128
+
+
 def test_exchange_check_catches_a_corrupted_entry(monkeypatch):
-    # N R = vol I must refuse an exchanged N with one entry off by one
+    # N R = vol I must refuse an exchanged N with one entry off by one; the shipped order is recorded first
+    orders, rank, normals = _lattice_directions(Model.D, 5)
     real = thmc.hilbert._exchange
 
     def corrupted(N, vol, drop, v):
@@ -527,6 +587,5 @@ def test_exchange_check_catches_a_corrupted_entry(monkeypatch):
         return rows, vol
 
     monkeypatch.setattr(thmc.hilbert, "_exchange", corrupted)
-    orders, rank, normals = _lattice_directions(Model.D, 5)
     with pytest.raises(AssertionError, match="N R = vol I"):
         list(_placing_triangulation(orders[-1], rank, normals))

@@ -191,6 +191,19 @@ def test_lp_field_width_at_criterion_8s_largest_slice():
     assert any(answers) and not all(answers)
 
 
+@pytest.mark.parametrize("model,T", [("d", 4), ("c", 4)])
+def test_hrep_contains_refuses_a_point_of_the_wrong_length(model, T):
+    cols = distinct_columns(model, 3, T)
+    hrep = cone_facets(cols)
+    dim = len(cols[0])
+    assert hrep.contains(cols[0]) and not hrep.contains([-x for x in cols[0]])
+    # model c's cone spans a hyperplane: with its inequalities dropped, the equation alone must still see the length
+    hreps = [hrep, replace(hrep, inequalities=())] if hrep.equations else [hrep]
+    for h, point in product(hreps, [(0, 0, 0), (1,) * (dim - 1), (1,) * (dim + 2)]):
+        with pytest.raises(DimensionMismatch, match=f"length {len(point)}.*length {dim}"):
+            h.contains(point)
+
+
 def test_lp_dropped_columns_in_the_middle_match_the_shorter_list():
     # a zero entry of x drops the columns positive there; they sit between kept ones in the packing order
     packed = PackedColumns(model_d_columns(5))
